@@ -36,42 +36,41 @@
 //!    column of the scratchpad — instead of `objects × leaves` separate
 //!    hash probes;
 //! 3. the per-object fold walks the op array over the scratchpad columns;
-//!    only an inner `<=` re-evaluating its left operand at an earlier
-//!    instant ever falls back to a point probe;
+//!    only a leaf stamp later than the instant being evaluated (an earlier
+//!    probe, or an inner `<=` re-evaluating its left operand) ever falls
+//!    back to a point probe;
 //! 4. the boundary result is memoized per `(clip, t)` and the whole
 //!    scratchpad is keyed on `(uid, epoch)` of the event base, so
 //!    re-evaluations between arrivals are O(1).
 //!
-//! ## Three evaluation tiers
+//! ## One production path, one reference
 //!
-//! The calculus now has three coordinated implementations of the §4.3
-//! boundary, from slowest/simplest to fastest:
+//! The **interpreted reference** ([`crate::instance::boundary_ts_logical`]
+//! / `boundary_ts_algebraic`, reached through
+//! [`crate::ts_logical_interpreted`]) re-walks the AST and rescans the
+//! window on every call. It is never on a hot path; it is the
+//! property-tested ground truth.
 //!
-//! 1. **interpreted reference** ([`crate::instance::boundary_ts_logical`] /
-//!    `boundary_ts_algebraic`, reached through
-//!    [`crate::ts_logical_interpreted`]): re-walks the AST and rescans the
-//!    window on every call. Never used on a hot path; it is the
-//!    property-tested ground truth.
-//! 2. **planned cold**: the compile/evaluate split above — one domain
-//!    lookup + batched stamp sweep per `(window, epoch)`, then an
-//!    O(objects) fold per probe instant. Paid on the *first* probe after
-//!    a window's lower bound moves (rule consideration/consumption) or on
-//!    a fresh scratchpad.
-//! 3. **planned incremental**: when the event base `(uid, epoch)` key
-//!    advances but the observation window merely *extends* (same lower
-//!    bound — the §5.1 arrival case), the scratchpad is **advanced, not
-//!    rebuilt**: the epoch's new occurrences are read through the EB's
-//!    per-type delta columns ([`EventBase::type_occurrences_since`]), new
-//!    domain rows are spliced in by a single sorted merge, touched
-//!    `(type, object)` stamp cells are overwritten in place, and the
-//!    boundary memo is invalidated selectively by the boundary's
-//!    variation types `V(E)` instead of wholesale. Negation-free
-//!    boundaries additionally maintain a running *aggregate* (the max
-//!    per-object root activation stamp, which is monotone under
-//!    arrivals), so a post-arrival probe at the window frontier is
-//!    O(arrivals), not O(objects). The cold tier remains the fallback
-//!    whenever the window's lower bound moves or the scratch belongs to a
-//!    different event base.
+//! The **planned** evaluation builds each boundary's scratch for the
+//! window up to the event base's frontier, `(w.after, max(t, now)]`, so
+//! all probe instants of an epoch share one build. That is exact for
+//! every boundary: a negation-free component gives `-t` for any object
+//! without a matching occurrence up to `t`, and a widened
+//! (negation-carrying) one records each row's first in-window stamp and
+//! folds only the rows already in the domain at `t`. The scratch is
+//! built cold when the window's lower bound moves (rule
+//! consideration/consumption) or it belongs to another event base.
+//! Otherwise, when the `(uid, epoch)` key advances, it is **advanced,
+//! not rebuilt**: the epoch's new occurrences are read through the EB's
+//! per-type delta columns ([`EventBase::type_occurrences_since`]), new
+//! domain rows are spliced in by a single sorted merge, touched
+//! `(type, object)` stamp cells are overwritten in place, and the
+//! boundary memo is invalidated selectively by the boundary's variation
+//! types `V(E)` instead of wholesale. Negation-free boundaries
+//! additionally maintain a running *aggregate* (the max per-object root
+//! activation stamp, which is monotone under arrivals), so a
+//! post-arrival probe at the window frontier is O(arrivals), not
+//! O(objects).
 //!
 //! Values match the recursive evaluators **bit for bit** (including the
 //! structured negative residues); `tests/plan_equivalence.rs` asserts this
@@ -190,6 +189,12 @@ impl BoundaryPlan {
     pub fn leaves(&self) -> &[EventType] {
         &self.leaves
     }
+
+    /// Does the quantification domain widen to every object affected in
+    /// the window (a nested negation in the component)?
+    pub fn widens(&self) -> bool {
+        self.widen
+    }
 }
 
 /// A compiled evaluation plan for one validated [`EventExpr`].
@@ -303,6 +308,11 @@ struct BoundaryScratch {
     /// Leaf stamp matrix, column-major: `stamps[leaf * D + obj]` is the
     /// most recent in-window stamp of `leaves[leaf]` on `domain[obj]`.
     stamps: Vec<Option<Timestamp>>,
+    /// Widened boundaries only (empty otherwise): `first[obj]` is the
+    /// stamp of `domain[obj]`'s first occurrence in `clip`, the instant
+    /// it joins the domain. A probe at `t` folds only rows with
+    /// `first <= t`, so one frontier build serves every earlier instant.
+    first: Vec<Timestamp>,
     /// Event-base epoch the matrix has absorbed: every logged occurrence
     /// at a position `< built_epoch` that falls inside `clip` is
     /// reflected in `domain`/`stamps`. Later occurrences are applied by
@@ -337,6 +347,7 @@ impl Default for BoundaryScratch {
             clip: None,
             domain: Arc::from(Vec::new()),
             stamps: Vec::new(),
+            first: Vec::new(),
             built_epoch: 0,
             max_stamp: None,
             agg: None,
@@ -514,10 +525,10 @@ impl PlanEval {
             // Arrival-incremental advance: reuse the matrix when the new
             // clip is a pure upper-bound extension of the built one and
             // the old build absorbed every occurrence logged at its epoch
-            // (always true for the shared non-widened build clip, whose
-            // upper bound is `>= now`). Everything else — a moved lower
-            // bound after consumption, a widened per-instant clip probed
-            // at an earlier instant — takes the cold rebuild below.
+            // (always true for the frontier build clip, whose upper bound
+            // is `>= now`). Everything else — a moved lower bound after
+            // consumption, a clip narrower than the built one — takes the
+            // cold rebuild below.
             if let Some(old) = scr.clip {
                 let absorbed_all = scr.built_epoch == 0
                     || eb
@@ -535,7 +546,7 @@ impl PlanEval {
         self.build_boundary(bi, bp, eb, clip);
     }
 
-    /// Cold build of the domain + stamp matrix for `clip` (tier 2).
+    /// Cold build of the domain + stamp matrix for `clip`.
     fn build_boundary(&mut self, bi: usize, bp: &BoundaryPlan, eb: &EventBase, clip: Window) {
         let scr = &mut self.scratch[bi];
         scr.domain = if bp.widen {
@@ -549,6 +560,14 @@ impl PlanEval {
         for (l, &ty) in bp.leaves.iter().enumerate() {
             eb.last_of_type_objs_in(ty, &scr.domain, clip, &mut scr.stamps[l * d..(l + 1) * d]);
         }
+        scr.first = if bp.widen {
+            scr.domain
+                .iter()
+                .map(|&oid| first_in(eb, oid, clip))
+                .collect()
+        } else {
+            Vec::new()
+        };
         scr.clip = Some(clip);
         scr.built_epoch = eb.epoch();
         scr.max_stamp = bp
@@ -560,7 +579,7 @@ impl PlanEval {
         scr.agg_valid = false;
     }
 
-    /// Arrival-incremental advance (tier 3): extend the existing matrix
+    /// Arrival-incremental advance: extend the existing matrix
     /// from its built epoch to the current one by splicing new domain
     /// rows in and overwriting the delta-touched stamp cells, instead of
     /// rescanning the window. Returns `false` (leaving the scratch intact
@@ -594,6 +613,18 @@ impl PlanEval {
                     stamps[slot * nd + j] = scr.stamps[slot * old_d + i];
                 }
                 j += 1;
+            }
+            if bp.widen {
+                // old rows keep their entry stamp; fresh rows enter at
+                // their first occurrence, which is in the arrival delta
+                let mut old = scr.domain.iter().zip(&scr.first).peekable();
+                scr.first = new_domain
+                    .iter()
+                    .map(|&oid| match old.next_if(|&(&o, _)| o == oid) {
+                        Some((_, &f)) => f,
+                        None => first_in(eb, oid, clip),
+                    })
+                    .collect();
             }
             scr.stamps = stamps;
             scr.domain = new_domain;
@@ -664,20 +695,15 @@ impl PlanEval {
             return v;
         }
         let bp = &plan.boundaries[bi];
-        // Negation-free components evaluate to exactly `-t` for any object
-        // without a matching occurrence up to `t`, so a *wider* domain and
-        // stamp matrix give bit-identical results — build them once per
-        // epoch over the full window and share them across every probe
-        // instant (the per-leaf `s <= t` check + point-probe fallback
-        // resolves earlier instants). Widened (negation-carrying)
-        // components gain vacuously-active members with the domain, so
-        // they must keep the exact per-instant clip.
-        let build_clip = if bp.widen {
-            clip
-        } else {
-            w.clip_upto(t.max(eb.now()))
-        };
-        self.prepare_boundary(bi, bp, eb, build_clip);
+        // The domain and stamp matrix are built once per epoch over the
+        // window up to the frontier and shared by every probe instant: the
+        // per-leaf `s <= t` check + point-probe fallback resolves earlier
+        // instants. Negation-free components evaluate to exactly `-t` for
+        // any object without a matching occurrence up to `t`, so the wider
+        // domain is harmless to them; a widened (negation-carrying)
+        // component would gain vacuously-active members, so its fold skips
+        // the rows that join the domain after `t`.
+        self.prepare_boundary(bi, bp, eb, frontier_clip(eb, w, t));
         let scr = &self.scratch[bi];
         // Aggregate fast path: a negation-free per-object root probed at
         // an instant covering every matrix stamp is either active with a
@@ -697,6 +723,9 @@ impl PlanEval {
         let root = bp.ops.len() - 1;
         let mut best: Option<TsVal> = None;
         for j in 0..ctx.scr.domain.len() {
+            if bp.widen && ctx.scr.first[j] > t {
+                continue; // not in the `(w.after, t]` domain
+            }
             let v = ctx.eval(root, t, j);
             best = Some(match best {
                 None => v,
@@ -727,36 +756,51 @@ impl PlanEval {
 
     /// Test-only: force every boundary's matrix to be prepared for the
     /// window frontier, bypassing the result memo (which can legitimately
-    /// answer a probe while the matrix still describes an earlier
-    /// widened-clip instant). Lets equivalence suites compare scratch
-    /// state against a cold rebuild through whichever tier — advance or
-    /// rebuild — production would pick for this window.
+    /// answer a probe while the matrix still describes an earlier epoch).
+    /// Lets equivalence suites compare scratch state against a cold
+    /// rebuild through whichever path — advance or rebuild — production
+    /// would pick for this window.
     #[doc(hidden)]
     pub fn prepare_frontier(&mut self, eb: &EventBase, w: Window) {
         self.refresh_key(eb);
         let plan = Arc::clone(&self.plan);
-        let t = w.upto;
         for (bi, bp) in plan.boundaries.iter().enumerate() {
-            let build_clip = if bp.widen {
-                w.clip_upto(t)
-            } else {
-                w.clip_upto(t.max(eb.now()))
-            };
-            self.prepare_boundary(bi, bp, eb, build_clip);
+            self.prepare_boundary(bi, bp, eb, frontier_clip(eb, w, w.upto));
         }
     }
 
-    /// Test-only view of the per-boundary scratch state (`domain` and the
-    /// column-major stamp matrix), used by the equivalence suites to
-    /// assert the arrival-incremental matrix equals a from-scratch cold
-    /// rebuild cell for cell.
+    /// Test-only view of the per-boundary scratch state (`domain`, the
+    /// column-major stamp matrix and a widened domain's entry stamps),
+    /// used by the equivalence suites to assert the arrival-incremental
+    /// matrix equals a from-scratch cold rebuild cell for cell.
     #[doc(hidden)]
-    pub fn boundary_scratch(&self) -> Vec<(Vec<Oid>, Vec<Option<Timestamp>>)> {
+    pub fn boundary_scratch(&self) -> Vec<BoundaryScratchView> {
         self.scratch
             .iter()
-            .map(|s| (s.domain.to_vec(), s.stamps.clone()))
+            .map(|s| (s.domain.to_vec(), s.stamps.clone(), s.first.clone()))
             .collect()
     }
+}
+
+/// One boundary's scratch state as [`PlanEval::boundary_scratch`] shows
+/// it: the domain, the stamp matrix and the per-row entry stamps.
+#[doc(hidden)]
+pub type BoundaryScratchView = (Vec<Oid>, Vec<Option<Timestamp>>, Vec<Timestamp>);
+
+/// The clip a boundary's scratch is built for when probed at `t` over
+/// `w`: the whole window up to the event base's frontier, so every
+/// probe instant of an epoch shares one build.
+fn frontier_clip(eb: &EventBase, w: Window, t: Timestamp) -> Window {
+    w.clip_upto(t.max(eb.now()))
+}
+
+/// Stamp of `oid`'s first occurrence in `clip`: the instant it joins a
+/// widened domain built for `clip`.
+fn first_in(eb: &EventBase, oid: Oid, clip: Window) -> Timestamp {
+    eb.occurrences_of_obj_in(oid, clip)
+        .next()
+        .expect("domain objects occur in their clip")
+        .ts
 }
 
 /// Borrowed context for the per-object fold: the boundary's compiled

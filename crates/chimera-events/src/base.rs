@@ -468,6 +468,13 @@ impl EventBase {
         snapshot
     }
 
+    /// Stamp of the most recent occurrence affecting `oid` inside `w`.
+    pub fn last_of_obj_in(&self, oid: Oid, w: Window) -> Option<Timestamp> {
+        self.positions_in(self.obj_index.get(&oid), w)
+            .last()
+            .map(|&p| self.log[p as usize].ts)
+    }
+
     /// All occurrences affecting `oid` inside `w`, in timestamp order.
     pub fn occurrences_of_obj_in(
         &self,

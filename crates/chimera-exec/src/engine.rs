@@ -32,10 +32,11 @@
 //! transaction line (or external batch handed to
 //! [`Engine::raise_external`]) is appended to the Event Base as one
 //! epoch delta, and the Trigger Support then runs a single check round
-//! over it — one relevance-filter pass and one shared probe-instant set
-//! per round, with each rule's plan *advancing* its per-object scratch
-//! state by exactly that delta (`EventBase::occurrences_since` /
-//! `type_occurrences_since`) instead of rebuilding it from the window.
+//! over it — one relevance-filter pass per round, each surviving rule
+//! probed only at its own change points, and each rule's plan *advancing*
+//! its per-object scratch state by exactly that delta
+//! (`EventBase::occurrences_since` / `type_occurrences_since`) instead of
+//! rebuilding it from the window.
 //! Rule considerations move a rule's window lower bound, which is the
 //! one case where its plan falls back to a cold rebuild. Transaction
 //! resets ([`Engine::begin`], [`Engine::rollback`]) keep every rule's

@@ -9,7 +9,7 @@
 //! the work itself, and returns only when every task has run.
 //!
 //! The tasks borrow the submitting round's stack (the candidate slots,
-//! the shared probe-instant sets, the memo snapshot), which a
+//! the round's previous-occurrence stamps, the memo snapshot), which a
 //! `'static`-threaded pool cannot express directly. [`ProbePool::run`]
 //! therefore erases the task lifetime (see the safety note there) and
 //! restores the scoped-spawn guarantee *dynamically*: it blocks until

@@ -14,23 +14,27 @@
 //! window is non-empty; it is detriggered exactly at consideration.
 //!
 //! A check is one **batched round over the block's whole arrival delta**:
-//! the dedup'd arrival types and the probe-instant set are computed once
-//! per distinct `checked_upto` bound (almost always once per round, since
-//! rules advance in lockstep) and shared by every rule, each rule's
-//! compiled plan advances its arrival-incremental scratch state once for
-//! the whole delta, and probe results are additionally memoized across
-//! rules sharing an expression (see [`SupportStats`] for the counters).
+//! the dedup'd arrival types are computed once per distinct
+//! `checked_upto` bound (almost always once per round, since rules
+//! advance in lockstep) and shared by every rule's relevance filter. A
+//! rule that survives the filter probes only its **own change points** —
+//! the first new instant, `now`, and the stamp and successor of each
+//! arrival that can change its value (`trigger::change_points_into`) —
+//! rather than every arrival of the block. Each rule's compiled plan
+//! advances its arrival-incremental scratch state once for the whole
+//! delta, and probe results are additionally memoized across rules
+//! sharing an expression (see [`SupportStats`] for the counters).
 //!
 //! The round is **partitionable**: it runs in three phases — *classify*
 //! (sequential: relevance-filter every untriggered rule over the shared
 //! arrival scan and collect the rules that must probe), *probe* (each
-//! candidate rule evaluates its own compiled plan over the shared
-//! immutable probe-instant set; with [`TriggerSupport::check_workers`]
-//! `> 1` the candidates are split across a persistent parked worker
-//! pool ([`crate::SharedProbePool`] — shareable across the engines of a
-//! runtime shard), the
-//! sequential round being the same code path run as a single chunk), and
-//! *commit* (sequential: apply the §4.4 predicate in definition order).
+//! candidate rule evaluates its own compiled plan at its own change
+//! points; with [`TriggerSupport::check_workers`] `> 1` the candidates
+//! are split across a persistent parked worker pool
+//! ([`crate::SharedProbePool`] — shareable across the engines of a
+//! runtime shard), the sequential round being the same code path run as
+//! a single chunk), and *commit* (sequential: apply the §4.4 predicate in
+//! definition order).
 //! Per-rule state — the `Send` plan handle, the sticky witness, the
 //! consumption stamps — is owned by the rule's own table slot, so workers
 //! touch disjoint state and share only the event base, the round's
@@ -39,7 +43,7 @@
 //! (`tests/runtime_equivalence.rs` proves it property-by-property).
 
 use crate::modes::CouplingMode;
-use crate::trigger::{probe_instants_into, RuleState, TriggerDef};
+use crate::trigger::{change_points_into, RuleState, TriggerDef};
 use chimera_calculus::EventExpr;
 use chimera_events::{EventBase, EventType, Timestamp, Window};
 use std::collections::HashMap;
@@ -237,9 +241,6 @@ pub struct SupportStats {
     /// Trigger-support check rounds run (one per non-interruptible block
     /// plus one per reaction-loop iteration).
     pub check_rounds: u64,
-    /// Probe-instant sets actually materialized; rules whose `checked_upto`
-    /// coincides (the common lockstep case) share one set per round.
-    pub probe_sets_built: u64,
 }
 
 /// Cross-rule `ts`-probe memo: witness results keyed by expression, then
@@ -248,32 +249,34 @@ type ProbeMemo = HashMap<EventExpr, HashMap<(Timestamp, Timestamp), bool>>;
 
 /// Shared arrival state for one `checked_upto` bound within a check
 /// round: the dedup'd types of the block's arrival delta (built on first
-/// relevance-filter use) and the probe instants of the newly covered
-/// range (built only when some rule survives the filter). Rules advance
-/// in lockstep except right after a consideration, so a round usually
-/// holds a single entry that every rule reuses — one relevance scan and
-/// one probe set per block instead of one per rule, and none at all on
-/// paths that never read them. The entries (and their buffers) live in
-/// the support and are reused round after round, so the steady-state
-/// block path allocates nothing new.
+/// relevance-filter use) and, for each arrival, the stamp of the previous
+/// occurrence on its object (built only when a widened rule probes, whose
+/// change points include an object's first occurrence in its window).
+/// Rules advance in lockstep except right after a consideration, so a
+/// round usually holds a single entry that every rule reuses — one scan
+/// per block instead of one per rule, and none at all on paths that never
+/// read them. The entries (and their buffers) live in the support and are
+/// reused round after round.
 #[derive(Debug, Clone, Default)]
 struct RoundScratch {
     from: Timestamp,
     types_built: bool,
     types: Vec<EventType>,
-    probes_built: bool,
-    probes: Vec<Timestamp>,
+    prev_built: bool,
+    prev: Vec<Option<Timestamp>>,
 }
 
 /// One probe worker's private state: the memo entries it discovered this
-/// round (merged back into the support's epoch memo afterwards) and its
-/// share of the probe counters. Workers read the pre-round memo snapshot
-/// and their own fresh entries; values are deterministic, so duplicated
-/// evaluation across workers can change counters but never outcomes.
+/// round (merged back into the support's epoch memo afterwards), its
+/// share of the probe counters, and the change-point buffer its rules
+/// reuse. Workers read the pre-round memo snapshot and their own fresh
+/// entries; values are deterministic, so duplicated evaluation across
+/// workers can change counters but never outcomes.
 #[derive(Debug, Default)]
 struct ProbeScratch {
     memo: ProbeMemo,
     stats: SupportStats,
+    probes: Vec<Timestamp>,
 }
 
 /// Below this many candidate rules a parallel round is not worth waking
@@ -396,17 +399,18 @@ impl TriggerSupport {
             }
         }
 
-        // Phase 2 — probe: materialize the probe-instant sets the
-        // candidates reference (reused buffers), then evaluate each
-        // candidate's own compiled plan over them — inline, or fanned out
+        // Phase 2 — probe: record the previous-occurrence stamps widened
+        // candidates read (reused buffers), then evaluate each candidate's
+        // own compiled plan at its change points — inline, or fanned out
         // across a scoped worker pool when configured and worthwhile.
-        for pi in 0..self.probe_plan.len() {
-            let ri = self.probe_plan[pi].1;
+        for &(idx, ri) in &self.probe_plan {
             let r = &mut self.rounds[ri];
-            if !r.probes_built {
-                r.probes_built = true;
-                self.stats.probe_sets_built += 1;
-                probe_instants_into(eb, r.from, now, &mut r.probes);
+            if table.slots[idx].state.widened && !r.prev_built {
+                r.prev_built = true;
+                for e in eb.slice(Window::new(r.from, now)) {
+                    let before = Window::new(Timestamp::ZERO, Timestamp(e.ts.raw() - 1));
+                    r.prev.push(eb.last_of_obj_in(e.oid, before));
+                }
             }
         }
         let workers = self.check_workers.max(1).min(self.probe_plan.len());
@@ -438,15 +442,7 @@ impl TriggerSupport {
                     Box::new(move || {
                         let mut local = ProbeScratch::default();
                         for (def, st, ri) in part.iter_mut() {
-                            probe_slot(
-                                def,
-                                st,
-                                eb,
-                                now,
-                                &rounds[*ri].probes,
-                                base_memo,
-                                &mut local,
-                            );
+                            probe_slot(def, st, eb, now, &rounds[*ri].prev, base_memo, &mut local);
                         }
                         *out = Some(local);
                     })
@@ -465,7 +461,7 @@ impl TriggerSupport {
                     &mut slot.state,
                     eb,
                     now,
-                    &self.rounds[ri].probes,
+                    &self.rounds[ri].prev,
                     &self.probe_memo,
                     &mut local,
                 );
@@ -505,8 +501,8 @@ impl TriggerSupport {
         r.from = from;
         r.types.clear();
         r.types_built = false;
-        r.probes.clear();
-        r.probes_built = false;
+        r.prev.clear();
+        r.prev_built = false;
         self.rounds_live += 1;
         self.rounds_live - 1
     }
@@ -523,24 +519,28 @@ impl TriggerSupport {
     }
 }
 
-/// Probe one candidate rule over the shared probe-instant set: the §4.4
-/// existential for the newly covered range, through the rule's own
-/// compiled plan. Consults the worker's fresh entries first, then the
-/// pre-round memo snapshot; records fresh results in the worker's memo.
-/// This is the per-rule unit of work both the sequential and the
-/// parallel probe phase run.
+/// Probe one candidate rule at its change points: the §4.4 existential
+/// for the newly covered range, through the rule's own compiled plan.
+/// `prev` is the round's previous-occurrence stamps for the rule's
+/// `checked_upto` bound (see [`RoundScratch`]). Consults the worker's
+/// fresh entries first, then the pre-round memo snapshot; records fresh
+/// results in the worker's memo. This is the per-rule unit of work both
+/// the sequential and the parallel probe phase run.
 fn probe_slot(
     def: &TriggerDef,
     st: &mut RuleState,
     eb: &EventBase,
     now: Timestamp,
-    probes: &[Timestamp],
+    prev: &[Option<Timestamp>],
     base_memo: &ProbeMemo,
     local: &mut ProbeScratch,
 ) {
     let window = st.trigger_window(now);
+    let arrivals = eb.slice(Window::new(st.checked_upto, now));
+    let mut probes = std::mem::take(&mut local.probes);
+    change_points_into(st, arrivals, prev, now, &mut probes);
     let mut found = false;
-    for &t in probes {
+    for &t in &probes {
         let key = (window.after, t);
         let cached = local
             .memo
@@ -569,6 +569,7 @@ fn probe_slot(
             break;
         }
     }
+    local.probes = probes;
     st.witness = found || st.witness;
     st.checked_upto = now;
 }
@@ -779,29 +780,42 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_rules_share_one_probe_set_per_round() {
-        // many rules in lockstep: one arrival scan + one probe-instant
-        // set per block, regardless of the rule count
+    fn rules_probe_only_their_own_change_points() {
+        // a block of 8 arrivals on channels the rule never mentions, then
+        // one of its own type: the reference set is all 9 instants, the
+        // rule's change points are the first new instant and that stamp
         let mut rt = RuleTable::new();
-        for i in 0..20 {
-            rt.define(TriggerDef::new(format!("r{i}"), p(0).and(p(1))), Timestamp::ZERO)
-                .unwrap();
-        }
+        rt.define(TriggerDef::new("r", p(0)), Timestamp::ZERO).unwrap();
         let mut eb = EventBase::new();
-        let mut sup = TriggerSupport::optimized();
-        for block in 0..4u64 {
-            eb.append(et(0), Oid(block + 1));
-            eb.append(et(0), Oid(block + 2));
-            sup.check(&mut rt, &eb, eb.now());
+        for n in 0..8u64 {
+            eb.append(et(5), Oid(n + 1));
         }
-        assert_eq!(sup.stats.check_rounds, 4);
-        // every round needed at most one probe set for all 20 rules
-        assert!(
-            sup.stats.probe_sets_built <= sup.stats.check_rounds,
-            "probe sets {} > rounds {}",
-            sup.stats.probe_sets_built,
-            sup.stats.check_rounds
+        eb.append(et(0), Oid(1));
+        let mut sup = TriggerSupport::optimized();
+        assert_eq!(sup.check(&mut rt, &eb, eb.now()), vec!["r".to_string()]);
+        assert_eq!(
+            crate::trigger::probe_instants(&eb, Timestamp::ZERO, eb.now()).len(),
+            9
         );
+        assert_eq!(sup.stats.ts_probes, 2);
+
+        // a widened rule, (-=A) ,= B, also probes where an object first
+        // enters its window through any channel
+        let def = TriggerDef::new("w", p(0).inot().ior(p(1)));
+        let mut rt = RuleTable::new();
+        rt.define(def.clone(), Timestamp::ZERO).unwrap();
+        let mut eb = EventBase::new();
+        eb.append(et(0), Oid(1)); // t1: leaf type
+        eb.append(et(5), Oid(1)); // t2: o1 seen before, not a change point
+        eb.append(et(5), Oid(1)); // t3: likewise
+        eb.append(et(5), Oid(2)); // t4: o2 enters the domain, -=A holds
+        eb.append(et(0), Oid(2)); // t5: leaf type, -=A fails for o2
+        let mut sup = TriggerSupport::optimized();
+        assert_eq!(sup.check(&mut rt, &eb, eb.now()), vec!["w".to_string()]);
+        let st = RuleState::new(&def, Timestamp::ZERO);
+        assert!(is_triggered(&def, &st, &eb, eb.now()));
+        // t1, then its successor t2, then the witness at t4; t3 never
+        assert_eq!(sup.stats.ts_probes, 3);
     }
 
     #[test]

@@ -14,13 +14,18 @@
 //! is constant between consecutive event stamps, the existential over
 //! `t'` reduces to probing a finite instant set: every event stamp in the
 //! window, the instant right after each stamp, and the window's endpoints
-//! ([`probe_instants`]).
+//! ([`probe_instants`], the reference set [`is_triggered`] uses).
+//!
+//! The same holds between the stamps of the occurrences *one rule* can
+//! see — the §5.1 `V(E)` idea applied per instant rather than per block.
+//! So the Trigger Support probes each rule only at its own change points
+//! (`change_points_into`).
 
 use crate::action::ActionStmt;
 use crate::condition::Condition;
 use crate::modes::{ConsumptionMode, CouplingMode};
 use chimera_calculus::{ts_logical, EventExpr, PlanEval, RelevanceFilter};
-use chimera_events::{EventBase, Timestamp, Window};
+use chimera_events::{EventBase, EventOccurrence, EventType, Timestamp, Window};
 use chimera_model::ClassId;
 
 /// An immutable trigger definition.
@@ -83,6 +88,14 @@ pub struct RuleState {
     pub witness: bool,
     /// The §5.1 static-optimization filter for the rule's expression.
     pub filter: RelevanceFilter,
+    /// The expression's primitive event types: their occurrences are the
+    /// rule's change points.
+    pub(crate) leaf_types: Vec<EventType>,
+    /// Does some instance component carry a nested negation, widening
+    /// its §4.3 domain to every object affected in the window? Then an
+    /// object's first occurrence in the trigger window is a change point
+    /// too, whatever its type.
+    pub(crate) widened: bool,
     /// The compiled evaluation plan for the rule's event expression plus
     /// its reusable scratchpad — the engine evaluates `ts` probes through
     /// this instead of re-interpreting the AST (see [`chimera_calculus::plan`]).
@@ -93,6 +106,8 @@ impl RuleState {
     /// Fresh state at transaction start. The event expression must be
     /// valid (rule tables validate at definition time).
     pub fn new(def: &TriggerDef, txn_start: Timestamp) -> Self {
+        let plan = PlanEval::compile(&def.events)
+            .expect("rule event expressions are validated at definition time");
         RuleState {
             triggered: false,
             last_consideration: txn_start,
@@ -100,8 +115,9 @@ impl RuleState {
             checked_upto: txn_start,
             witness: false,
             filter: RelevanceFilter::new(&def.events),
-            plan: PlanEval::compile(&def.events)
-                .expect("rule event expressions are validated at definition time"),
+            leaf_types: def.events.primitives(),
+            widened: plan.plan().boundaries().iter().any(|b| b.widens()),
+            plan,
         }
     }
 
@@ -116,10 +132,11 @@ impl RuleState {
     }
 
     /// Reset in place for a new transaction starting at `start`. The
-    /// compiled plan and the relevance filter derive only from the rule
-    /// definition and are reused as-is — the former per-transaction
-    /// recompilation was pure waste, and the plan's scratchpad revalidates
-    /// itself against the event base's `(uid, epoch)` key anyway.
+    /// compiled plan, the relevance filter and the change-point types
+    /// derive only from the rule definition and are reused as-is — the
+    /// former per-transaction recompilation was pure waste, and the
+    /// plan's scratchpad revalidates itself against the event base's
+    /// `(uid, epoch)` key anyway.
     pub fn reset(&mut self, start: Timestamp) {
         self.triggered = false;
         self.last_consideration = start;
@@ -141,42 +158,78 @@ impl RuleState {
     }
 }
 
-/// The finite probe set equivalent to `∃ t' ∈ (after, now]`: each event
-/// stamp in the interval, the successor of each stamp, the interval's
-/// first instant and `now`. (Activity is constant between stamps, so one
-/// witness per sign-region suffices.)
+/// The finite probe set equivalent to `∃ t' ∈ (after, now]` for *any*
+/// expression: each event stamp in the interval, the successor of each
+/// stamp, the interval's first instant and `now`. (Activity is constant
+/// between stamps, so one witness per sign-region suffices.) This is the
+/// reference set of [`is_triggered`]; the Trigger Support probes the
+/// narrower `change_points_into`.
 pub fn probe_instants(eb: &EventBase, after: Timestamp, now: Timestamp) -> Vec<Timestamp> {
     let mut probes = Vec::new();
-    probe_instants_into(eb, after, now, &mut probes);
+    push_probe_set(
+        eb.slice(Window::new(after, now)),
+        after,
+        now,
+        &mut probes,
+        |_, _| true,
+    );
     probes
 }
 
-/// [`probe_instants`] into a caller-owned buffer, so the Trigger Support's
-/// steady-state block path can reuse one allocation per round instead of
-/// growing a fresh vector per block. The buffer is cleared first.
-pub fn probe_instants_into(
-    eb: &EventBase,
+/// The rule's change points in `(st.checked_upto, now]`: the probe set of
+/// [`probe_instants`] restricted to the arrivals that can change the
+/// rule's activity. An arrival can when its type is one of the
+/// expression's primitives, or, for a widened rule, when its object has
+/// no earlier occurrence in the trigger window — it then joins the
+/// widened domain, where a nested negation can make it vacuously active.
+/// Every other arrival leaves each `ts` value's sign as it was, so
+/// probing the first new instant, these arrivals' stamps and successors,
+/// and `now` still finds a witness exactly when one exists.
+///
+/// `arrivals` is `eb.slice((st.checked_upto, now])`. `prev[i]`, read only
+/// for a widened rule, is the stamp of the previous occurrence on
+/// `arrivals[i]`'s object (`None`: it has none). `out` is cleared first.
+pub(crate) fn change_points_into(
+    st: &RuleState,
+    arrivals: &[EventOccurrence],
+    prev: &[Option<Timestamp>],
+    now: Timestamp,
+    out: &mut Vec<Timestamp>,
+) {
+    push_probe_set(arrivals, st.checked_upto, now, out, |i, e| {
+        st.leaf_types.contains(&e.ty)
+            || (st.widened && prev[i].is_none_or(|p| p <= st.last_consideration))
+    });
+}
+
+/// `(after, now]`'s first instant, the stamp and successor of each
+/// arrival `changes` selects, and `now`, ascending and deduplicated.
+fn push_probe_set(
+    arrivals: &[EventOccurrence],
     after: Timestamp,
     now: Timestamp,
-    probes: &mut Vec<Timestamp>,
+    out: &mut Vec<Timestamp>,
+    changes: impl Fn(usize, &EventOccurrence) -> bool,
 ) {
-    probes.clear();
+    out.clear();
     if now <= after {
         return;
     }
     // Built in ascending order: every in-window stamp is >= after+1, each
     // successor interleaves monotonically with the next stamp, and `now`
     // bounds them all — so one dedup pass suffices, no sort.
-    probes.push(Timestamp(after.raw() + 1));
-    for e in eb.slice(Window::new(after, now)) {
-        probes.push(e.ts);
-        if e.ts < now {
-            probes.push(e.ts.next());
+    out.push(after.next());
+    for (i, e) in arrivals.iter().enumerate() {
+        if changes(i, e) {
+            out.push(e.ts);
+            if e.ts < now {
+                out.push(e.ts.next());
+            }
         }
     }
-    probes.push(now);
-    debug_assert!(probes.windows(2).all(|p| p[0] <= p[1]));
-    probes.dedup();
+    out.push(now);
+    debug_assert!(out.windows(2).all(|p| p[0] <= p[1]));
+    out.dedup();
 }
 
 /// The §4.4 triggering predicate `T(r, t)`, evaluated from scratch.

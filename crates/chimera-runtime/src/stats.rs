@@ -136,6 +136,5 @@ impl RuntimeStats {
         self.support.ts_probes += s.ts_probes;
         self.support.probe_memo_hits += s.probe_memo_hits;
         self.support.check_rounds += s.check_rounds;
-        self.support.probe_sets_built += s.probe_sets_built;
     }
 }

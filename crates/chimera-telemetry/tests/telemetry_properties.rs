@@ -52,6 +52,7 @@ proptest! {
     /// `2^k` is the smallest value in bucket `k`; `2^k - 1` the largest
     /// in bucket `k-1`. Also: every sample is inside its own bucket's
     /// `[floor, ceil]` range.
+    #[test]
     fn bucket_boundaries_exact_at_powers_of_two(k in 1usize..64, ns in arb_ns()) {
         if k < 63 {
             prop_assert_eq!(bucket_of(1u64 << k), k);
@@ -69,6 +70,7 @@ proptest! {
     /// samples: record a split workload into two histograms, merge the
     /// snapshots, compare bit-for-bit with one histogram that saw
     /// everything.
+    #[test]
     fn merge_equals_record_all_in_one(
         left in prop::collection::vec(arb_ns(), 0..200),
         right in prop::collection::vec(arb_ns(), 0..200),
@@ -88,6 +90,7 @@ proptest! {
     /// the oracle sample: the estimate never exceeds the true quantile,
     /// and the true quantile stays inside the estimate's bucket —
     /// "within one power-of-two bucket" of a sorted-vec oracle.
+    #[test]
     fn quantiles_within_one_bucket_of_oracle(
         mut samples in prop::collection::vec(arb_ns(), 1..300),
         q in 0.0f64..1.0,
@@ -119,6 +122,7 @@ proptest! {
     /// Hammer one `Telemetry` from several threads — every sample and
     /// every counter increment must appear in the final snapshot
     /// (relaxed atomics lose no updates, sharded or not).
+    #[test]
     fn concurrent_recording_loses_no_counts(
         per_thread in 1usize..400,
         threads in 1usize..5,

@@ -568,7 +568,6 @@ macro_rules! proptest {
     (@run ($config:expr) $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strategy:expr),+ $(,)?) $body:block)+) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let config: $crate::ProptestConfig = $config;
                 let cases = config.resolved_cases();
@@ -611,11 +610,13 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
         fn ranges_in_bounds(x in 3usize..10, y in -5i64..=5) {
             prop_assert!((3..10).contains(&x));
             prop_assert!((-5..=5).contains(&y));
         }
 
+        #[test]
         fn vec_and_oneof_compose(
             v in prop::collection::vec(prop_oneof![Just(0u8), 1u8..255], 2..5),
             s in ".{0,12}",
@@ -632,9 +633,28 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1))]
+        #[test]
         #[should_panic(expected = "proptest case 0 of failing_case_reports_its_index")]
         fn failing_case_reports_its_index(x in 0u8..1) {
             prop_assert!(x > 0, "x was {x}");
+        }
+    }
+
+    /// Cases run by `registered_once` across every registration of it.
+    static REGISTERED_ONCE_RUNS: std::sync::atomic::AtomicU32 =
+        std::sync::atomic::AtomicU32::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        /// The macro emits the caller's attributes and no `#[test]` of its
+        /// own, as real proptest does: a property is registered once, so
+        /// its cases run once. A second registration would run them again
+        /// and push the shared count past the configured cases.
+        #[test]
+        fn registered_once(_x in 0u8..1) {
+            let runs = REGISTERED_ONCE_RUNS.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            let cases = ProptestConfig::with_cases(4).resolved_cases();
+            prop_assert!(runs <= cases, "case {runs} of {cases}: property registered twice");
         }
     }
 

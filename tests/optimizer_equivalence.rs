@@ -1,6 +1,9 @@
 //! Property suite for §5.1: the statically-optimized Trigger Support is
 //! observationally equivalent to the unoptimized one and to the formal
 //! §4.4 predicate, over random rules and random multi-block histories.
+//! The supports probe each rule only at its own change points, while the
+//! formal predicate probes every instant of the window, so this suite is
+//! also the oracle for the change-point sets.
 
 use chimera::calculus::EventExpr;
 use chimera::events::{EventBase, EventType, Timestamp};
@@ -15,21 +18,53 @@ fn et(n: u32) -> EventType {
     EventType::external(ClassId(0), n)
 }
 
-/// Random multi-block run: returns per-block event batches.
-fn blocks(seed: u64, nblocks: usize) -> Vec<Vec<(u32, u64)>> {
+/// Channels arrivals are drawn from: wider than the rules' 5 event
+/// types, so some arrivals match no leaf of any rule and reach a rule
+/// only through a widened domain.
+const CHANNELS: u32 = 8;
+
+/// Random multi-block run: per-block steps of 0–8 arrivals over
+/// `CHANNELS` channels and objects `1..=6`, where `None` is an eventless
+/// `eb.tick()` gap.
+fn blocks(seed: u64, nblocks: usize) -> Vec<Vec<Option<(u32, u64)>>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..nblocks)
         .map(|_| {
-            let len = rng.random_range(0..4usize);
-            (0..len)
-                .map(|_| (rng.random_range(0..5u32), rng.random_range(1..4u64)))
-                .collect()
+            let len = rng.random_range(0..=8usize);
+            let mut steps = Vec::new();
+            for _ in 0..len {
+                if rng.random_bool(0.1) {
+                    steps.push(None);
+                }
+                steps.push(Some((
+                    rng.random_range(0..CHANNELS),
+                    rng.random_range(1..=6u64),
+                )));
+            }
+            if rng.random_bool(0.5) {
+                steps.push(None);
+            }
+            steps
         })
         .collect()
 }
 
+/// Append one block's steps to the event base.
+fn play(eb: &mut EventBase, block: &[Option<(u32, u64)>]) {
+    for step in block {
+        match *step {
+            Some((ty, oid)) => {
+                eb.append(et(ty), Oid(oid));
+            }
+            None => {
+                eb.tick();
+            }
+        }
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// After every block, the optimized support's `triggered` flag equals
     /// the unoptimized support's AND the formal predicate's value; both
@@ -63,10 +98,7 @@ proptest! {
 
         let mut eb = EventBase::new();
         for block in blocks(stream_seed, nblocks) {
-            for (ty, oid) in block {
-                eb.append(et(ty), Oid(oid));
-            }
-            eb.tick();
+            play(&mut eb, &block);
             let now = eb.now();
             sup_opt.check(&mut rt_opt, &eb, now);
             sup_raw.check(&mut rt_raw, &eb, now);
@@ -85,7 +117,9 @@ proptest! {
         prop_assert!(sup_opt.stats.ts_probes <= sup_raw.stats.ts_probes);
     }
 
-    /// Many rules at once: the sets of triggered rules coincide.
+    /// Many rules at once: the sets of triggered rules coincide across
+    /// the optimized, unoptimized and pooled supports and the formal
+    /// predicate, so the inline and pooled probe paths see one set.
     #[test]
     fn rule_sets_coincide(
         expr_seed in any::<u64>(),
@@ -94,34 +128,54 @@ proptest! {
         let mut g = RandomExprGen::new(ExprGenConfig {
             event_types: 5,
             max_depth: 3,
-            instance_prob: 0.25,
-            negation_prob: 0.3,
+            instance_prob: 0.4,
+            negation_prob: 0.35,
             seed: expr_seed,
         });
+        let defs: Vec<TriggerDef> = g
+            .batch(8)
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| TriggerDef::new(format!("r{i}"), e))
+            .collect();
         let mut rt_opt = RuleTable::new();
         let mut rt_raw = RuleTable::new();
-        for (i, e) in g.batch(8).into_iter().enumerate() {
-            let name = format!("r{i}");
-            rt_opt.define(TriggerDef::new(name.clone(), e.clone()), Timestamp::ZERO).unwrap();
-            rt_raw.define(TriggerDef::new(name, e), Timestamp::ZERO).unwrap();
+        let mut rt_par = RuleTable::new();
+        for def in &defs {
+            rt_opt.define(def.clone(), Timestamp::ZERO).unwrap();
+            rt_raw.define(def.clone(), Timestamp::ZERO).unwrap();
+            rt_par.define(def.clone(), Timestamp::ZERO).unwrap();
         }
+        let mut ref_states: Vec<RuleState> =
+            defs.iter().map(|d| RuleState::new(d, Timestamp::ZERO)).collect();
         let mut sup_opt = TriggerSupport::optimized();
         let mut sup_raw = TriggerSupport::unoptimized();
+        let mut sup_par = TriggerSupport::optimized().with_workers(3);
         let mut eb = EventBase::new();
         for block in blocks(stream_seed, 6) {
-            for (ty, oid) in block {
-                eb.append(et(ty), Oid(oid));
-            }
-            eb.tick();
+            play(&mut eb, &block);
             let now = eb.now();
             sup_opt.check(&mut rt_opt, &eb, now);
             sup_raw.check(&mut rt_raw, &eb, now);
+            sup_par.check(&mut rt_par, &eb, now);
             let opt: Vec<String> = rt_opt.triggered().iter().map(|s| s.to_string()).collect();
             let raw: Vec<String> = rt_raw.triggered().iter().map(|s| s.to_string()).collect();
-            prop_assert_eq!(&opt, &raw);
-            for name in opt {
+            let par: Vec<String> = rt_par.triggered().iter().map(|s| s.to_string()).collect();
+            let formal: Vec<String> = defs
+                .iter()
+                .zip(&ref_states)
+                .filter(|(d, st)| is_triggered(d, st, &eb, now))
+                .map(|(d, _)| d.name.clone())
+                .collect();
+            prop_assert_eq!(&opt, &formal, "optimized vs formal at {}", now);
+            prop_assert_eq!(&raw, &formal, "unoptimized vs formal at {}", now);
+            prop_assert_eq!(&par, &formal, "pooled vs formal at {}", now);
+            for name in formal {
                 rt_opt.mark_considered(&name, now).unwrap();
                 rt_raw.mark_considered(&name, now).unwrap();
+                rt_par.mark_considered(&name, now).unwrap();
+                let i = defs.iter().position(|d| d.name == name).unwrap();
+                ref_states[i].considered(&defs[i], now);
             }
         }
     }
@@ -148,4 +202,220 @@ fn negation_rule_window_semantics() {
         is_triggered(&def, &st, &eb, eb.now())
     );
     assert!(rt.state("r").unwrap().triggered, "witnessed at t1");
+}
+
+/// Deterministic regression for a widened rule's change points. Under
+/// `(-=A) ,= B` the only positive instant is `o2`'s first appearance,
+/// which comes through `X`, a channel the rule never mentions. A probe
+/// set built from the expression's own types alone misses it.
+#[test]
+fn widened_rule_fires_where_an_object_enters_through_a_foreign_channel() {
+    let (a, b, x, y) = (et(0), et(1), et(6), et(7));
+    let def = TriggerDef::new("r", EventExpr::prim(a).inot().ior(EventExpr::prim(b)));
+    let mut rt = RuleTable::new();
+    rt.define(def.clone(), Timestamp::ZERO).unwrap();
+    let st = RuleState::new(&def, Timestamp::ZERO);
+    let mut sup = TriggerSupport::optimized();
+    let mut eb = EventBase::new();
+    eb.append(a, Oid(1));
+    sup.check(&mut rt, &eb, eb.now());
+    assert!(!rt.state("r").unwrap().triggered);
+    assert!(!is_triggered(&def, &st, &eb, eb.now()));
+    eb.append(y, Oid(1)); // o1 already in the window
+    eb.append(x, Oid(2)); // o2 enters: -=A holds for it
+    eb.append(a, Oid(2)); // and stops holding
+    sup.check(&mut rt, &eb, eb.now());
+    assert_eq!(
+        rt.state("r").unwrap().triggered,
+        is_triggered(&def, &st, &eb, eb.now())
+    );
+    assert!(
+        rt.state("r").unwrap().triggered,
+        "witnessed when o2 entered through X"
+    );
+}
+
+/// Run one optimized support over `blocks`, checking after each block
+/// that the rule's flag equals the formal predicate, and return the
+/// flags. Triggered rules are not considered, so the window only grows.
+fn flags_against_formal(
+    def: &TriggerDef,
+    sup: &mut TriggerSupport,
+    blocks: &[&[Option<(u32, u64)>]],
+) -> Vec<bool> {
+    let mut rt = RuleTable::new();
+    rt.define(def.clone(), Timestamp::ZERO).unwrap();
+    let st = RuleState::new(def, Timestamp::ZERO);
+    let mut eb = EventBase::new();
+    let mut flags = Vec::new();
+    for block in blocks {
+        play(&mut eb, block);
+        sup.check(&mut rt, &eb, eb.now());
+        let got = rt.state(&def.name).unwrap().triggered;
+        assert_eq!(
+            got,
+            is_triggered(def, &st, &eb, eb.now()),
+            "{} at {}",
+            def.events,
+            eb.now()
+        );
+        flags.push(got);
+    }
+    flags
+}
+
+/// Arrivals on channels a plain rule never mentions add no probes: the
+/// rule probes its first new instant, its own arrival's stamp and
+/// successor, and `now`, however many foreign arrivals fill the block.
+#[test]
+fn foreign_arrivals_add_no_probes_to_a_plain_rule() {
+    let def = TriggerDef::new("r", EventExpr::prim(et(0)).and(EventExpr::prim(et(1))));
+    let mut block = vec![Some((0, 1))];
+    block.extend((0..20).map(|n| Some((6, n % 6 + 1))));
+    let mut sup = TriggerSupport::optimized();
+    assert_eq!(flags_against_formal(&def, &mut sup, &[&block]), vec![false]);
+    // t1 (first new instant and A's stamp), t2 (its successor), t21 (now)
+    assert_eq!(sup.stats.ts_probes, 3);
+}
+
+/// A conjunction half-satisfied in one block stays pending across a
+/// block of foreign arrivals, which the relevance filter skips, and
+/// completes in the next block.
+#[test]
+fn conjunction_completes_after_a_skipped_foreign_block() {
+    let def = TriggerDef::new("r", EventExpr::prim(et(0)).and(EventExpr::prim(et(1))));
+    let mut sup = TriggerSupport::optimized();
+    let a: &[Option<(u32, u64)>] = &[Some((0, 1))];
+    let foreign: &[Option<(u32, u64)>] = &[Some((6, 2)), None, Some((7, 3))];
+    let b: &[Option<(u32, u64)>] = &[Some((1, 4))];
+    assert_eq!(
+        flags_against_formal(&def, &mut sup, &[a, foreign, b]),
+        vec![false, false, true]
+    );
+    assert_eq!(sup.stats.skipped_by_filter, 1);
+}
+
+/// A set-level negation holds on a block that never mentions its type:
+/// the first new instant witnesses the absence.
+#[test]
+fn set_negation_fires_on_a_block_of_foreign_arrivals() {
+    let def = TriggerDef::new("r", EventExpr::prim(et(0)).not());
+    let mut sup = TriggerSupport::optimized();
+    let foreign: &[Option<(u32, u64)>] = &[Some((6, 1)), Some((7, 2))];
+    assert_eq!(flags_against_formal(&def, &mut sup, &[foreign]), vec![true]);
+}
+
+/// A widened rule fires on a block holding no leaf type at all when an
+/// object enters its window there: `-=A` holds vacuously for `o2`.
+#[test]
+fn widened_rule_fires_on_a_block_of_foreign_arrivals() {
+    let def = TriggerDef::new(
+        "r",
+        EventExpr::prim(et(0)).inot().ior(EventExpr::prim(et(1))),
+    );
+    let mut sup = TriggerSupport::optimized();
+    let a: &[Option<(u32, u64)>] = &[Some((0, 1))];
+    let foreign: &[Option<(u32, u64)>] = &[Some((6, 1)), Some((7, 2))];
+    assert_eq!(
+        flags_against_formal(&def, &mut sup, &[a, foreign]),
+        vec![false, true]
+    );
+}
+
+/// Further arrivals on an object already in a widened rule's window are
+/// no change points: five foreign arrivals on `o1` after `A(o1)` cost
+/// the first new instant and `now`, not one probe per arrival.
+#[test]
+fn widened_rule_skips_repeat_arrivals_of_a_known_object() {
+    let def = TriggerDef::new(
+        "r",
+        EventExpr::prim(et(0)).inot().ior(EventExpr::prim(et(1))),
+    );
+    let mut sup = TriggerSupport::optimized();
+    let a: &[Option<(u32, u64)>] = &[Some((0, 1))];
+    let repeats: Vec<Option<(u32, u64)>> = (0..5).map(|n| Some((6 + n % 2, 1))).collect();
+    assert_eq!(
+        flags_against_formal(&def, &mut sup, &[a, &repeats]),
+        vec![false, false]
+    );
+    // t1 for the first block; t2 and t6 for the second
+    assert_eq!(sup.stats.ts_probes, 3);
+}
+
+/// Consideration restarts the trigger window, so an object last seen
+/// before it enters the new window afresh. Here `o1` re-enters through
+/// `X` at an interior instant — after an eventless tick, before `A(o1)`
+/// ends the `-=A` witness — so only its entry stamp finds the firing.
+#[test]
+fn object_seen_before_consideration_reenters_the_window() {
+    let def = TriggerDef::new(
+        "r",
+        EventExpr::prim(et(0)).inot().ior(EventExpr::prim(et(1))),
+    );
+    let mut rt = RuleTable::new();
+    rt.define(def.clone(), Timestamp::ZERO).unwrap();
+    let mut st = RuleState::new(&def, Timestamp::ZERO);
+    let mut sup = TriggerSupport::optimized();
+    let mut eb = EventBase::new();
+    play(&mut eb, &[Some((0, 1)), Some((1, 1))]); // A(o1), B(o1)
+    sup.check(&mut rt, &eb, eb.now());
+    assert!(rt.state("r").unwrap().triggered, "B(o1) at t2");
+    rt.mark_considered("r", eb.now()).unwrap();
+    st.considered(&def, eb.now());
+    play(&mut eb, &[None, Some((6, 1)), Some((0, 1))]); // tick, X(o1), A(o1)
+    sup.check(&mut rt, &eb, eb.now());
+    assert_eq!(
+        rt.state("r").unwrap().triggered,
+        is_triggered(&def, &st, &eb, eb.now())
+    );
+    assert!(
+        rt.state("r").unwrap().triggered,
+        "witnessed when o1 re-entered through X"
+    );
+}
+
+/// The pooled probe path builds the same change points as the inline
+/// one: enough widened rules to fan out across workers fire exactly on
+/// the foreign-channel entry the inline support sees.
+#[test]
+fn pooled_support_sees_widened_entries_like_the_inline_one() {
+    let defs: Vec<TriggerDef> = (0..8u32)
+        .map(|i| {
+            let a = EventExpr::prim(et(0));
+            TriggerDef::new(format!("r{i}"), a.inot().ior(EventExpr::prim(et(4 + i))))
+        })
+        .collect();
+    let mut rt_inline = RuleTable::new();
+    let mut rt_pooled = RuleTable::new();
+    for def in &defs {
+        rt_inline.define(def.clone(), Timestamp::ZERO).unwrap();
+        rt_pooled.define(def.clone(), Timestamp::ZERO).unwrap();
+    }
+    let mut sup_inline = TriggerSupport::optimized();
+    let mut sup_pooled = TriggerSupport::optimized().with_workers(3);
+    let mut eb = EventBase::new();
+    // channels 20 and 21 are no leaf of any rule
+    let blocks: [&[Option<(u32, u64)>]; 2] = [
+        &[Some((0, 1))],
+        &[Some((21, 1)), Some((20, 2)), Some((0, 2))],
+    ];
+    for block in blocks {
+        play(&mut eb, block);
+        let now = eb.now();
+        sup_inline.check(&mut rt_inline, &eb, now);
+        sup_pooled.check(&mut rt_pooled, &eb, now);
+        let formal: Vec<String> = defs
+            .iter()
+            .filter(|d| is_triggered(d, &RuleState::new(d, Timestamp::ZERO), &eb, now))
+            .map(|d| d.name.clone())
+            .collect();
+        let inline: Vec<String> = rt_inline.triggered().iter().map(|s| s.to_string()).collect();
+        let pooled: Vec<String> = rt_pooled.triggered().iter().map(|s| s.to_string()).collect();
+        assert_eq!(inline, formal, "inline at {now}");
+        assert_eq!(pooled, formal, "pooled at {now}");
+    }
+    assert_eq!(rt_pooled.triggered().len(), defs.len(), "o2 entered every window");
+    // every rule probed in both blocks, so the pool had work to split
+    assert_eq!(sup_pooled.stats.rules_checked, 16);
+    assert_eq!(sup_pooled.stats.skipped_by_filter, 0);
 }

@@ -13,6 +13,7 @@ use chimera::persist::{RedoRecord, Wal};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -67,10 +68,14 @@ proptest! {
     }
 }
 
+/// A WAL path no other call in any process shares: properties run
+/// concurrently, so the pid alone is not unique.
 fn tmpfile(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join("chimera-persist-props");
     fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}-{}.log", std::process::id()))
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    dir.join(format!("{tag}-{}-{n}.log", std::process::id()))
 }
 
 proptest! {

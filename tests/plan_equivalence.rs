@@ -14,7 +14,7 @@
 
 use chimera::calculus::{
     boundary_ts_algebraic, boundary_ts_logical, ts_algebraic, ts_algebraic_interpreted,
-    ts_logical, ts_logical_interpreted, PlanEval,
+    ts_logical, ts_logical_interpreted, EventExpr, PlanEval,
 };
 use chimera::events::{EventBase, EventType, Timestamp, Window};
 use chimera::model::{ClassId, Oid};
@@ -194,8 +194,64 @@ proptest! {
                 );
             }
             // matrix equivalence with both prepared at the frontier (the
-            // memo may have answered the probes above without touching a
-            // widened boundary's per-instant matrix, so force it)
+            // memo may have answered the probes above without preparing
+            // the matrix for this epoch, so force it)
+            pe.prepare_frontier(&eb, w);
+            cold.prepare_frontier(&eb, w);
+            prop_assert_eq!(
+                pe.boundary_scratch(), cold.boundary_scratch(),
+                "matrix diverged: {} over {:?}", &expr, w
+            );
+        }
+    }
+
+    /// Widened domains built at the frontier: objects enter through
+    /// channels no leaf mentions, and one evaluator kept across arrival
+    /// blocks is probed at every interior instant of the window. Rows
+    /// that join the domain after the probe instant must stay out of its
+    /// fold, and each row's entry stamp must survive the advance path.
+    #[test]
+    fn widened_domain_matches_reference_at_interior_instants(
+        expr_seed in any::<u64>(),
+        script_seed in any::<u64>(),
+        steps in 1usize..12,
+    ) {
+        let mut g = RandomExprGen::new(ExprGenConfig {
+            event_types: 3,
+            max_depth: 4,
+            instance_prob: 1.0,
+            negation_prob: 0.5,
+            seed: expr_seed,
+        });
+        let expr = g.generate_instance();
+        let mut pe = PlanEval::compile(&expr).unwrap();
+        prop_assume!(pe.plan().boundaries().iter().any(|b| b.widens()));
+        let plan = pe.plan().clone();
+        let mut rng = StdRng::seed_from_u64(script_seed);
+        let mut eb = EventBase::new();
+        let mut after = Timestamp::ZERO;
+        for _ in 0..steps {
+            // channels 3..6 are no leaf of the expression
+            for _ in 0..rng.random_range(1..5usize) {
+                eb.append(et(rng.random_range(0..6u32)), Oid(rng.random_range(1..=6u64)));
+            }
+            if rng.random_bool(0.2) {
+                eb.tick();
+            }
+            if rng.random_bool(0.2) {
+                after = Timestamp(rng.random_range(after.raw()..=eb.now().raw()));
+            }
+            let now = eb.now();
+            let w = Window::new(after, now);
+            for t in (after.raw() + 1)..=now.raw() {
+                let t = Timestamp(t);
+                prop_assert_eq!(
+                    pe.eval(&eb, w, t),
+                    boundary_ts_logical(&expr, &eb, w, t),
+                    "{} over {:?} at {}", &expr, w, t
+                );
+            }
+            let mut cold = PlanEval::new(plan.clone());
             pe.prepare_frontier(&eb, w);
             cold.prepare_frontier(&eb, w);
             prop_assert_eq!(
@@ -238,4 +294,105 @@ proptest! {
             }
         }
     }
+}
+
+/// `(-=A) ,= B`: its one boundary widens to every object in the window.
+fn widened_expr() -> EventExpr {
+    EventExpr::prim(et(0)).inot().ior(EventExpr::prim(et(1)))
+}
+
+/// Probe `pe` at every instant of `w`, frontier first and then from the
+/// last instant down, against the recursive reference; then compare its
+/// frontier matrix with a cold rebuild. Returns the values in instant
+/// order.
+fn check_window(pe: &mut PlanEval, expr: &EventExpr, eb: &EventBase, w: Window) -> Vec<bool> {
+    let mut vals = Vec::new();
+    for t in ((w.after.raw() + 1)..=w.upto.raw()).rev() {
+        let t = Timestamp(t);
+        let got = pe.eval(eb, w, t);
+        assert_eq!(got, boundary_ts_logical(expr, eb, w, t), "{expr} over {w:?} at {t}");
+        vals.push(got.is_active());
+    }
+    vals.reverse();
+    let mut cold = PlanEval::new(pe.plan().clone());
+    pe.prepare_frontier(eb, w);
+    cold.prepare_frontier(eb, w);
+    assert_eq!(
+        pe.boundary_scratch(),
+        cold.boundary_scratch(),
+        "matrix diverged: {expr} over {w:?}"
+    );
+    vals
+}
+
+/// A row that joins the widened domain after the probe instant stays out
+/// of that instant's fold, though the matrix is built at the frontier:
+/// `o2` enters through `X` at t2, so `-=A` holds there and not at t1.
+#[test]
+fn widened_row_joining_after_the_probe_stays_out_of_its_fold() {
+    let expr = widened_expr();
+    let mut pe = PlanEval::compile(&expr).unwrap();
+    assert!(pe.plan().boundaries()[0].widens());
+    let mut eb = EventBase::new();
+    eb.append(et(0), Oid(1)); // t1: A(o1)
+    eb.append(et(4), Oid(2)); // t2: X(o2)
+    let w = Window::from_origin(eb.now());
+    assert_eq!(check_window(&mut pe, &expr, &eb, w), vec![false, true]);
+}
+
+/// Entry stamps survive the advance path: a block of foreign-channel
+/// entries after a first block keeps each row's first stamp, so every
+/// interior instant of the grown window still folds the right rows.
+#[test]
+fn widened_entry_stamps_survive_the_advance_path() {
+    let expr = widened_expr();
+    let mut pe = PlanEval::compile(&expr).unwrap();
+    let mut eb = EventBase::new();
+    eb.append(et(0), Oid(1)); // t1: A(o1)
+    let w = Window::from_origin(eb.now());
+    assert_eq!(check_window(&mut pe, &expr, &eb, w), vec![false]);
+    eb.append(et(4), Oid(2)); // t2: X(o2), o2 enters
+    eb.append(et(0), Oid(2)); // t3: A(o2), -=A fails for it
+    eb.append(et(5), Oid(3)); // t4: Y(o3), o3 enters
+    let w = Window::from_origin(eb.now());
+    assert_eq!(
+        check_window(&mut pe, &expr, &eb, w),
+        vec![false, true, false, true]
+    );
+}
+
+/// In a consumed window a row's entry stamp is its first occurrence
+/// inside the window, not in the whole history: `o1`, seen at t1,
+/// re-enters `(t2, t4]` through `X` at t3.
+#[test]
+fn widened_entry_stamp_is_clipped_to_a_consumed_window() {
+    let expr = widened_expr();
+    let mut pe = PlanEval::compile(&expr).unwrap();
+    let mut eb = EventBase::new();
+    eb.append(et(0), Oid(1)); // t1: A(o1)
+    eb.append(et(1), Oid(1)); // t2: B(o1)
+    eb.append(et(4), Oid(1)); // t3: X(o1)
+    eb.tick(); // t4: no arrival
+    let w = Window::new(Timestamp(2), eb.now());
+    assert_eq!(check_window(&mut pe, &expr, &eb, w), vec![true, true]);
+}
+
+/// One evaluator kept while the window's lower bound moves past a row's
+/// entry stamp and new arrivals land: every interior instant and the
+/// frontier matrix stay equal to the reference and a cold rebuild.
+#[test]
+fn widened_domain_tracks_a_rising_lower_bound() {
+    let expr = widened_expr();
+    let mut pe = PlanEval::compile(&expr).unwrap();
+    let mut eb = EventBase::new();
+    eb.append(et(4), Oid(1)); // t1: X(o1), o1 enters
+    eb.append(et(0), Oid(1)); // t2: A(o1)
+    eb.append(et(0), Oid(2)); // t3: A(o2)
+    let w = Window::from_origin(eb.now());
+    assert_eq!(check_window(&mut pe, &expr, &eb, w), vec![true, false, false]);
+    eb.append(et(5), Oid(2)); // t4: Y(o2), its A(o2) at t3 now consumed
+    eb.append(et(4), Oid(3)); // t5: X(o3), o3 enters
+    eb.append(et(0), Oid(3)); // t6: A(o3), but -=A still holds for o2
+    let w = Window::new(Timestamp(3), eb.now());
+    assert_eq!(check_window(&mut pe, &expr, &eb, w), vec![true, true, true]);
 }
