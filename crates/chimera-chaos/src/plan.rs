@@ -26,7 +26,7 @@ pub enum StoreOp {
     Commit,
     /// `StateStore::snapshot` — shard snapshot + log truncation.
     Snapshot,
-    /// `StateStore::evict_tenant` — one tenant's eviction snapshot.
+    /// `StateStore::evict_tenant` — accepting one tenant's eviction.
     Evict,
 }
 

@@ -227,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_evict_fails_without_touching_disk_then_retry_lands() {
+    fn transient_evict_is_refused_then_accepted_without_writing() {
         let dir = tmpdir("evict");
         let plan = FaultPlan::none().fail_nth(StoreOp::Evict, 0, StorageFault::Transient);
         let mut s = ChaosStore::new(durable(&dir), plan);
@@ -247,12 +247,18 @@ mod tests {
             rules: vec![],
             stats: [0; 6],
         };
+        let files = || std::fs::read_dir(&dir).unwrap().count();
+        let before = (files(), s.counters());
         let err = s.evict_tenant(&snap).unwrap_err();
         assert!(err.is_transient());
         assert_eq!(counters.transient(), 1);
-        assert!(!dir.join("tenant-3.tsnap").exists(), "refused before I/O");
         s.evict_tenant(&snap).unwrap(); // the plan's forced-ok follow-up
-        assert!(dir.join("tenant-3.tsnap").exists());
+        assert_eq!(counters.transient(), 1, "the follow-up is accepted");
+        assert_eq!(
+            (files(), s.counters()),
+            before,
+            "an eviction writes nothing"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

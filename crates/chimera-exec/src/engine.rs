@@ -190,10 +190,12 @@ impl Engine {
         }
     }
 
-    /// Engine over a previously recovered store (crash recovery: a WAL
-    /// layer rebuilds the store; the engine resumes with a fresh event
-    /// base and rule state — no transaction survives a crash, so no event
-    /// history needs to survive either).
+    /// Engine over a previously recovered store, with an empty event base
+    /// and fresh rule state. A caller that needs the event history back
+    /// (the runtime's snapshot restore and rehydration) replays it with
+    /// [`Engine::restore_event_log`] and overlays the rule stamps with
+    /// [`Engine::restore_rule_state`]; the single-engine WAL recovery
+    /// does not, since no transaction survives a crash.
     pub fn with_restored_store(schema: Schema, store: ObjectStore, config: EngineConfig) -> Self {
         let mut engine = Engine::with_config(schema, config);
         engine.store = store;

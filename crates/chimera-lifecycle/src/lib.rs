@@ -21,9 +21,9 @@
 //!   a batch", which tracks actual engine activity rather than
 //!   submission arrival.
 //!
-//! The *mechanism* — snapshotting a cold engine into the home shard's
-//! `StateStore`, dropping it from the registry, and rehydrating on the
-//! next claim — lives in `chimera-runtime`, which owns the locks that
+//! The *mechanism* — freezing a cold engine into a snapshot its home
+//! shard keeps in RAM, dropping it from the registry, and rehydrating on
+//! the next claim — lives in `chimera-runtime`, which owns the locks that
 //! make eviction race-free (claim exclusivity, the tenant slot mutex,
 //! the store slot). This crate is deliberately dependency-free so the
 //! policy is testable in isolation and usable by other embedders of the
@@ -48,7 +48,8 @@ pub use lru::ResidencyLru;
 /// eviction candidates, so engines that became resident while no budget
 /// was configured would be invisible to a budget imposed later. To
 /// change the budget, rebuild the runtime (durable state recovers; a
-/// bounded rebuild seeds the LRU from every recovered-resident engine).
+/// bounded rebuild seeds the LRU from every recovered engine in order of
+/// last activity and evicts down to the budget before the first job).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LifecycleConfig {
     /// Maximum tenant engines resident in RAM, `None` for unbounded.

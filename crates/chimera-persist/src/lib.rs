@@ -48,8 +48,7 @@ pub use durable::{DurableEngine, RecoveryReport};
 pub use joblog::{JobGroup, JobLog, JobLogOutcome, JobRecord};
 pub use shardsnap::{RuleStampRec, ShardSnapshot, TenantSnapshot};
 pub use store::{
-    DurableStore, EvictedTenant, InMemoryStore, ShardRecovery, StateStore, StoreCounters,
-    SyncPolicy,
+    DurableStore, InMemoryStore, ShardRecovery, StateStore, StoreCounters, SyncPolicy,
 };
 pub use wal::{RedoBatch, RedoRecord, Wal};
 

@@ -58,23 +58,6 @@ pub struct ShardRecovery {
     pub tail: Vec<JobGroup>,
     /// Description of a torn tail that was cut and repaired, if any.
     pub torn: Option<String>,
-    /// Per-tenant eviction snapshots newer than the shard snapshot, one
-    /// per evicted tenant (see [`StateStore::evict_tenant`]). A tenant
-    /// present here supersedes any copy of the same tenant inside
-    /// `snapshot`; `tail` groups with `seq > watermark` still apply on
-    /// top of it.
-    pub evicted: Vec<EvictedTenant>,
-}
-
-/// One evicted tenant's durable state as recovered from its
-/// `tenant-<id>.tsnap` file.
-#[derive(Debug, Clone)]
-pub struct EvictedTenant {
-    /// The job-log sequence the snapshot covers: every group with
-    /// `seq <= watermark` is already folded into `snap`.
-    pub watermark: u64,
-    /// The tenant's full-fidelity state at the watermark.
-    pub snap: TenantSnapshot,
 }
 
 /// The storage contract a runtime shard programs against.
@@ -92,14 +75,13 @@ pub trait StateStore: Send {
     /// the job log. Callers must only do this at a safe point (no open
     /// transactions) and after a `commit`.
     fn snapshot(&mut self, tenants: &[TenantSnapshot]) -> Result<()>;
-    /// Persist one tenant's state so its RAM engine can be dropped
-    /// (tenant eviction). Durable backends commit anything staged, then
-    /// write the tenant's snapshot to a side file keyed by the covered
-    /// log sequence, so [`StateStore::recover`] can hand the tenant back
-    /// (plus any newer tail groups) without a full shard snapshot. The
-    /// default is a no-op `Ok`: volatile backends have nothing to
-    /// persist, and eviction there just frees RAM (the caller keeps its
-    /// own copy of `snap`).
+    /// Accept or refuse dropping one tenant's RAM engine (tenant
+    /// eviction). The caller keeps `snap` in RAM either way; an `Err`
+    /// refuses the eviction and the tenant stays resident. The default
+    /// accepts and writes nothing: a durable home's copy of an evicted
+    /// tenant is already its last full snapshot plus the job log, since
+    /// every full snapshot includes the evicted tenants and only a full
+    /// snapshot truncates the log.
     fn evict_tenant(&mut self, snap: &TenantSnapshot) -> Result<()> {
         let _ = snap;
         Ok(())
@@ -124,7 +106,6 @@ impl StateStore for InMemoryStore {
             snapshot: None,
             tail: Vec::new(),
             torn: None,
-            evicted: Vec::new(),
         })
     }
     fn append(&mut self, _tenant: u64, _record: &JobRecord) -> Result<()> {
@@ -182,58 +163,10 @@ impl DurableStore {
         self.dir.join("snap.chi")
     }
 
-    /// The eviction-snapshot path for one tenant.
-    pub fn tsnap_path(&self, tenant: u64) -> PathBuf {
-        self.dir.join(format!("tenant-{tenant}.tsnap"))
-    }
-
     fn log_mut(&mut self) -> Result<&mut JobLog> {
         self.log
             .as_mut()
             .ok_or_else(|| PersistError::Corrupt("store used before recover()".into()))
-    }
-
-    /// Scan the shard directory for `tenant-<id>.tsnap` files and load
-    /// the ones still newer than the shard snapshot (`watermark >=
-    /// snap_seq`); stale ones — only possible after a crash between a
-    /// full snapshot and its tsnap cleanup — are deleted. Each tsnap is
-    /// a one-tenant [`ShardSnapshot`] whose `seq` is the watermark, so
-    /// the codec (checksums, atomic write) is shared wholesale.
-    fn scan_tsnaps(&self) -> Result<Vec<EvictedTenant>> {
-        let mut evicted = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(id) = name
-                .strip_prefix("tenant-")
-                .and_then(|rest| rest.strip_suffix(".tsnap"))
-            else {
-                continue;
-            };
-            let Ok(tenant) = id.parse::<u64>() else {
-                continue;
-            };
-            let path = entry.path();
-            let Some(snap) = ShardSnapshot::read(&path)? else {
-                continue;
-            };
-            if snap.seq < self.snap_seq {
-                let _ = std::fs::remove_file(&path);
-                continue;
-            }
-            let Some(ts) = snap.tenants.into_iter().find(|t| t.tenant == tenant) else {
-                return Err(PersistError::Corrupt(format!(
-                    "tsnap {name} does not contain tenant {tenant}"
-                )));
-            };
-            evicted.push(EvictedTenant {
-                watermark: snap.seq,
-                snap: ts,
-            });
-        }
-        evicted.sort_by_key(|e| e.snap.tenant);
-        Ok(evicted)
     }
 }
 
@@ -246,12 +179,10 @@ impl StateStore for DurableStore {
         JobLog::repair(&log_path, &outcome)?;
         let next_seq = self.snap_seq + 1 + outcome.groups.len() as u64;
         self.log = Some(JobLog::open_append(&log_path, next_seq)?);
-        let evicted = self.scan_tsnaps()?;
         Ok(ShardRecovery {
             snapshot,
             tail: outcome.groups,
             torn: outcome.torn,
-            evicted,
         })
     }
 
@@ -290,25 +221,6 @@ impl StateStore for DurableStore {
         self.log_mut()?.truncate(seq + 1)?;
         self.snap_seq = seq;
         self.counters.snapshots += 1;
-        // The full snapshot covers every tenant the caller handed us, so
-        // their eviction side files are now stale; best-effort cleanup
-        // (recover() deletes stragglers a crash leaves behind).
-        for ts in &snap.tenants {
-            let _ = std::fs::remove_file(self.tsnap_path(ts.tenant));
-        }
-        Ok(())
-    }
-
-    fn evict_tenant(&mut self, snap: &TenantSnapshot) -> Result<()> {
-        // Seal anything staged so the watermark covers every group the
-        // tenant's state already reflects.
-        self.commit()?;
-        let watermark = self.log_mut()?.next_seq() - 1;
-        let tsnap = ShardSnapshot {
-            seq: watermark,
-            tenants: vec![snap.clone()],
-        };
-        tsnap.write(&self.tsnap_path(snap.tenant))?;
         Ok(())
     }
 
@@ -443,85 +355,32 @@ mod tests {
     }
 
     #[test]
-    fn evicted_tenant_survives_reopen() {
-        let dir = tmpdir("evict");
-        {
-            let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
-            s.recover().unwrap();
-            s.append(5, &JobRecord::Begin).unwrap();
-            s.append(5, &JobRecord::Commit).unwrap();
-            s.commit().unwrap();
-            s.evict_tenant(&tsnap_of(5, 2)).unwrap();
-            assert!(s.tsnap_path(5).exists());
-            // the tenant keeps accruing log records after eviction only
-            // via *other* tenants' groups; its own state is sealed
-            s.append(7, &JobRecord::Begin).unwrap();
-            s.commit().unwrap();
-        }
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
-        let rec = s.recover().unwrap();
-        assert_eq!(rec.evicted.len(), 1);
-        assert_eq!(rec.evicted[0].snap.tenant, 5);
-        assert_eq!(rec.evicted[0].snap.jobs_applied, 2);
-        assert_eq!(rec.evicted[0].watermark, 1, "one group committed pre-evict");
-        assert_eq!(rec.tail.len(), 2, "tail still replays from seq 1");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn full_snapshot_clears_covered_tsnaps() {
-        let dir = tmpdir("evictclear");
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
-        s.recover().unwrap();
-        s.append(5, &JobRecord::Begin).unwrap();
-        s.commit().unwrap();
-        s.evict_tenant(&tsnap_of(5, 1)).unwrap();
-        assert!(s.tsnap_path(5).exists());
-        // the runtime folds evicted tenants into every full snapshot, so
-        // the side file is covered and cleaned up
-        s.snapshot(&[tsnap_of(5, 1)]).unwrap();
-        assert!(!s.tsnap_path(5).exists());
-        drop(s);
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
-        let rec = s.recover().unwrap();
-        assert!(rec.evicted.is_empty());
-        assert_eq!(rec.snapshot.unwrap().tenants.len(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_tsnap_is_deleted_on_recover() {
-        let dir = tmpdir("evictstale");
-        {
-            let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
-            s.recover().unwrap();
-            s.append(5, &JobRecord::Begin).unwrap();
-            s.commit().unwrap();
-            s.evict_tenant(&tsnap_of(5, 1)).unwrap();
-            // crash-shaped hole: a later full snapshot that *misses* the
-            // tsnap cleanup (simulated by snapshotting other tenants)
-            s.append(7, &JobRecord::Begin).unwrap();
-            s.commit().unwrap();
-            s.snapshot(&[tsnap_of(5, 1), tsnap_of(7, 1)]).unwrap();
-            // resurrect a stale side file as a crashed cleanup would
-            let stale = ShardSnapshot {
-                seq: 1,
-                tenants: vec![tsnap_of(5, 1)],
-            };
-            stale.write(&s.tsnap_path(5)).unwrap();
-        }
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
-        let rec = s.recover().unwrap();
-        assert!(rec.evicted.is_empty(), "stale tsnap ignored");
-        assert!(!s.tsnap_path(5).exists(), "and deleted");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn in_memory_evict_is_a_noop() {
         let mut s = InMemoryStore;
         s.evict_tenant(&tsnap_of(1, 0)).unwrap();
         assert_eq!(s.counters(), StoreCounters::default());
+    }
+
+    #[test]
+    fn durable_evict_writes_nothing() {
+        let dir = tmpdir("evict");
+        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+        s.recover().unwrap();
+        s.append(5, &JobRecord::Begin).unwrap();
+        s.commit().unwrap();
+        let files = || {
+            let mut names: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let (before, counters) = (files(), s.counters());
+        s.evict_tenant(&tsnap_of(5, 1)).unwrap();
+        assert_eq!(files(), before, "eviction creates no file");
+        assert_eq!(s.counters(), counters, "and neither appends nor syncs");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use crate::pool::{Pool, SubmitRefused};
 use crate::shard::{
-    approx_slot_bytes, home_of, recover_home, reopen_home, restore_tenant, spawn_worker, Counters,
-    Envelope, Fabric, Home, Tenants, WorkerCtx, WorkerStats,
+    approx_slot_bytes, enforce_residency, home_of, recover_home, reopen_home, restore_tenant,
+    spawn_worker, Counters, Envelope, Fabric, Home, Tenants, WorkerCtx, WorkerStats,
 };
 use crate::stats::{RuntimeStats, ShardStats};
 use chimera_events::Timestamp;
@@ -280,9 +280,9 @@ pub struct RuntimeConfig {
     /// forever — the pre-lifecycle behaviour, with the whole eviction
     /// path compiled down to one boolean check per batch. A bounded
     /// config makes workers evict the coldest idle tenants past the
-    /// budget: their engines are snapshotted to their home store
-    /// (`tenant-<id>.tsnap` on durable homes) and dropped from RAM, then
-    /// rebuilt transparently on their next claimed job. The budget is
+    /// budget: their engines are frozen into snapshots kept in RAM by
+    /// their home and dropped, then rebuilt transparently on their next
+    /// claimed job; [`Runtime::recover`] also ends within it. The budget is
     /// fixed for the runtime's life — it is read once at construction
     /// (the recency LRU is only maintained while bounded), so changing
     /// it requires rebuilding the runtime; see [`LifecycleConfig`].
@@ -386,7 +386,9 @@ impl Runtime {
     /// Build a runtime and report what its storage layer recovered:
     /// tenants rebuilt from snapshots, logged jobs replayed on top, and
     /// any torn log tail that was cut. In-memory runtimes recover
-    /// nothing and report an empty [`RecoveryReport`].
+    /// nothing and report an empty [`RecoveryReport`]. Under a bounded
+    /// [`RuntimeConfig::lifecycle`] the least recently active recovered
+    /// tenants are evicted down to the budget before any worker starts.
     pub fn recover(
         schema: Schema,
         triggers: Vec<TriggerDef>,
@@ -426,6 +428,8 @@ impl Runtime {
             0,
         );
         let mut report = RecoveryReport::default();
+        // (distance from its home's most recently active tenant, tenant)
+        let mut recency: Vec<(usize, u64)> = Vec::new();
         for home in &homes {
             let stats = recover_home(home, &tenants, &counters, &recovery_ctx)
                 .map_err(RuntimeError::Persist)?;
@@ -434,7 +438,17 @@ impl Runtime {
             if let Some(torn) = stats.torn {
                 report.torn_tails.push(format!("shard {}: {torn}", home.index));
             }
+            let n = stats.recency.len();
+            recency.extend(
+                stats
+                    .recency
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, t)| (n - i, t)),
+            );
         }
+        // least recently active first, homes interleaved by rank
+        recency.sort_by_key(|&(rank, _)| std::cmp::Reverse(rank));
 
         let fabric = Fabric {
             pool: Arc::new(Pool::new(shard_count, capacity, config.scheduler)),
@@ -454,22 +468,29 @@ impl Runtime {
             lifecycle: config.lifecycle,
             lru: Arc::new(Mutex::new(ResidencyLru::new())),
         };
-        // recovery ran with Telemetry::off and before the LRU existed:
-        // seed both from the rebuilt registry so the residency gauge and
-        // the eviction order are correct from the first claim. (Tenants
-        // recovery left parked in the evicted maps have no engine and
-        // are deliberately in neither.)
-        let recovered = fabric.tenants.arcs();
+        // recovery ran before the LRU existed: seed it from the rebuilt
+        // registry in each tenant's order of last activity, then evict
+        // the coldest down to the budget through the workers' own path
+        // (still unmeasured), so the runtime starts within it
+        if fabric.lifecycle.is_bounded() {
+            {
+                let mut lru = fabric.lru.lock().unwrap_or_else(PoisonError::into_inner);
+                for (_, tenant) in recency {
+                    if let Some(arc) = fabric.tenants.get(tenant) {
+                        let slot = arc.lock().unwrap_or_else(PoisonError::into_inner);
+                        lru.touch(
+                            tenant,
+                            home_of(tenant, shard_count),
+                            approx_slot_bytes(&slot),
+                        );
+                    }
+                }
+            }
+            enforce_residency(&fabric, &recovery_ctx);
+        }
         fabric
             .telemetry
-            .gauge_add(Gauge::TenantsResident, recovered.len() as i64);
-        if fabric.lifecycle.is_bounded() {
-            let mut lru = fabric.lru.lock().unwrap_or_else(PoisonError::into_inner);
-            for (tenant, arc) in &recovered {
-                let slot = arc.lock().unwrap_or_else(PoisonError::into_inner);
-                lru.touch(*tenant, home_of(*tenant, shard_count), approx_slot_bytes(&slot));
-            }
-        }
+            .gauge_add(Gauge::TenantsResident, fabric.tenants.len() as i64);
         let handles = (0..shard_count)
             .map(|i| Some(spawn_worker(i, fabric.clone())))
             .collect();
@@ -740,6 +761,7 @@ impl Runtime {
         }
         out.job_errors = f.counters.errors.load(Ordering::Relaxed);
         out.job_panics = f.counters.panics.load(Ordering::Relaxed);
+        let mut resident = Vec::new();
         for (i, home) in f.homes.iter().enumerate() {
             out.wal_appends += home.wal_appends.load(Ordering::Relaxed);
             out.wal_syncs += home.wal_syncs.load(Ordering::Relaxed);
@@ -752,7 +774,14 @@ impl Runtime {
             let retries = home.store_retries.load(Ordering::Relaxed);
             out.store_retries += retries;
             per_shard[i].store_retries = retries;
-            if home.is_poisoned() {
+            // The home's evicted snapshots and resident handles are read
+            // under its store lock, which eviction and rehydration hold
+            // across their handover, so a tenant moving between the two
+            // is counted exactly once. Slots are locked only after the
+            // store lock is released: a job holding its slot must not
+            // stall the home's appends behind this read.
+            let store = home.lock();
+            if store.poisoned.is_some() {
                 out.shards_poisoned += 1;
                 per_shard[i].poisoned = true;
             }
@@ -770,8 +799,15 @@ impl Runtime {
                     rollbacks: snap.stats[5],
                 });
             }
+            resident.extend(
+                f.tenants
+                    .arcs()
+                    .into_iter()
+                    .filter(|(tenant, _)| home_of(*tenant, homes) == i),
+            );
+            drop(store);
         }
-        for (tenant, slot) in f.tenants.arcs() {
+        for (tenant, slot) in resident {
             per_shard[home_of(tenant, homes)].tenants += 1;
             out.tenants += 1;
             out.tenants_resident += 1;
@@ -1269,6 +1305,38 @@ mod tests {
             })
             .unwrap();
         assert_eq!(oids, (0..jobs).map(Oid).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn stats_count_every_tenant_while_evictions_churn() {
+        const TENANTS: u64 = 512;
+        let rt = Runtime::new(
+            schema(),
+            vec![],
+            RuntimeConfig {
+                lifecycle: LifecycleConfig::with_max_resident(2),
+                ..cfg(2)
+            },
+        )
+        .unwrap();
+        // every claim past the first round rehydrates its tenant and
+        // evicts another; the evictions run after the reply, so they race
+        // the samples below, and hundreds of parked tenants keep each
+        // sample's read of the evicted maps long enough to be hit
+        for i in 0..3 * TENANTS {
+            let t = TenantId(i % TENANTS);
+            rt.begin(t).unwrap();
+            let (_, rx) = rt.submit_with_reply(t, Job::Commit).unwrap();
+            assert!(rx.recv().unwrap().outcome.is_done());
+            let touched = (i + 1).min(TENANTS) as usize;
+            for _ in 0..4 {
+                let stats = rt.stats();
+                assert_eq!(stats.tenants, touched, "job {i}: a tenant was missed or doubled");
+                let per_shard: u64 = stats.per_shard.iter().map(|s| s.tenants).sum();
+                assert_eq!(per_shard, touched as u64, "job {i}: per-shard tenants");
+            }
+        }
+        assert!(rt.stats().evictions > 0 && rt.stats().rehydrations > 0);
     }
 
     #[test]

@@ -168,11 +168,12 @@ pub(crate) struct Home {
     pub recovered_tenants: AtomicU64,
     pub replayed_jobs: AtomicU64,
     /// Tenants homed here whose engines were evicted from RAM: their
-    /// authoritative state until the next claim rehydrates them. (On a
-    /// durable home the same snapshot is also on disk as a
-    /// `tenant-<id>.tsnap`, so a crash recovers it; in-memory mode this
-    /// map *is* the only copy — eviction there trades RAM for a smaller
-    /// serialized form, exactly like a swapped-out page.)
+    /// authoritative state until the next claim rehydrates them.
+    /// Eviction trades an engine for its smaller snapshot form, like a
+    /// swapped-out page, and writes nothing to disk. On a durable home a
+    /// crash recovers an evicted tenant from the last full snapshot
+    /// (which folds this map in) plus the job log, which only a full
+    /// snapshot truncates.
     pub evicted: Mutex<HashMap<u64, TenantSnapshot>>,
     /// Lifetime eviction / rehydration counts for this home.
     pub evictions: AtomicU64,
@@ -224,13 +225,9 @@ impl Home {
         self.evicted.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Is this home's durability currently poisoned? (Takes the store
-    /// lock briefly; used by the stats surface.)
-    pub fn is_poisoned(&self) -> bool {
-        self.lock().poisoned.is_some()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, StoreSlot> {
+    /// Lock the home store (rank: before the registry, the evicted map
+    /// and any tenant slot).
+    pub fn lock(&self) -> MutexGuard<'_, StoreSlot> {
         self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -293,6 +290,10 @@ pub(crate) struct ShardRecoveryStats {
     pub tenants_recovered: u64,
     pub jobs_replayed: u64,
     pub torn: Option<String>,
+    /// Every tenant recovery touched, least recently active first: the
+    /// snapshot's tenants in snapshot order, then each tenant by its
+    /// last job in the tail.
+    pub recency: Vec<u64>,
 }
 
 /// Everything a worker (or startup recovery) needs to build and run
@@ -435,17 +436,16 @@ fn rehydrate_if_evicted(fabric: &Fabric, ctx: &WorkerCtx, tenant: u64, home_idx:
             // Publish the evicted→resident transition while holding the
             // home store lock. [`maybe_snapshot`] (and [`reopen_home`])
             // collect the resident set via `tenants.arcs()` and fold the
-            // evicted map under that same lock; without it a full
-            // snapshot racing this window could observe the tenant in
-            // *neither* set, omit it, advance the snapshot sequence past
-            // the tenant's tsnap watermark, and the next `recover()`
-            // would delete the tsnap as stale — permanently losing the
-            // tenant's durable state. Under the lock the snapshot sees
-            // either "still evicted" or "already resident", both
-            // correct. Inside the critical section insert-before-remove
-            // keeps lockless inspection from seeing the tenant in
-            // neither place. (Lock order store→registry→evicted matches
-            // the batch append path and `try_evict`.)
+            // evicted map under that same lock, and so does
+            // `Runtime::stats`; without it a full snapshot racing this
+            // window could observe the tenant in *neither* set, omit it
+            // and truncate the job log — permanently losing the tenant's
+            // durable state. Under the lock the snapshot sees either
+            // "still evicted" or "already resident", both correct.
+            // Inside the critical section insert-before-remove keeps
+            // lockless inspection from seeing the tenant in neither
+            // place. (Lock order store→registry→evicted matches the
+            // batch append path and `try_evict`.)
             {
                 let _store = home.lock();
                 fabric.tenants.insert(tenant, slot);
@@ -465,10 +465,9 @@ fn rehydrate_if_evicted(fabric: &Fabric, ctx: &WorkerCtx, tenant: u64, home_idx:
         Err(e) => {
             // Should be unreachable — the snapshot came from a healthy
             // engine we froze ourselves. If it does happen, preserve
-            // state (the snapshot stays in the evicted map, and on disk
-            // for durable homes) and poison the home so the batch is
-            // answered with typed refusals instead of running against a
-            // fresh empty engine.
+            // state (the snapshot stays in the evicted map) and poison
+            // the home so the batch is answered with typed refusals
+            // instead of running against a fresh empty engine.
             let mut slot = home.lock();
             slot.poisoned = Some(format!("tenant {tenant} rehydration failed: {e}"));
             ctx.tel.count(ctx.worker, TelCounter::Poisonings, 1);
@@ -530,8 +529,8 @@ const EVICT_CANDIDATES: usize = 32;
 
 /// Post-release residency enforcement: while the working set exceeds the
 /// budget, evict coldest-first. Best-effort by design — a candidate
-/// mid-transaction, with staged jobs, on a poisoned home, or whose
-/// eviction snapshot write faults is simply *skipped* (refuse-and-retain;
+/// mid-transaction, with staged jobs, on a poisoned home, or whose home
+/// store refuses the eviction is simply *skipped* (refuse-and-retain;
 /// nothing is ever dropped to satisfy the budget), so a transient
 /// overshoot of at most the number of in-flight claims is possible.
 /// Only tenants present in the LRU are candidates: every path that makes
@@ -539,7 +538,7 @@ const EVICT_CANDIDATES: usize = 32;
 /// [`note_activity`], rehydration, the recovery seed loop in
 /// `Runtime::recover`), so under the construction-fixed
 /// [`LifecycleConfig`] no resident engine is ever invisible here.
-fn enforce_residency(fabric: &Fabric, ctx: &WorkerCtx) {
+pub(crate) fn enforce_residency(fabric: &Fabric, ctx: &WorkerCtx) {
     loop {
         let candidates = {
             let lru = lru_lock(fabric);
@@ -562,11 +561,12 @@ fn enforce_residency(fabric: &Fabric, ctx: &WorkerCtx) {
 
 /// Try to evict one idle tenant: claim it idle in the pool (fails if it
 /// is running or has staged jobs), freeze its engine into a snapshot,
-/// persist the snapshot via [`StateStore::evict_tenant`] (durable homes;
-/// **one** attempt, no retry loop — eviction is optional work, so any
-/// fault means refuse-and-retain, never a poisoning), then drop the RAM
-/// engine and park the snapshot in the home's evicted map. Returns
-/// whether an engine was actually dropped.
+/// ask the home store to accept the eviction via
+/// [`StateStore::evict_tenant`] (**one** attempt, no retry loop —
+/// eviction is optional work, so a refusal means refuse-and-retain,
+/// never a poisoning), then drop the RAM engine and park the snapshot in
+/// the home's evicted map. Returns whether an engine was actually
+/// dropped.
 fn try_evict(fabric: &Fabric, ctx: &WorkerCtx, tenant: u64, home_idx: usize) -> bool {
     let home = &fabric.homes[home_idx];
     let Some(arc) = fabric.tenants.get(tenant) else {
@@ -858,16 +858,14 @@ fn refuse(
         // `get_or_create` — a fresh empty slot would shadow the real
         // state the snapshot still holds.
         //
-        // Accepted divergence: on a durable home the on-disk
-        // `tenant-<id>.tsnap` is *not* rewritten with this bookkeeping —
-        // every path that reaches an evicted tenant has the home
-        // poisoned, so the store cannot be written at all. A crash
-        // before the tenant is next rehydrated therefore restores the
-        // pre-refusal error count (`restored_errors` / `tenant_errors()`
-        // under-count these refusals after recovery). That is the same
-        // claim demotion already makes — error *counters* are
-        // observability, not replayed state; the job log and object
-        // state never diverge.
+        // Accepted divergence: every path that reaches an evicted
+        // tenant has the home poisoned, so this bookkeeping reaches disk
+        // only through a later full snapshot (after a reopen). A crash
+        // before then restores the pre-refusal error count
+        // (`restored_errors` / `tenant_errors()` under-count these
+        // refusals after recovery). That is the same claim demotion
+        // already makes — error *counters* are observability, not
+        // replayed state; the job log and object state never diverge.
         let mut evicted = home.evicted_lock();
         if let Some(snap) = evicted.get_mut(&tenant) {
             snap.job_errors += 1;
@@ -1090,58 +1088,37 @@ pub(crate) fn recover_home(
         torn: rec.torn,
         ..ShardRecoveryStats::default()
     };
-    // Eviction snapshots first. Each carries a log watermark: every job
-    // the tenant ever logged up to `watermark` is *inside* the snapshot.
-    // A tenant with no tail records past its watermark stays parked in
-    // the evicted map (cheap recovery — no engine rebuild until a claim
-    // wants it); one *with* later records must be rebuilt eagerly so the
-    // tail replay below lands on real state.
-    let mut covered: HashMap<u64, u64> = HashMap::new();
-    for ev in &rec.evicted {
-        covered.insert(ev.snap.tenant, ev.watermark);
-    }
-    let mut restored_errors: u64 = 0;
-    for ev in rec.evicted {
-        let tenant = ev.snap.tenant;
-        let needs_eager = rec
-            .tail
-            .iter()
-            .any(|g| g.seq > ev.watermark && g.jobs.iter().any(|(t, _)| *t == tenant));
-        restored_errors += ev.snap.job_errors;
-        if needs_eager {
-            tenants.insert(tenant, restore_tenant(&ev.snap, ctx)?);
-        } else {
-            home.evicted_lock().insert(tenant, ev.snap);
-        }
-        stats.tenants_recovered += 1;
-    }
+    // each tenant's last activity: its place in the snapshot, then the
+    // index of its last tail job after that
+    let mut last_active: HashMap<u64, usize> = HashMap::new();
     // restored error bookkeeping feeds the aggregate counter so stats
     // stay consistent across a restart
     if let Some(snap) = rec.snapshot {
+        let mut restored_errors: u64 = 0;
         for ts in &snap.tenants {
-            if covered.contains_key(&ts.tenant) {
-                // the tenant's eviction snapshot is at least as new as
-                // the full snapshot's copy (stale tsnaps were already
-                // deleted by the store's recover scan)
-                continue;
-            }
             let restored = restore_tenant(ts, ctx)?;
             restored_errors += restored.job_errors;
             tenants.insert(ts.tenant, restored);
+            last_active.insert(ts.tenant, last_active.len());
             stats.tenants_recovered += 1;
         }
+        counters
+            .errors
+            .fetch_add(restored_errors, Ordering::Relaxed);
     }
-    counters.errors.fetch_add(restored_errors, Ordering::Relaxed);
+    let mut at = last_active.len();
     for group in rec.tail {
         for (tenant, record) in group.jobs {
-            if covered.get(&tenant).is_some_and(|&w| group.seq <= w) {
-                continue; // already inside the tenant's eviction snapshot
-            }
             let job = job_from_record(record);
             run_job(tenants, counters, ctx, tenant, job, true);
             stats.jobs_replayed += 1;
+            last_active.insert(tenant, at);
+            at += 1;
         }
     }
+    let mut recency: Vec<(usize, u64)> = last_active.into_iter().map(|(t, i)| (i, t)).collect();
+    recency.sort_unstable();
+    stats.recency = recency.into_iter().map(|(_, t)| t).collect();
     home.recovered_tenants
         .store(stats.tenants_recovered, Ordering::Relaxed);
     home.replayed_jobs
@@ -1295,14 +1272,15 @@ fn maybe_snapshot(
 
 /// Fold the home's parked eviction snapshots into a full-snapshot set:
 /// evicted tenants are as much a part of the home's state as resident
-/// ones, and including them lets the store's snapshot path delete their
-/// now-covered `tsnap` files. Both callers hold the home store lock
-/// across `tenants.arcs()` and this fold, and rehydration publishes its
-/// evicted→resident handover under that same lock, so every tenant
-/// homed here is guaranteed to appear in at least one of the two sets —
-/// a snapshot can never silently omit a tenant mid-rehydration. A
-/// tenant seen in both places (insert-before-remove inside the
-/// handover) keeps the resident copy — never older.
+/// ones, and since eviction writes nothing to disk, the full snapshot
+/// is their only durable copy once it truncates the job log. Both
+/// callers hold the home store lock across `tenants.arcs()` and this
+/// fold, and eviction and rehydration publish their handovers under that
+/// same lock, so every tenant homed here is guaranteed to appear in at
+/// least one of the two sets — a snapshot can never silently omit a
+/// tenant mid-handover. A tenant seen in both places
+/// (insert-before-remove inside the handover) keeps the resident copy —
+/// never older.
 fn fold_evicted(home: &Home, snaps: &mut Vec<TenantSnapshot>) {
     let resident: HashSet<u64> = snaps.iter().map(|t| t.tenant).collect();
     let evicted = home.evicted_lock();

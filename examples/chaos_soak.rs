@@ -395,7 +395,7 @@ fn lifecycle_soak() {
             storage: StorageMode::Durable(DurabilityConfig {
                 dir: dir.clone(),
                 group_commit: true,
-                snapshot_every: 0, // tsnaps only: eviction is the sole snapshot path
+                snapshot_every: 0, // no full snapshot: recovery replays the whole log
             }),
             engine: EngineConfig {
                 max_rule_steps: 64,

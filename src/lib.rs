@@ -215,20 +215,23 @@
 //! `RuntimeConfig::lifecycle` a residency budget (tenant count, an
 //! approximate bytes pressure, or both) and the runtime's workers evict
 //! the **coldest idle tenants** past it — each engine is frozen into the
-//! same `TenantSnapshot` the recovery path uses, written to the tenant's
-//! home store as a `tenant-<id>.tsnap` (durable homes; in-memory homes
-//! park it in RAM in serialized form), and the engine is dropped. The
+//! same `TenantSnapshot` the recovery path uses, parked in RAM by the
+//! tenant's home, and dropped. Eviction writes nothing to disk: a durable
+//! home's copy of an evicted tenant is its last full snapshot (which
+//! includes every parked tenant) plus the job log (which only a full
+//! snapshot truncates). The
 //! next claimed job **rehydrates** transparently: the claim path rebuilds
 //! the engine from the snapshot before the batch runs, so callers see
 //! eviction only as latency (the `rehydrate` telemetry histogram, with
 //! `tenants_evicted`/`tenants_rehydrated` counters and the
 //! `tenants_resident` gauge alongside). Recency is an intrusive O(1) LRU
 //! keyed by the admission pool's claim/release path; tenants
-//! mid-transaction, with staged jobs, or whose snapshot write faults are
-//! *refused and retained* — nothing is ever dropped to satisfy the
-//! budget. Crash recovery folds `tsnap`s in: a tenant evicted at
-//! watermark `w` recovers from its eviction snapshot plus only the log
-//! tail past `w`. `tests/lifecycle_equivalence.rs` is the oracle: a
+//! mid-transaction, with staged jobs, or whose home store refuses the
+//! eviction are *refused and retained* — nothing is ever dropped to
+//! satisfy the budget. Crash recovery rebuilds every tenant from the full
+//! snapshot and log tail, then evicts the least recently active down to
+//! the budget before the first job. `tests/lifecycle_equivalence.rs` is
+//! the oracle: a
 //! cap small enough to force constant churn must be bit-identical to a
 //! sequential replay, across crashes included; `benches/lifecycle.rs`
 //! prices the cold-claim rehydration and the capped-residency

@@ -399,7 +399,7 @@ proptest! {
     }
 }
 
-/// Claim 4: a transient fault on the eviction write refuses and
+/// Claim 4: a transient fault on `evict_tenant` refuses and
 /// retains. The first eviction attempt the runtime ever makes is
 /// forced to fail; the evicting home must keep the tenant resident
 /// (state bit-exact, zero jobs lost), must *not* poison, and the next
@@ -418,7 +418,7 @@ fn refused_eviction_retains_the_tenant_and_retries() {
     let storage = DurabilityConfig {
         dir: dir.clone(),
         group_commit: true,
-        snapshot_every: 0, // tsnaps are the only snapshot path
+        snapshot_every: 0, // no full snapshot: the restart replays the whole log
     };
     let counters = Arc::new(ChaosCounters::default());
     let wrap = {

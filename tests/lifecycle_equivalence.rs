@@ -9,20 +9,23 @@
 //! tenant's script: objects and extents, the full event log with
 //! timestamps, rule consumption windows, engine counters,
 //! open-transaction state, and the error bookkeeping. The same must
-//! hold across a crash: recovery over eviction snapshots (`tsnap`
-//! files) plus the log tail is exactly the per-tenant surviving prefix.
+//! hold across a crash: eviction writes nothing to disk, so recovery
+//! from the last full snapshot plus the log tail is exactly the
+//! per-tenant surviving prefix, evicted tenants included.
 //!
-//! Three tests:
+//! The tests:
 //! * a proptest over random multi-tenant scripts × caps × shard counts
 //!   × schedulers (pinned and load-aware stealing), live;
 //! * a proptest adding a crash — the log truncated at an arbitrary byte
 //!   — and recovery under the same cap, with `survived(t)` computed
-//!   from the on-disk state itself (full snapshot, tsnap watermarks,
-//!   valid log tail);
+//!   from the on-disk state itself (full snapshot, valid log tail);
 //! * the acceptance run: 1024 tenants through a cap of 64, the
 //!   `tenants_resident` gauge never past the cap once quiesced (and
-//!   never past cap + workers while claims are in flight), then a
-//!   restart proving rehydration over recovery.
+//!   never past cap + workers while claims are in flight), no file per
+//!   eviction, then a restart that ends within the cap and rehydrates
+//!   on demand;
+//! * recovery with full snapshots ending within the cap;
+//! * full snapshots racing rehydration, audited across restarts.
 
 use chimera::events::Timestamp;
 use chimera::exec::{Engine, EngineConfig, Op};
@@ -248,48 +251,19 @@ fn apply_trigger_source(engine: &mut Engine, schema: &Schema, src: &str) -> Resu
     Ok(())
 }
 
-/// `survived(t)` for every tenant, lifecycle-aware: a tenant covered by
-/// an eviction snapshot counts the tsnap's `jobs_applied` plus its jobs
-/// in tail groups past the tsnap watermark; everyone else counts the
-/// full snapshot's `jobs_applied` plus all their tail jobs — exactly
+/// `survived(t)` for every tenant, evicted or not: the full snapshot's
+/// `jobs_applied` plus the tenant's jobs in the valid log tail — exactly
 /// the arithmetic `recover` performs.
 fn survived_jobs(dir: &Path, shards: usize) -> HashMap<u64, u64> {
     let mut survived: HashMap<u64, u64> = HashMap::new();
     for i in 0..shards {
         let shard_dir = dir.join(format!("shard-{i}"));
         let mut snap_seq = 0u64;
-        let mut snapped: HashMap<u64, u64> = HashMap::new();
         if let Ok(Some(snap)) = ShardSnapshot::read(&shard_dir.join("snap.chi")) {
             snap_seq = snap.seq;
             for t in &snap.tenants {
-                snapped.insert(t.tenant, t.jobs_applied);
+                *survived.entry(t.tenant).or_default() += t.jobs_applied;
             }
-        }
-        // eviction snapshots newer than the shard snapshot supersede its
-        // copy of the same tenant; stale ones are ignored exactly as the
-        // store's recover scan deletes them
-        let mut watermark: HashMap<u64, u64> = HashMap::new();
-        if let Ok(entries) = std::fs::read_dir(&shard_dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if !name.starts_with("tenant-") || !name.ends_with(".tsnap") {
-                    continue;
-                }
-                let snap = ShardSnapshot::read(&entry.path())
-                    .expect("tsnap is readable")
-                    .expect("tsnap is present");
-                if snap.seq < snap_seq {
-                    continue;
-                }
-                for t in &snap.tenants {
-                    snapped.insert(t.tenant, t.jobs_applied);
-                    watermark.insert(t.tenant, snap.seq);
-                }
-            }
-        }
-        for (tenant, applied) in &snapped {
-            *survived.entry(*tenant).or_default() += applied;
         }
         let wal = shard_dir.join("jobs.wal");
         if !wal.exists() {
@@ -298,14 +272,31 @@ fn survived_jobs(dir: &Path, shards: usize) -> HashMap<u64, u64> {
         let outcome = JobLog::read(&wal, snap_seq + 1).expect("log tail is readable");
         for group in &outcome.groups {
             for (tenant, _) in &group.jobs {
-                if watermark.get(tenant).is_some_and(|&w| group.seq <= w) {
-                    continue; // already inside the tenant's tsnap
-                }
                 *survived.entry(*tenant).or_default() += 1;
             }
         }
     }
     survived
+}
+
+/// Names of the `tenant-*` files under every `shard-*` directory.
+fn tenant_files(dir: &Path) -> Vec<String> {
+    let mut found = Vec::new();
+    for shard in std::fs::read_dir(dir)
+        .expect("data directory exists")
+        .flatten()
+    {
+        if !shard.file_name().to_string_lossy().starts_with("shard-") {
+            continue;
+        }
+        for entry in std::fs::read_dir(shard.path()).unwrap().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.starts_with("tenant-") {
+                found.push(name);
+            }
+        }
+    }
+    found
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -479,9 +470,8 @@ proptest! {
 
     /// The crash property: the same churn, then the log truncated at an
     /// arbitrary byte and recovery under the same cap ⇒ every tenant is
-    /// the sequential replay of exactly its on-disk surviving prefix —
-    /// whether it crashed resident (full snapshot / tail) or evicted
-    /// (tsnap watermark + tail past it).
+    /// the sequential replay of exactly its on-disk surviving prefix
+    /// (full snapshot + tail), whether it crashed resident or evicted.
     #[test]
     fn crashed_capped_runtime_recovers_surviving_prefix(
         rule_seed in any::<u64>(),
@@ -514,7 +504,7 @@ proptest! {
         let per_tenant = run_capped(&rt, &s, script_seed, tenants, steps);
         let stats = rt.stats();
         prop_assert_eq!(stats.jobs_processed, stats.jobs_submitted);
-        // wait for enforcement so tsnap files actually exist on disk
+        // wait for enforcement so the crash catches tenants evicted
         // (mid-transaction tenants stay resident on top of the cap)
         let stuck = per_tenant.iter().filter(|jobs| mid_txn(jobs)).count();
         await_residency(&rt, (cap + stuck) as u64);
@@ -537,8 +527,9 @@ proptest! {
 /// The gauge must never pass cap + workers while running (enforcement
 /// is worker-side, so in-flight claims are the only legal overshoot),
 /// must settle at ≤ 64 once quiesced, every tenant must be
-/// bit-identical to its sequential replay, and a restart must recover
-/// the full population — rehydrating parked tenants on demand.
+/// bit-identical to its sequential replay, no eviction may leave a file
+/// behind, and a restart must recover the full population within the
+/// cap — rehydrating parked tenants on demand.
 #[test]
 fn thousand_tenants_through_a_cap_of_64() {
     const TENANTS: u64 = 1024;
@@ -603,6 +594,11 @@ fn thousand_tenants_through_a_cap_of_64() {
         "filling 1024 tenants through 64 slots must evict at least the difference \
          (got {evictions})"
     );
+    let files = tenant_files(&dir);
+    assert!(
+        files.is_empty(),
+        "{evictions} evictions left files behind: {files:?}"
+    );
     // spot-check equivalence across the population (every 37th tenant),
     // each observation transparently rehydrating a parked engine
     for t in (0..TENANTS).step_by(37) {
@@ -614,26 +610,21 @@ fn thousand_tenants_through_a_cap_of_64() {
         assert_eq!(got, want, "tenant {t} diverged through eviction churn");
     }
     drop(rt);
-    // restart: recovery repopulates the full tenant set from tsnaps +
-    // tail, parking cold tenants and rehydrating them on first touch
+    // restart: the run never wrote a full snapshot (snapshot_every: 0),
+    // so recovery replays every tenant from the log, then evicts the
+    // least recently active down to the cap before any worker runs
     let (rt, report) = Runtime::recover(s.clone(), triggers.clone(), config()).unwrap();
-    // the run never wrote a full snapshot (snapshot_every: 0), so the
-    // snapshot-recovered population is exactly the tsnap-parked tenants;
-    // the ones resident at shutdown come back through tail replay
-    assert!(
-        report.tenants_recovered >= TENANTS - CAP,
-        "at least the evicted tenants recover from tsnaps (got {})",
-        report.tenants_recovered
-    );
+    assert_eq!(report.jobs_replayed, 3 * TENANTS, "the whole log replays");
     let stats = rt.stats();
     assert_eq!(stats.tenants as u64, TENANTS, "recovery must repopulate all tenants");
     assert!(
-        stats.tenants_resident <= CAP + shards as u64,
-        "recovery residency {} exceeds cap {CAP} + workers",
+        stats.tenants_resident <= CAP,
+        "recovery residency {} exceeds cap {CAP}",
         stats.tenants_resident
     );
     // touching a parked tenant with real work forces rehydration —
-    // tenant 0 is the coldest in the run, guaranteed long evicted
+    // tenant 0 is the least recently active in the log, so recovery
+    // evicted it
     let probe = 0;
     for job in [Job::Begin, Job::Rollback] {
         rt.submit(TenantId(probe), job).unwrap();
@@ -656,6 +647,88 @@ fn thousand_tenants_through_a_cap_of_64() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Recovery ends within the residency cap. A full snapshot holds every
+/// tenant of its home, evicted ones included, and recovery rebuilds them
+/// all; it must then evict the least recently active down to the cap
+/// before the first job rather than leave that to the first releases.
+#[test]
+fn recovery_with_full_snapshots_ends_within_the_cap() {
+    const TENANTS: u64 = 64;
+    const CAP: u64 = 4;
+    let s = schema();
+    let item = s.class_by_name("item").unwrap();
+    let triggers = runtime_triggers(0x5EED);
+    let engine_cfg = EngineConfig {
+        max_rule_steps: 64,
+        ..EngineConfig::default()
+    };
+    let dir = tmpdir("recover-cap");
+    let config = || RuntimeConfig {
+        shards: 2,
+        storage: StorageMode::Durable(DurabilityConfig {
+            dir: dir.clone(),
+            group_commit: true,
+            snapshot_every: 8,
+        }),
+        engine: engine_cfg.clone(),
+        lifecycle: LifecycleConfig::with_max_resident(CAP as usize),
+        ..Default::default()
+    };
+    let script = |t: u64| {
+        vec![
+            Job::Begin,
+            Job::ExecBlock(vec![Op::Create {
+                class: item,
+                inits: vec![(chimera::model::AttrId(0), Value::Int((t % 97) as i64))],
+            }]),
+            Job::Commit,
+        ]
+    };
+    let rt = Runtime::new(s.clone(), triggers.clone(), config()).unwrap();
+    for t in 0..TENANTS {
+        for job in script(t) {
+            rt.submit(TenantId(t), job).unwrap();
+        }
+    }
+    rt.flush().unwrap();
+    assert!(
+        rt.stats().snapshots > 0,
+        "the run must write full snapshots"
+    );
+    drop(rt);
+
+    let (rt, report) = Runtime::recover(s.clone(), triggers.clone(), config()).unwrap();
+    assert!(
+        report.tenants_recovered > CAP,
+        "the full snapshots hold more tenants than the cap (got {})",
+        report.tenants_recovered
+    );
+    let stats = rt.stats();
+    assert_eq!(stats.tenants as u64, TENANTS, "every tenant is addressable");
+    assert!(
+        stats.tenants_resident <= CAP,
+        "recovery residency {} exceeds cap {CAP}",
+        stats.tenants_resident
+    );
+    assert_eq!(stats.rehydrations, 0);
+    for t in 0..TENANTS {
+        let jobs = script(t);
+        let (want, _, _) = oracle_replay(&s, &triggers, &engine_cfg, &jobs, jobs.len(), item);
+        let got = rt.with_tenant(TenantId(t), |e| observe(e, item)).unwrap();
+        assert_eq!(got, want, "tenant {t} diverged through recovery");
+    }
+    // the last tenant to run is the most recently active and stays
+    // resident; the first is the least and was evicted
+    for (t, rehydrated) in [(TENANTS - 1, 0), (0, 1)] {
+        rt.submit(TenantId(t), Job::Begin).unwrap();
+        rt.submit(TenantId(t), Job::Rollback).unwrap();
+        rt.flush().unwrap();
+        assert_eq!(rt.stats().rehydrations, rehydrated, "claiming tenant {t}");
+    }
+    drop(rt);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Audit for the rehydration/snapshot interaction: a full home snapshot
 /// (`snapshot_every: 1` — attempted after every committed batch) racing
 /// a worker's rehydration of an evicted tenant must never omit that
@@ -663,10 +736,9 @@ fn thousand_tenants_through_a_cap_of_64() {
 /// home store lock — the same lock the snapshot holds while collecting
 /// both sets — so the snapshot sees the tenant in at least one of them.
 /// Without that, a snapshot could catch a tenant in *neither*, write a
-/// full snapshot omitting it, and advance the snapshot sequence past
-/// the tenant's tsnap watermark; a crash before the home's next
-/// snapshot would then lose the tenant's pre-snapshot history (recovery
-/// deletes the tsnap as stale).
+/// full snapshot omitting it, and truncate the job log; a crash before
+/// the home's next snapshot would then lose the tenant's pre-snapshot
+/// history, which neither the snapshot nor the log holds any more.
 ///
 /// Honesty note: the racy window is a few microseconds wide and the
 /// *next* completed snapshot on the home (typically the rehydrated
@@ -721,12 +793,14 @@ fn full_snapshots_racing_rehydration_lose_no_tenant() {
     };
     // Each round ends with a shutdown + recovery that audits every
     // tenant's full history. A lost-to-the-race tenant is *healed* by
-    // its own next eviction (a fresh tsnap carries the full RAM state),
-    // so only a race with no later eviction is observable — restarting
+    // the home's next full snapshot (its RAM state is still whole), so
+    // only a race with no later snapshot is observable — restarting
     // every round makes each one a "final" round instead of giving the
     // bug ROUNDS-1 chances to hide.
     let mut rt = Runtime::new(s.clone(), Vec::new(), config()).unwrap();
     for round in 1..=ROUNDS {
+        // recovery itself evicts down to the cap; count only the round's
+        let evicted_at_start = rt.stats().evictions;
         for t in 0..TENANTS {
             for job in round_script(t, round) {
                 rt.submit(TenantId(t), job).unwrap();
@@ -736,10 +810,11 @@ fn full_snapshots_racing_rehydration_lose_no_tenant() {
         let stats = rt.stats();
         assert_eq!(stats.jobs_processed, stats.jobs_submitted);
         assert!(
-            stats.snapshots > 0 && stats.evictions > 0,
-            "round {round} must snapshot and evict (snapshots {}, evictions {})",
+            stats.snapshots > 0 && stats.evictions > evicted_at_start,
+            "round {round} must snapshot and evict (snapshots {}, evictions {} from {})",
             stats.snapshots,
-            stats.evictions
+            stats.evictions,
+            evicted_at_start
         );
         assert!(
             stats.rehydrations > 0 || round == 1,
