@@ -40,8 +40,9 @@
 //!    probe, or an inner `<=` re-evaluating its left operand) ever falls
 //!    back to a point probe;
 //! 4. the boundary result is memoized per `(clip, t)` and the whole
-//!    scratchpad is keyed on `(uid, epoch)` of the event base, so
-//!    re-evaluations between arrivals are O(1).
+//!    scratchpad is keyed on the event base's `(uid, cut, epoch)`
+//!    ([`EventBase::memo_key`]), so re-evaluations between arrivals are
+//!    O(1).
 //!
 //! ## One production path, one reference
 //!
@@ -59,8 +60,9 @@
 //! (negation-carrying) one records each row's first in-window stamp and
 //! folds only the rows already in the domain at `t`. The scratch is
 //! built cold when the window's lower bound moves (rule
-//! consideration/consumption) or it belongs to another event base.
-//! Otherwise, when the `(uid, epoch)` key advances, it is **advanced,
+//! consideration/consumption), it belongs to another event base, or the
+//! base has been cut since it was built (a transaction start).
+//! Otherwise, when the epoch advances, it is **advanced,
 //! not rebuilt**: the epoch's new occurrences are read through the EB's
 //! per-type delta columns ([`EventBase::type_occurrences_since`]), new
 //! domain rows are spliced in by a single sorted merge, touched
@@ -333,7 +335,7 @@ struct BoundaryScratch {
     agg_valid: bool,
     /// Small memo of recent boundary results, keyed `(clip, t)`;
     /// invalidated selectively — by the boundary's variation types — when
-    /// the event base `(uid, epoch)` key advances.
+    /// the event base's epoch advances.
     memo: Vec<(Window, Timestamp, TsVal)>,
 }
 
@@ -358,9 +360,13 @@ impl Default for BoundaryScratch {
 }
 
 impl BoundaryScratch {
-    /// Forget everything (the scratch belongs to a different event base).
+    /// Forget everything (the scratch belongs to a different event base,
+    /// or to this one before a cut): no memo entry answers again, and
+    /// the next `prepare_boundary` takes the cold build, which rewrites
+    /// every other field while reusing the buffers' allocations.
     fn reset(&mut self) {
-        *self = BoundaryScratch::default();
+        self.clip = None;
+        self.memo.clear();
     }
 }
 
@@ -370,8 +376,9 @@ impl BoundaryScratch {
 #[derive(Debug, Clone)]
 pub struct PlanEval {
     plan: Arc<Plan>,
-    /// `(uid, epoch)` of the event base the scratch state belongs to.
-    key: Option<(u64, u64)>,
+    /// [`EventBase::memo_key`] of the event base the scratch state
+    /// belongs to.
+    key: Option<(u64, u64, u64)>,
     scratch: Vec<BoundaryScratch>,
 }
 
@@ -438,20 +445,23 @@ impl PlanEval {
     }
 
     fn refresh_key(&mut self, eb: &EventBase) {
-        let key = (eb.uid(), eb.epoch());
+        let key = eb.memo_key();
         if self.key == Some(key) {
             return;
         }
         match self.key {
-            // Arrival delta on the same event base: drop only the memo
-            // entries the delta can affect. A boundary none of whose
-            // variation types (its leaves; any type at all for widened
-            // domains, which every arrival can join) occurs in the delta
-            // keeps everything; otherwise entries whose window closes
-            // before the first relevant arrival still describe the same
-            // occurrence set and survive. The matrix itself is advanced
-            // lazily by `prepare_boundary`.
-            Some((uid, old_epoch)) if uid == key.0 && key.1 >= old_epoch => {
+            // Arrival delta on the same event base since the same cut:
+            // drop only the memo entries the delta can affect. A boundary
+            // none of whose variation types (its leaves; any type at all
+            // for widened domains, which every arrival can join) occurs
+            // in the delta keeps everything; otherwise entries whose
+            // window closes before the first relevant arrival still
+            // describe the same occurrence set and survive. The matrix
+            // itself is advanced lazily by `prepare_boundary`. A new cut
+            // drops occurrences, so it takes the cold reset below.
+            Some((uid, cut, old_epoch))
+                if (uid, cut) == (key.0, key.1) && key.2 >= old_epoch =>
+            {
                 let plan = Arc::clone(&self.plan); // refcount bump, not a deep clone
                 let delta = eb.occurrences_since(old_epoch);
                 for (bi, scr) in self.scratch.iter_mut().enumerate() {
@@ -526,11 +536,14 @@ impl PlanEval {
             // clip is a pure upper-bound extension of the built one and
             // the old build absorbed every occurrence logged at its epoch
             // (always true for the frontier build clip, whose upper bound
-            // is `>= now`). Everything else — a moved lower bound after
+            // is `>= now`, and for a build at the cut itself, which saw no
+            // live occurrence; `refresh_key` has reset every scratch built
+            // before the cut). Everything else — a moved lower bound after
             // consumption, a clip narrower than the built one — takes the
             // cold rebuild below.
             if let Some(old) = scr.clip {
-                let absorbed_all = scr.built_epoch == 0
+                debug_assert!(scr.built_epoch >= eb.cut(), "scratch built before the cut");
+                let absorbed_all = scr.built_epoch == eb.cut()
                     || eb
                         .get(EventId(scr.built_epoch))
                         .is_some_and(|last| last.ts <= old.upto);
@@ -979,7 +992,7 @@ impl PlanCache {
             // an unclaimed fresh one; most recently used live at the back
             let idx = evals
                 .iter()
-                .position(|pe| pe.key.map(|k| k.0) == Some(uid) || pe.key.is_none());
+                .position(|pe| pe.key.is_none_or(|k| k.0 == uid));
             match idx {
                 Some(i) => evals.remove(i),
                 None => {

@@ -242,6 +242,7 @@ mod tests {
             last_error: None,
             objects: vec![],
             next_oid: 0,
+            cut: 0,
             events: vec![],
             trigger_sources: vec![],
             rules: vec![],

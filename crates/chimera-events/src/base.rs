@@ -21,6 +21,24 @@
 //! The cache sits behind a `Mutex` so all read paths keep taking `&self`;
 //! the lock is uncontended in the single-engine case and held only for
 //! the duration of a lookup/extension.
+//!
+//! ## The cut: one transaction's extent
+//!
+//! The paper's Event Base is a per-transaction log, so the engine drops
+//! every occurrence at each transaction start with
+//! [`EventBase::truncate`]. The occurrences before the cut are gone from
+//! the log, the columns, the indexes and the domain cache, but the base
+//! stays *logically* dense: [`EventBase::len`], [`EventBase::epoch`], eids
+//! and the clock continue past [`EventBase::cut`] exactly as if nothing
+//! had been dropped, and [`EventBase::occurrences_since`] /
+//! [`EventBase::type_occurrences_since`] take logical epochs.
+//!
+//! The contract: **a query whose window's lower bound is at or above the
+//! clock at the cut answers exactly as on the untruncated base; a window
+//! that reaches below the cut sees only the live part** (as if its lower
+//! bound were the cut). [`EventBase::get`] of a dropped eid is `None`.
+//! The [`EventBase::uid`] survives the cut, so external memoizers key on
+//! [`EventBase::memo_key`], `(uid, cut, epoch)`, to go cold across it.
 
 use crate::event::{EventId, EventOccurrence, EventType};
 use crate::time::{LogicalClock, Timestamp};
@@ -34,7 +52,7 @@ use std::sync::{Arc, Mutex};
 /// single event type, in timestamp (= append) order.
 #[derive(Debug, Default, Clone)]
 struct TypeCol {
-    /// Positions into the log.
+    /// Positions into the (live) log.
     pos: Vec<u32>,
     /// Stamps, mirroring `pos` (binary-searchable without log derefs).
     ts: Vec<Timestamp>,
@@ -47,6 +65,13 @@ impl TypeCol {
         self.pos.push(pos);
         self.ts.push(ts);
         self.oid.push(oid);
+    }
+
+    /// Drop every occurrence, keeping the columns' allocations.
+    fn clear(&mut self) {
+        self.pos.clear();
+        self.ts.clear();
+        self.oid.clear();
     }
 
     /// Index range of the occurrences falling inside `w`.
@@ -96,10 +121,15 @@ static EB_UID: AtomicU64 = AtomicU64::new(1);
 /// The event base (EB).
 #[derive(Debug)]
 pub struct EventBase {
+    /// The live occurrences, those after the cut.
     log: Vec<EventOccurrence>,
+    /// Logical position of `log[0]`: the number of occurrences dropped by
+    /// [`EventBase::truncate`]. Every index below stores positions into
+    /// `log`; logical positions, epochs and eids are offset by `cut`.
+    cut: u64,
     clock: LogicalClock,
     /// Process-unique identity, so external memoizers can key on
-    /// `(uid, epoch)` without being fooled by address reuse.
+    /// [`EventBase::memo_key`] without being fooled by address reuse.
     uid: u64,
     /// Occurred-Events tree leaves: per-type occurrence columns.
     type_index: HashMap<EventType, TypeCol>,
@@ -115,6 +145,7 @@ impl Default for EventBase {
     fn default() -> Self {
         EventBase {
             log: Vec::new(),
+            cut: 0,
             clock: LogicalClock::default(),
             uid: EB_UID.fetch_add(1, Ordering::Relaxed),
             type_index: HashMap::new(),
@@ -131,28 +162,85 @@ impl EventBase {
         EventBase::default()
     }
 
-    /// Number of occurrences in the log.
+    /// Logical number of occurrences ever recorded, the dropped ones
+    /// included: the next occurrence gets eid `len() + 1`.
     pub fn len(&self) -> usize {
+        self.cut as usize + self.log.len()
+    }
+
+    /// Has no occurrence ever been recorded?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of live occurrences: those after the cut.
+    pub fn live_len(&self) -> usize {
         self.log.len()
     }
 
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
+    /// Logical position of the first live occurrence (the number of
+    /// occurrences [`EventBase::truncate`] has dropped).
+    pub fn cut(&self) -> u64 {
+        self.cut
+    }
+
+    /// Drop every recorded occurrence. The logical length, the epoch, eids
+    /// and the clock continue densely past the cut; the uid is kept. The
+    /// log, the type columns, the object indexes and the domain cache are
+    /// cleared in place, so their allocations serve the next transaction.
+    /// See the module docs for what a window reaching below the cut sees.
+    pub fn truncate(&mut self) {
+        self.cut += self.log.len() as u64;
+        self.log.clear();
+        for col in self.type_index.values_mut() {
+            col.clear();
+        }
+        self.type_obj_index.clear();
+        self.obj_index.clear();
+        self.domains
+            .get_mut()
+            .expect("domain cache poisoned")
+            .entries
+            .clear();
+    }
+
+    /// Position a base that has never recorded an occurrence as if `cut`
+    /// occurrences had been recorded and then truncated, with the clock
+    /// at `now`: the restore half of [`EventBase::truncate`]. Panics if
+    /// the base is not empty or `now` precedes stamp `cut` (stamps are
+    /// strictly increasing, so `cut` occurrences end at stamp `cut` or
+    /// later).
+    pub fn resume_at(&mut self, cut: u64, now: Timestamp) {
+        assert!(self.is_empty(), "resume_at needs an empty event base");
+        assert!(
+            now >= Timestamp(cut),
+            "{cut} occurrences cannot end before stamp {cut}: {now}"
+        );
+        self.cut = cut;
+        self.clock.advance_to(now);
     }
 
     /// Process-unique identity of this event base (stable for its
-    /// lifetime, never reused within the process).
+    /// lifetime, across cuts too, never reused within the process).
     pub fn uid(&self) -> u64 {
         self.uid
     }
 
-    /// Version counter for memoization: changes exactly when the set of
-    /// recorded occurrences changes (clock ticks do not affect any value
-    /// derived from the EB at a fixed instant). Key external caches on
-    /// `(uid, epoch)`.
+    /// Version counter for memoization: the logical length, so it changes
+    /// exactly when an occurrence is recorded (clock ticks do not affect
+    /// any value derived from the EB at a fixed instant). A cut leaves it
+    /// unchanged; key caches on [`EventBase::memo_key`].
     pub fn epoch(&self) -> u64 {
-        self.log.len() as u64
+        self.len() as u64
+    }
+
+    /// `(uid, cut, epoch)`: the key a value derived from this base must
+    /// be cached under. A cut changes what a window reaching below it
+    /// sees while keeping the uid and the epoch, so a cache keyed on this
+    /// triple goes cold at its first use after a cut instead of answering
+    /// from the dropped occurrences.
+    pub fn memo_key(&self) -> (u64, u64, u64) {
+        (self.uid, self.cut, self.epoch())
     }
 
     /// Current logical time (stamp of the most recent occurrence).
@@ -191,7 +279,7 @@ impl EventBase {
     fn push(&mut self, ty: EventType, oid: Oid, ts: Timestamp) -> EventOccurrence {
         let pos = self.log.len() as u32;
         let occ = EventOccurrence {
-            eid: EventId(pos as u64 + 1),
+            eid: EventId(self.cut + pos as u64 + 1),
             ty,
             oid,
             ts,
@@ -203,33 +291,39 @@ impl EventBase {
         occ
     }
 
-    /// Fetch by EID.
+    /// Fetch by EID. Eid `0` and the eids of dropped occurrences (at or
+    /// below [`EventBase::cut`]) yield `None`.
     pub fn get(&self, eid: EventId) -> Option<&EventOccurrence> {
-        if eid.0 == 0 {
-            return None;
-        }
-        self.log.get(eid.0 as usize - 1)
+        let pos = eid.0.checked_sub(self.cut + 1)?;
+        self.log.get(pos as usize)
+    }
+
+    /// Position in the live log of logical position `epoch`, clamped to
+    /// the live part.
+    fn live_pos(&self, epoch: u64) -> usize {
+        epoch.saturating_sub(self.cut).min(self.log.len() as u64) as usize
     }
 
     /// The occurrences recorded since `epoch` (a value previously returned
     /// by [`EventBase::epoch`]), in timestamp order — the arrival delta an
     /// incrementally maintained consumer must absorb to catch up with the
     /// current epoch. Epochs at or beyond the current one yield an empty
-    /// slice.
+    /// slice; epochs below the cut yield the whole live part.
     pub fn occurrences_since(&self, epoch: u64) -> &[EventOccurrence] {
-        let lo = (epoch as usize).min(self.log.len());
-        &self.log[lo..]
+        &self.log[self.live_pos(epoch)..]
     }
 
     /// Per-type delta view over the Occurred-Events columns: the
     /// `(stamp, oid)` pairs of `ty` occurrences recorded since `epoch`, in
     /// timestamp order, without touching the log. Columns store log
     /// positions in append order, so locating the split is one partition
-    /// search over the type's own occurrences.
+    /// search over the type's own occurrences. Epochs below the cut yield
+    /// every live occurrence of `ty`.
     pub fn type_occurrences_since(&self, ty: EventType, epoch: u64) -> TypeDelta<'_> {
         match self.type_index.get(&ty) {
             Some(col) => {
-                let lo = col.pos.partition_point(|&p| (p as u64) < epoch);
+                let from = self.live_pos(epoch);
+                let lo = col.pos.partition_point(|&p| (p as usize) < from);
                 TypeDelta {
                     ts: &col.ts[lo..],
                     oids: &col.oid[lo..],
@@ -239,7 +333,8 @@ impl EventBase {
         }
     }
 
-    /// Iterate the whole log in timestamp order.
+    /// Iterate the live log (the occurrences after the cut) in timestamp
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = &EventOccurrence> {
         self.log.iter()
     }
@@ -418,7 +513,10 @@ impl EventBase {
         // An entry only ever covers stamps that exist: recording a bound
         // beyond the clock would make occurrences appended later (with
         // stamps still inside `w`) permanently invisible to the snapshot.
-        let covered = w.upto.min(self.now());
+        // Nor below its own lower bound: a window starting after the
+        // clock has nothing to scan yet, and extending from a bound below
+        // `w.after` would let occurrences outside `w` in.
+        let covered = w.upto.min(self.now()).max(w.after);
         let mut cache = self.domains.lock().expect("domain cache poisoned");
         if let Some(entry) = cache
             .entries
@@ -733,6 +831,19 @@ mod tests {
     }
 
     #[test]
+    fn domain_cache_keeps_a_future_window_closed_below() {
+        // regression: a window whose lower bound is beyond the clock must
+        // not, once extended, take in occurrences at or before that bound.
+        let mut eb = EventBase::new();
+        let w = Window::new(Timestamp(3), Timestamp(9));
+        assert!(eb.objects_in(w).is_empty());
+        eb.append_at(ty(0), Oid(1), Timestamp(2));
+        eb.append_at(ty(0), Oid(2), Timestamp(4));
+        assert_eq!(eb.objects_in(w).to_vec(), vec![Oid(2)]);
+        assert_eq!(eb.objects_of_types_in(&[ty(0)], w).to_vec(), vec![Oid(2)]);
+    }
+
+    #[test]
     fn epoch_deltas_expose_exactly_the_new_arrivals() {
         let mut eb = EventBase::new();
         eb.append_at(ty(0), Oid(1), Timestamp(1));
@@ -820,6 +931,65 @@ mod tests {
         eb.append_at(ty(0), Oid(1), Timestamp(4));
         eb.append_at(ty(0), Oid(2), Timestamp(9));
         assert_eq!(eb.leaf_last_stamp(ty(0)), Some(Timestamp(9)));
+    }
+
+    #[test]
+    fn truncate_keeps_positions_eids_and_clock_dense() {
+        let mut eb = EventBase::new();
+        eb.append(ty(0), Oid(1));
+        eb.append(ty(1), Oid(2));
+        let w = Window::from_origin(Timestamp(9));
+        assert_eq!(eb.objects_in(w).to_vec(), vec![Oid(1), Oid(2)]);
+        let uid = eb.uid();
+        eb.truncate();
+        assert_eq!(
+            (eb.len(), eb.live_len(), eb.cut(), eb.epoch()),
+            (2, 0, 2, 2)
+        );
+        assert_eq!(eb.now(), Timestamp(2));
+        assert_eq!(eb.uid(), uid, "the uid survives the cut");
+        assert_ne!(eb.memo_key(), (uid, 0, 2), "the memo key does not");
+        assert!(!eb.is_empty());
+        assert_eq!(eb.get(EventId(2)), None, "dropped eids are gone");
+        // the cached domain filled before the cut does not answer after it
+        assert!(eb.objects_in(w).is_empty());
+        assert_eq!(eb.last_of_type_in(ty(0), w), None);
+        let c = eb.append(ty(0), Oid(3));
+        assert_eq!((c.eid, c.ts), (EventId(3), Timestamp(3)));
+        assert_eq!(eb.get(EventId(3)), Some(&c));
+        assert_eq!(eb.iter().copied().collect::<Vec<_>>(), vec![c]);
+        assert_eq!(eb.occurrences_since(0), &[c], "below the cut: the live part");
+        assert_eq!(eb.occurrences_since(2), &[c]);
+        assert!(eb.occurrences_since(3).is_empty());
+        assert_eq!(eb.type_occurrences_since(ty(0), 1).len(), 1);
+        assert!(eb.type_occurrences_since(ty(0), 3).is_empty());
+        assert!(eb.type_occurrences_since(ty(1), 0).is_empty());
+        assert_eq!(eb.leaf_last_stamp(ty(0)), Some(Timestamp(3)));
+        assert_eq!(eb.leaf_last_stamp(ty(1)), None);
+        assert_eq!(eb.objects_in(w).to_vec(), vec![Oid(3)]);
+    }
+
+    #[test]
+    fn resume_at_positions_an_empty_base() {
+        let mut a = EventBase::new();
+        for oid in 1..=4 {
+            a.append(ty(0), Oid(oid));
+        }
+        a.truncate();
+        let x = a.append(ty(1), Oid(9));
+        let mut b = EventBase::new();
+        b.resume_at(a.cut(), Timestamp(a.cut()));
+        let y = b.append(ty(1), Oid(9));
+        assert_eq!(x, y);
+        assert_eq!((b.len(), b.cut(), b.now()), (a.len(), a.cut(), a.now()));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty event base")]
+    fn resume_at_rejects_a_used_base() {
+        let mut eb = EventBase::new();
+        eb.append(ty(0), Oid(1));
+        eb.resume_at(5, Timestamp(5));
     }
 
     #[test]

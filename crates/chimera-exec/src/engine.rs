@@ -41,7 +41,9 @@
 //! one case where its plan falls back to a cold rebuild. Transaction
 //! resets ([`Engine::begin`], [`Engine::rollback`]) keep every rule's
 //! compiled plan and scratchpad — only the runtime trigger state is
-//! cleared.
+//! cleared. `begin` also cuts the Event Base to the paper's
+//! per-transaction extent ([`EventBase::truncate`]); the scratchpads,
+//! keyed on the base's `(uid, cut, epoch)`, go cold by themselves.
 
 use crate::action_exec::execute_actions;
 use crate::error::ExecError;
@@ -191,26 +193,31 @@ impl Engine {
     }
 
     /// Engine over a previously recovered store, with an empty event base
-    /// and fresh rule state. A caller that needs the event history back
-    /// (the runtime's snapshot restore and rehydration) replays it with
-    /// [`Engine::restore_event_log`] and overlays the rule stamps with
-    /// [`Engine::restore_rule_state`]; the single-engine WAL recovery
-    /// does not, since no transaction survives a crash.
+    /// and fresh rule state. A caller that needs the event base back (the
+    /// runtime's snapshot restore and rehydration) repositions it and
+    /// replays the live tail with [`Engine::restore_event_log`], then
+    /// overlays the rule stamps with [`Engine::restore_rule_state`]; the
+    /// single-engine WAL recovery does not, since no transaction survives
+    /// a crash.
     pub fn with_restored_store(schema: Schema, store: ObjectStore, config: EngineConfig) -> Self {
         let mut engine = Engine::with_config(schema, config);
         engine.store = store;
         engine
     }
 
-    /// Replay a recovered event log into the event base, without running
-    /// reactions or touching the work counters. Both eids and timestamps
-    /// are assigned densely per append, so replaying the `(type, oid)`
-    /// pairs of a previous log reproduces it bit-identically. Recovery
-    /// calls this on a freshly restored engine *before* re-applying any
-    /// logged jobs; the restored rule stamps are overlaid afterwards with
+    /// Rebuild a snapshotted event base without running reactions or
+    /// touching the work counters: position the empty base at logical
+    /// length `cut` (its [`EventBase::cut`]), then replay the live
+    /// `tail`. The engine never ticks its clock without an occurrence, so
+    /// eids and timestamps are both dense per append: the clock at the
+    /// cut is stamp `cut`, and replaying the `(type, oid)` pairs
+    /// reproduces the live log bit-identically. Recovery calls this on a
+    /// freshly restored engine *before* re-applying any logged jobs; the
+    /// restored rule stamps are overlaid afterwards with
     /// [`Engine::restore_rule_state`].
-    pub fn restore_event_log(&mut self, events: &[(EventType, Oid)]) {
-        for &(ty, oid) in events {
+    pub fn restore_event_log(&mut self, cut: u64, tail: &[(EventType, Oid)]) {
+        self.eb.resume_at(cut, Timestamp(cut));
+        for &(ty, oid) in tail {
             self.eb.append(ty, oid);
         }
     }
@@ -299,12 +306,18 @@ impl Engine {
         Ok(())
     }
 
-    /// Begin a transaction.
+    /// Begin a transaction. The Event Base is per-transaction, so this
+    /// first truncates it: no rule window, `ts` probe or `V(E)`
+    /// check of the new transaction reaches an older occurrence, and the
+    /// base holds at most the last transaction's occurrences in between.
+    /// Only `begin` cuts: after `commit` or `rollback` the finished
+    /// transaction's occurrences stay readable until the next one starts.
     pub fn begin(&mut self) -> Result<()> {
         if self.in_txn {
             return Err(ExecError::TransactionActive);
         }
         self.store.begin()?;
+        self.eb.truncate();
         self.in_txn = true;
         self.steps_this_txn = 0;
         self.txn_start = self.eb.now();
@@ -861,6 +874,36 @@ mod tests {
         engine.begin().unwrap();
         assert!(matches!(engine.begin(), Err(ExecError::TransactionActive)));
         engine.commit().unwrap();
+    }
+
+    #[test]
+    fn begin_cuts_the_event_base_and_restore_rebuilds_it() {
+        let schema = stock_schema();
+        let stock = schema.class_by_name("stock").unwrap();
+        let create = Op::Create {
+            class: stock,
+            inits: vec![],
+        };
+        let mut engine = Engine::new(schema.clone());
+        engine.begin().unwrap();
+        engine.exec_block(&[create.clone(), create.clone()]).unwrap();
+        engine.commit().unwrap();
+        // commit keeps the finished transaction readable
+        assert_eq!((engine.event_base().len(), engine.event_base().live_len()), (2, 2));
+        engine.begin().unwrap();
+        let eb = engine.event_base();
+        assert_eq!((eb.len(), eb.live_len(), eb.cut(), eb.now()), (2, 0, 2, Timestamp(2)));
+        let occ = engine.exec_block(&[create]).unwrap()[0];
+        assert_eq!((occ.eid.0, occ.ts), (3, Timestamp(3)), "eids and stamps stay dense");
+        engine.rollback().unwrap();
+        assert_eq!(engine.event_base().live_len(), 1, "rollback does not cut either");
+
+        let tail: Vec<_> = engine.event_base().iter().map(|o| (o.ty, o.oid)).collect();
+        let mut restored = Engine::new(schema);
+        restored.restore_event_log(engine.event_base().cut(), &tail);
+        let (a, b) = (restored.event_base(), engine.event_base());
+        assert_eq!((a.len(), a.cut(), a.now()), (b.len(), b.cut(), b.now()));
+        assert!(a.iter().eq(b.iter()));
     }
 
     #[test]

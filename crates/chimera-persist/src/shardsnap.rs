@@ -4,21 +4,26 @@
 //! *object store* — enough for the transaction-scoped durability model of
 //! [`crate::durable`]. The runtime's durable tenants need more: recovery
 //! must reproduce each tenant bit-identically, so a shard snapshot also
-//! carries the event log, trigger sources, per-rule processing stamps,
+//! carries the event base, trigger sources, per-rule processing stamps,
 //! engine statistics and the shard's error bookkeeping. With all of that
 //! captured, the job log ([`crate::joblog`]) can be truncated at the
 //! snapshot's sequence and replay continues from there.
+//!
+//! The event base is per-transaction: the engine cuts it at every
+//! transaction start, so a tenant snapshot carries only the cut (the
+//! logical length at the last transaction start) and the live tail after
+//! it — O(one transaction), however long the tenant has lived.
 //!
 //! Format (line-oriented text, FNV-1a 64 checksummed, like every other
 //! durable file in this crate):
 //!
 //! ```text
 //! V <seq> <tenant-count>
-//! T <tenant> <jobs-applied> <job-errors> <next-oid> <nobj> <nev> <nsrc> <nrule>
+//! T <tenant> <jobs-applied> <job-errors> <next-oid> <nobj> <cut> <nev> <nsrc> <nrule>
 //! L <escaped-last-error|->
 //! S <blocks> <events> <considerations> <executions> <commits> <rollbacks>
 //! P <oid> <class> <attrs>          × nobj
-//! E <class>:<kind> <oid>           × nev
+//! E <class>:<kind> <oid>           × nev (the live tail)
 //! D <escaped-trigger-source>       × nsrc
 //! R <escaped-name> <t> <lc> <lcons> <cu> <w>   × nrule
 //! C <seq> <fnv1a-of-body>
@@ -72,8 +77,12 @@ pub struct TenantSnapshot {
     pub objects: Vec<Object>,
     /// OID allocation counter.
     pub next_oid: u64,
-    /// The event log as `(type, oid)` pairs in log order. Replaying them
-    /// through a fresh event base reproduces eids and timestamps exactly
+    /// The event base's cut: its logical length at the last transaction
+    /// start, where the engine dropped every earlier occurrence.
+    pub cut: u64,
+    /// The live tail of the event base, the occurrences after `cut`, as
+    /// `(type, oid)` pairs in log order. Positioning a fresh event base
+    /// at `cut` and replaying them reproduces eids and timestamps exactly
     /// (both are assigned densely per append).
     pub events: Vec<(EventType, Oid)>,
     /// Tenant-local trigger definitions, in definition order, as source
@@ -142,12 +151,13 @@ impl ShardSnapshot {
         body.push_str(&format!("V {} {}\n", self.seq, self.tenants.len()));
         for t in &self.tenants {
             body.push_str(&format!(
-                "T {} {} {} {} {} {} {} {}\n",
+                "T {} {} {} {} {} {} {} {} {}\n",
                 t.tenant,
                 t.jobs_applied,
                 t.job_errors,
                 t.next_oid,
                 t.objects.len(),
+                t.cut,
                 t.events.len(),
                 t.trigger_sources.len(),
                 t.rules.len(),
@@ -208,7 +218,22 @@ impl ShardSnapshot {
         };
         let corrupt = |what: &str| PersistError::Corrupt(format!("shard snapshot: {what}"));
         let text = String::from_utf8(bytes).map_err(|_| corrupt("invalid utf-8"))?;
-        let mut lines = text.lines();
+        // Check the terminator's checksum over the body before parsing
+        // any record, so damage anywhere in the file reads as this one
+        // typed error instead of as whichever record it garbled.
+        let unterminated = text
+            .strip_suffix('\n')
+            .ok_or_else(|| corrupt("missing terminator"))?;
+        let (body, term) = text.split_at(unterminated.rfind('\n').map_or(0, |i| i + 1));
+        let (term_seq, crc) = term
+            .strip_prefix("C ")
+            .and_then(|rest| rest.trim_end_matches('\n').split_once(' '))
+            .and_then(|(s, c)| Some((s.parse::<u64>().ok()?, u64::from_str_radix(c, 16).ok()?)))
+            .ok_or_else(|| corrupt("bad terminator"))?;
+        if crc != fnv1a(body.as_bytes()) {
+            return Err(corrupt("checksum mismatch"));
+        }
+        let mut lines = body.lines();
         let header = lines.next().ok_or_else(|| corrupt("empty"))?;
         let (seq, count) = header
             .strip_prefix("V ")
@@ -219,19 +244,7 @@ impl ShardSnapshot {
         for _ in 0..count {
             tenants.push(read_tenant(&mut lines, &corrupt)?);
         }
-        let term = lines.next().ok_or_else(|| corrupt("missing terminator"))?;
-        let body_len = text
-            .len()
-            .checked_sub(term.len() + 1)
-            .ok_or_else(|| corrupt("bad terminator"))?;
-        let ok = (|| {
-            let rest = term.strip_prefix("C ")?;
-            let (seq_s, crc_s) = rest.split_once(' ')?;
-            let term_seq: u64 = seq_s.parse().ok()?;
-            let crc = u64::from_str_radix(crc_s, 16).ok()?;
-            (term_seq == seq && crc == fnv1a(&text.as_bytes()[..body_len])).then_some(())
-        })();
-        if ok.is_none() || lines.next().is_some() {
+        if term_seq != seq || lines.next().is_some() {
             return Err(corrupt("terminator mismatch"));
         }
         Ok(Some(ShardSnapshot { seq, tenants }))
@@ -258,6 +271,7 @@ fn read_tenant<'a>(
     let job_errors = next()?;
     let next_oid = next()?;
     let nobj = next()? as usize;
+    let cut = next()?;
     let nev = next()? as usize;
     let nsrc = next()? as usize;
     let nrule = next()? as usize;
@@ -348,6 +362,7 @@ fn read_tenant<'a>(
         last_error,
         objects,
         next_oid,
+        cut,
         events,
         trigger_sources,
         rules,
@@ -384,6 +399,7 @@ mod tests {
                         attrs: vec![Value::Int(5), Value::Str("a b".into())],
                     }],
                     next_oid: 2,
+                    cut: 40,
                     events: vec![
                         (EventType::create(ClassId(0)), Oid(1)),
                         (
@@ -419,6 +435,7 @@ mod tests {
                     last_error: None,
                     objects: vec![],
                     next_oid: 0,
+                    cut: 0,
                     events: vec![],
                     trigger_sources: vec![],
                     rules: vec![],
@@ -491,8 +508,10 @@ mod tests {
             let mut dirty = clean.clone();
             dirty[i] ^= 0x01;
             fs::write(&path, &dirty).unwrap();
+            // typed as snapshot damage wherever it lands, record bytes
+            // included: the checksum is checked before any record parses
             match ShardSnapshot::read(&path) {
-                Err(PersistError::Corrupt(_)) => {}
+                Err(PersistError::Corrupt(m)) if m.starts_with("shard snapshot:") => {}
                 Ok(Some(s)) => panic!("flip at byte {i} went undetected: {s:?}"),
                 other => panic!("unexpected outcome for flip at {i}: {other:?}"),
             }

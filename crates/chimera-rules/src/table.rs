@@ -216,9 +216,9 @@ impl RuleTable {
 
     /// Reset all rule state for a new transaction starting at `start`.
     /// Compiled plans and relevance filters derive only from the
-    /// definitions, so they are kept (with their scratchpads — the event
-    /// base persists across transactions, and stale windows fall back to
-    /// the plan's cold path) instead of being recompiled per transaction.
+    /// definitions, so they are kept (with their scratchpads, which go
+    /// cold by themselves once the engine cuts the event base at the
+    /// transaction start) instead of being recompiled per transaction.
     pub fn reset_all(&mut self, start: Timestamp) {
         for s in &mut self.slots {
             s.state.reset(start);
@@ -299,8 +299,8 @@ pub struct TriggerSupport {
     /// batch arrival) evaluate each probe once; the outer key is cloned
     /// once per expression per epoch, lookups borrow.
     probe_memo: ProbeMemo,
-    /// `(uid, epoch)` the memos belong to.
-    memo_key: Option<(u64, u64)>,
+    /// [`EventBase::memo_key`] the memos belong to.
+    memo_key: Option<(u64, u64, u64)>,
     /// Reusable per-bound round entries; `rounds_live` are in use this
     /// round, the rest are spare capacity kept for their buffers.
     rounds: Vec<RoundScratch>,
@@ -352,7 +352,7 @@ impl TriggerSupport {
     /// batched round over the block's whole arrival delta. Returns the
     /// names of newly triggered rules, in definition order.
     pub fn check(&mut self, table: &mut RuleTable, eb: &EventBase, now: Timestamp) -> Vec<String> {
-        let key = (eb.uid(), eb.epoch());
+        let key = eb.memo_key();
         if self.memo_key != Some(key) {
             self.memo_key = Some(key);
             self.probe_memo.clear();

@@ -136,7 +136,7 @@ impl RuleState {
     /// derive only from the rule definition and are reused as-is — the
     /// former per-transaction recompilation was pure waste, and the
     /// plan's scratchpad revalidates itself against the event base's
-    /// `(uid, epoch)` key anyway.
+    /// `(uid, cut, epoch)` key anyway.
     pub fn reset(&mut self, start: Timestamp) {
         self.triggered = false;
         self.last_consideration = start;

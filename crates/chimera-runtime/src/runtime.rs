@@ -761,8 +761,17 @@ impl Runtime {
         }
         out.job_errors = f.counters.errors.load(Ordering::Relaxed);
         out.job_panics = f.counters.panics.load(Ordering::Relaxed);
-        let mut resident = Vec::new();
-        for (i, home) in f.homes.iter().enumerate() {
+        // The homes' evicted snapshots and the resident handles are read
+        // under every store lock at once (taken in home order; no other
+        // path holds two). Eviction and rehydration hold their home's
+        // lock across the handover, so a tenant moving between the two is
+        // counted exactly once, and the resident set is one instant's —
+        // read home by home, an eviction on one home and a fresh tenant
+        // on the next could both be counted. Slots are locked only after
+        // the store locks are released: a job holding its slot must not
+        // stall the homes' appends behind this read.
+        let stores: Vec<_> = f.homes.iter().map(|home| home.lock()).collect();
+        for (i, (home, store)) in f.homes.iter().zip(&stores).enumerate() {
             out.wal_appends += home.wal_appends.load(Ordering::Relaxed);
             out.wal_syncs += home.wal_syncs.load(Ordering::Relaxed);
             out.wal_sync_nanos += home.wal_sync_nanos.load(Ordering::Relaxed);
@@ -774,13 +783,6 @@ impl Runtime {
             let retries = home.store_retries.load(Ordering::Relaxed);
             out.store_retries += retries;
             per_shard[i].store_retries = retries;
-            // The home's evicted snapshots and resident handles are read
-            // under its store lock, which eviction and rehydration hold
-            // across their handover, so a tenant moving between the two
-            // is counted exactly once. Slots are locked only after the
-            // store lock is released: a job holding its slot must not
-            // stall the home's appends behind this read.
-            let store = home.lock();
             if store.poisoned.is_some() {
                 out.shards_poisoned += 1;
                 per_shard[i].poisoned = true;
@@ -799,14 +801,9 @@ impl Runtime {
                     rollbacks: snap.stats[5],
                 });
             }
-            resident.extend(
-                f.tenants
-                    .arcs()
-                    .into_iter()
-                    .filter(|(tenant, _)| home_of(*tenant, homes) == i),
-            );
-            drop(store);
         }
+        let resident = f.tenants.arcs();
+        drop(stores);
         for (tenant, slot) in resident {
             per_shard[home_of(tenant, homes)].tenants += 1;
             out.tenants += 1;

@@ -479,7 +479,8 @@ fn rehydrate_if_evicted(fabric: &Fabric, ctx: &WorkerCtx, tenant: u64, home_idx:
 }
 
 /// Approximate resident footprint of a tenant, from its snapshot shape:
-/// relative pressure for the bytes budget, not accounting.
+/// relative pressure for the bytes budget, not accounting. Only the live
+/// event tail is resident; the dropped prefix costs nothing.
 fn approx_tenant_bytes(snap: &TenantSnapshot) -> u64 {
     let sources: u64 = snap.trigger_sources.iter().map(|s| s.len() as u64).sum();
     1024 + snap.objects.len() as u64 * 256 + snap.events.len() as u64 * 64 + sources
@@ -489,7 +490,7 @@ fn approx_tenant_bytes(snap: &TenantSnapshot) -> u64 {
 pub(crate) fn approx_slot_bytes(slot: &TenantSlot) -> u64 {
     let sources: u64 = slot.trigger_sources.iter().map(|s| s.len() as u64).sum();
     1024 + slot.engine.store().len() as u64 * 256
-        + slot.engine.event_base().len() as u64 * 64
+        + slot.engine.event_base().live_len() as u64 * 64
         + sources
 }
 
@@ -1146,7 +1147,7 @@ pub(crate) fn restore_tenant(ts: &TenantSnapshot, ctx: &WorkerCtx) -> Result<Ten
         apply_trigger_source(&mut engine, &ctx.schema, src)
             .map_err(|e| format!("tenant {}: snapshotted trigger source failed: {e}", ts.tenant))?;
     }
-    engine.restore_event_log(&ts.events);
+    engine.restore_event_log(ts.cut, &ts.events);
     for r in &ts.rules {
         engine
             .restore_rule_state(
@@ -1188,6 +1189,7 @@ fn snapshot_tenant(tenant: u64, slot: &TenantSlot) -> TenantSnapshot {
         last_error: slot.last_error.clone(),
         objects: store.snapshot_objects().into_iter().cloned().collect(),
         next_oid: store.next_oid_counter(),
+        cut: engine.event_base().cut(),
         events: engine.event_base().iter().map(|o| (o.ty, o.oid)).collect(),
         trigger_sources: slot.trigger_sources.clone(),
         rules: engine

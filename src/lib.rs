@@ -44,7 +44,7 @@
 //! | module | re-export of | contents |
 //! |--------|--------------|----------|
 //! | [`model`] | `chimera-model` | OO schema, objects, transactional store |
-//! | [`events`] | `chimera-events` | logical clock, event types, the Event Base |
+//! | [`events`] | `chimera-events` | logical clock, event types, the per-transaction Event Base |
 //! | [`calculus`] | `chimera-calculus` | the event calculus (the paper's contribution) |
 //! | [`rules`] | `chimera-rules` | triggers, rule table, triggering semantics |
 //! | [`lang`] | `chimera-lang` | lexer/parser/pretty-printer |
@@ -87,8 +87,11 @@
 //!
 //! A single [`exec::Engine`] is deliberately a single-threaded reactive
 //! machine (the paper's §5 architecture assumes one transaction's Event
-//! Base per detector). [`runtime`] scales it out without changing its
-//! semantics:
+//! Base per detector, and the engine keeps exactly that much:
+//! [`exec::Engine::begin`] truncates the Event Base while its eids,
+//! stamps and logical length stay dense, so a tenant's RAM, snapshot and
+//! rehydration cost one transaction's occurrences however long it
+//! lives). [`runtime`] scales it out without changing its semantics:
 //!
 //! * **tenant homes** — every tenant owns a private engine behind an
 //!   exclusive-claim handle, and hashes (SplitMix64) onto a *home shard*

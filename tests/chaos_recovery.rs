@@ -153,6 +153,9 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
 struct Observed {
     stats: chimera::exec::EngineStats,
     in_txn: bool,
+    /// The event base: logical length, clock and live tail (the
+    /// occurrences since the last transaction start).
+    eb_len: usize,
     eb_now: Timestamp,
     eb_log: Vec<(EventType, Oid, Timestamp)>,
     rules: Vec<(String, bool, bool, Timestamp, Timestamp, Timestamp)>,
@@ -165,6 +168,7 @@ fn observe(engine: &mut Engine, item: ClassId) -> Observed {
     Observed {
         stats: engine.stats(),
         in_txn: engine.in_transaction(),
+        eb_len: engine.event_base().len(),
         eb_now: engine.event_base().now(),
         eb_log: engine
             .event_base()
@@ -204,6 +208,7 @@ fn oracle_replay(
     }
     let mut errors = 0u64;
     let mut last_error = None;
+    let (mut started, mut longest_txn) = (0usize, 0usize);
     for job in jobs {
         let res: Result<(), String> = match job.clone() {
             Job::Begin => engine.begin().map_err(|e| e.to_string()),
@@ -216,11 +221,21 @@ fn oracle_replay(
             Job::DefineTriggerSource(src) => apply_trigger_source(&mut engine, schema, &src),
             _ => Ok(()),
         };
-        if let Err(msg) = res {
-            errors += 1;
-            last_error = Some(msg);
+        match res {
+            Err(msg) => {
+                errors += 1;
+                last_error = Some(msg);
+            }
+            Ok(()) if matches!(job, Job::Begin) => started = engine.event_base().len(),
+            Ok(()) => {}
         }
+        longest_txn = longest_txn.max(engine.event_base().len() - started);
     }
+    // the live tail the suite compares holds at most one transaction
+    assert!(
+        engine.event_base().live_len() <= longest_txn,
+        "the event base kept more than its longest transaction"
+    );
     (observe(&mut engine, item), errors, last_error)
 }
 

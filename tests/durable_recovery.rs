@@ -7,7 +7,8 @@
 //! final write a real crash leaves — then recovers a fresh runtime from
 //! the directory and compares every tenant against a plain sequential
 //! [`Engine`] replaying the first `survived(t)` of that tenant's jobs:
-//! objects and extents, the full event log with timestamps, rule
+//! objects and extents, the event base (logical length, clock and the
+//! live tail since the last transaction start, with timestamps), rule
 //! consumption windows (`last_consideration` / `last_consumption` /
 //! `checked_upto`), engine counters, open-transaction state, and the
 //! error bookkeeping.
@@ -142,6 +143,9 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
 struct Observed {
     stats: chimera::exec::EngineStats,
     in_txn: bool,
+    /// The event base: logical length, clock and live tail (the
+    /// occurrences since the last transaction start).
+    eb_len: usize,
     eb_now: Timestamp,
     eb_log: Vec<(EventType, Oid, Timestamp)>,
     rules: Vec<(String, bool, bool, Timestamp, Timestamp, Timestamp)>,
@@ -154,6 +158,7 @@ fn observe(engine: &mut Engine, item: ClassId) -> Observed {
     Observed {
         stats: engine.stats(),
         in_txn: engine.in_transaction(),
+        eb_len: engine.event_base().len(),
         eb_now: engine.event_base().now(),
         eb_log: engine
             .event_base()
@@ -196,6 +201,7 @@ fn oracle_replay(
     }
     let mut errors = 0u64;
     let mut last_error = None;
+    let (mut started, mut longest_txn) = (0usize, 0usize);
     for job in &jobs[..prefix] {
         let res: Result<(), String> = match job.clone() {
             Job::Begin => engine.begin().map_err(|e| e.to_string()),
@@ -208,11 +214,21 @@ fn oracle_replay(
             Job::DefineTriggerSource(src) => apply_trigger_source(&mut engine, schema, &src),
             _ => Ok(()),
         };
-        if let Err(msg) = res {
-            errors += 1;
-            last_error = Some(msg);
+        match res {
+            Err(msg) => {
+                errors += 1;
+                last_error = Some(msg);
+            }
+            Ok(()) if matches!(job, Job::Begin) => started = engine.event_base().len(),
+            Ok(()) => {}
         }
+        longest_txn = longest_txn.max(engine.event_base().len() - started);
     }
+    // the live tail the suite compares holds at most one transaction
+    assert!(
+        engine.event_base().live_len() <= longest_txn,
+        "the event base kept more than its longest transaction"
+    );
     (observe(&mut engine, item), errors, last_error)
 }
 
@@ -459,8 +475,9 @@ fn every_byte_cut_recovers_the_surviving_prefix() {
 /// A torn log tail is repairable damage; a corrupt *snapshot* is not —
 /// the snapshot is the replay base, so silently dropping it would
 /// resurrect a stale prefix as if it were current. Recovery must
-/// refuse with a typed error instead, for a flipped bit and for a
-/// truncation, and succeed again once the snapshot is restored.
+/// refuse with a typed error instead, for a flipped bit, for a
+/// truncation and for a rewritten event-base cut in a tenant header, and
+/// succeed again once the snapshot is restored.
 #[test]
 fn corrupt_snapshot_fails_recovery_with_typed_error() {
     use chimera::runtime::RuntimeError;
@@ -488,16 +505,19 @@ fn corrupt_snapshot_fails_recovery_with_typed_error() {
     )
     .unwrap();
     let item = s.class_by_name("item").unwrap();
-    for job in [
-        Job::Begin,
-        Job::ExecBlock(vec![Op::Create {
-            class: item,
-            inits: vec![(chimera::model::AttrId(0), Value::Int(5))],
-        }]),
-        Job::Commit,
-    ] {
-        rt.submit(TenantId(0), job).unwrap();
-        rt.flush().unwrap(); // one job per group; a snapshot follows each
+    // two transactions: the second start cuts the first one's event
+    for _ in 0..2 {
+        for job in [
+            Job::Begin,
+            Job::ExecBlock(vec![Op::Create {
+                class: item,
+                inits: vec![(chimera::model::AttrId(0), Value::Int(5))],
+            }]),
+            Job::Commit,
+        ] {
+            rt.submit(TenantId(0), job).unwrap();
+            rt.flush().unwrap(); // one job per group; a snapshot follows each
+        }
     }
     drop(rt);
     let snap = dir.join("shard-0").join("snap.chi");
@@ -530,13 +550,25 @@ fn corrupt_snapshot_fails_recovery_with_typed_error() {
     // a truncated snapshot (crash-during-copy style damage)
     std::fs::write(&snap, &pristine[..pristine.len() / 2]).unwrap();
     expect_refusal("truncation");
+    // a well-formed header whose event-base cut was rewritten: the tenant
+    // line is `T <tenant> <jobs> <errors> <next-oid> <nobj> <cut> <nev> ..`
+    let text = String::from_utf8(pristine.clone()).unwrap();
+    let header = text.lines().find(|l| l.starts_with("T ")).unwrap();
+    let mut fields: Vec<&str> = header.split(' ').collect();
+    assert_eq!(fields[6], "1", "the second start cut the first event");
+    fields[6] = "7";
+    std::fs::write(&snap, text.replacen(header, &fields.join(" "), 1)).unwrap();
+    expect_refusal("rewritten cut");
     // restoring the pristine bytes recovers cleanly
     std::fs::write(&snap, &pristine).unwrap();
     let (rt, _) = Runtime::recover(s.clone(), triggers.clone(), cfg()).unwrap();
-    assert_eq!(
-        rt.with_tenant(TenantId(0), |e| e.extent(item).len()).unwrap(),
-        1
-    );
+    let (extent, len, cut, tail) = rt
+        .with_tenant(TenantId(0), |e| {
+            let eb = e.event_base();
+            (e.extent(item).len(), eb.len(), eb.cut(), eb.live_len())
+        })
+        .unwrap();
+    assert_eq!((extent, len, cut, tail), (2, 2, 1, 1));
     drop(rt);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,12 +6,12 @@
 //! — every batch potentially evicting the engine that just ran and
 //! rehydrating one that was parked — must leave every tenant
 //! bit-identical to a plain sequential [`Engine`] replaying that
-//! tenant's script: objects and extents, the full event log with
-//! timestamps, rule consumption windows, engine counters,
-//! open-transaction state, and the error bookkeeping. The same must
-//! hold across a crash: eviction writes nothing to disk, so recovery
-//! from the last full snapshot plus the log tail is exactly the
-//! per-tenant surviving prefix, evicted tenants included.
+//! tenant's script: objects and extents, the event base (logical length,
+//! clock, and the live tail with timestamps), rule consumption windows,
+//! engine counters, open-transaction state, and the error bookkeeping.
+//! The same must hold across a crash: eviction writes nothing to disk,
+//! so recovery from the last full snapshot plus the log tail is exactly
+//! the per-tenant surviving prefix, evicted tenants included.
 //!
 //! The tests:
 //! * a proptest over random multi-tenant scripts × caps × shard counts
@@ -25,7 +25,10 @@
 //!   eviction, then a restart that ends within the cap and rehydrates
 //!   on demand;
 //! * recovery with full snapshots ending within the cap;
-//! * full snapshots racing rehydration, audited across restarts.
+//! * full snapshots racing rehydration, audited across restarts;
+//! * a bytes budget that charges live state only: tenants that run
+//!   hundreds of transactions under a cap fitting one transaction each
+//!   are never evicted.
 
 use chimera::events::Timestamp;
 use chimera::exec::{Engine, EngineConfig, Op};
@@ -149,6 +152,9 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
 struct Observed {
     stats: chimera::exec::EngineStats,
     in_txn: bool,
+    /// The event base: logical length, clock and live tail (the
+    /// occurrences since the last transaction start).
+    eb_len: usize,
     eb_now: Timestamp,
     eb_log: Vec<(EventType, Oid, Timestamp)>,
     rules: Vec<(String, bool, bool, Timestamp, Timestamp, Timestamp)>,
@@ -161,6 +167,7 @@ fn observe(engine: &mut Engine, item: ClassId) -> Observed {
     Observed {
         stats: engine.stats(),
         in_txn: engine.in_transaction(),
+        eb_len: engine.event_base().len(),
         eb_now: engine.event_base().now(),
         eb_log: engine
             .event_base()
@@ -202,6 +209,7 @@ fn oracle_replay(
     }
     let mut errors = 0u64;
     let mut last_error = None;
+    let (mut started, mut longest_txn) = (0usize, 0usize);
     for job in &jobs[..prefix] {
         let res: Result<(), String> = match job.clone() {
             Job::Begin => engine.begin().map_err(|e| e.to_string()),
@@ -214,11 +222,21 @@ fn oracle_replay(
             Job::DefineTriggerSource(src) => apply_trigger_source(&mut engine, schema, &src),
             _ => Ok(()),
         };
-        if let Err(msg) = res {
-            errors += 1;
-            last_error = Some(msg);
+        match res {
+            Err(msg) => {
+                errors += 1;
+                last_error = Some(msg);
+            }
+            Ok(()) if matches!(job, Job::Begin) => started = engine.event_base().len(),
+            Ok(()) => {}
         }
+        longest_txn = longest_txn.max(engine.event_base().len() - started);
     }
+    // the live tail the suite compares holds at most one transaction
+    assert!(
+        engine.event_base().live_len() <= longest_txn,
+        "the event base kept more than its longest transaction"
+    );
     (observe(&mut engine, item), errors, last_error)
 }
 
@@ -841,4 +859,54 @@ fn full_snapshots_racing_rehydration_lose_no_tenant() {
     }
     drop(rt);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The bytes budget charges live state. A tenant's event base holds one
+/// transaction however many it has run, so a cap that fits every tenant's
+/// one-transaction size never evicts; charging the logical length, which
+/// grows by three per transaction here, would evict within a few rounds.
+#[test]
+fn bytes_cap_fitting_one_transaction_per_tenant_never_evicts() {
+    const TENANTS: u64 = 4;
+    const TXNS: usize = 300;
+    const EVENTS: usize = 3;
+    let s = schema();
+    let item = s.class_by_name("item").unwrap();
+    // the runtime's estimate of an object-less tenant: 1 KiB plus 64 B per
+    // live occurrence; one occurrence of slack each
+    let cap = TENANTS * (1024 + (EVENTS as u64 + 1) * 64);
+    let rt = Runtime::new(
+        s.clone(),
+        vec![],
+        RuntimeConfig {
+            shards: 2,
+            lifecycle: LifecycleConfig {
+                max_resident_tenants: None,
+                max_resident_bytes: Some(cap),
+            },
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let block: Vec<(ClassId, u32, Oid)> = (0..EVENTS as u64)
+        .map(|k| (item, k as u32, Oid(k + 1)))
+        .collect();
+    for _ in 0..TXNS {
+        for t in 0..TENANTS {
+            for job in [Job::Begin, Job::RaiseExternal(block.clone()), Job::Commit] {
+                rt.submit(TenantId(t), job).unwrap();
+            }
+        }
+    }
+    rt.flush().unwrap();
+    let stats = rt.stats();
+    assert_eq!(stats.jobs_processed, stats.jobs_submitted);
+    assert_eq!(stats.job_errors, 0);
+    assert_eq!(stats.evictions, 0, "every tenant fits the budget");
+    for t in 0..TENANTS {
+        let (len, live) = rt
+            .with_tenant(TenantId(t), |e| (e.event_base().len(), e.event_base().live_len()))
+            .unwrap();
+        assert_eq!((len, live), (EVENTS * TXNS, EVENTS), "tenant {t}");
+    }
 }

@@ -146,7 +146,9 @@ fn tenant_script(seed: u64, tenant: u64, steps: usize) -> Vec<Step> {
 }
 
 /// Everything observable about one tenant engine (the PR-4 snapshot,
-/// minus the probe counters that legitimately vary with batching).
+/// minus the probe counters that legitimately vary with batching). The
+/// event base is compared as its logical length, its clock and its live
+/// tail (the occurrences since the last transaction start).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Snapshot {
     stats: chimera::exec::EngineStats,
@@ -190,14 +192,15 @@ fn snapshot(engine: &mut Engine, item: ClassId) -> Snapshot {
 }
 
 /// Replay one tenant's script on a fresh sequential engine; returns the
-/// snapshot and the engine-error count.
+/// snapshot, the engine-error count and the event count of the longest
+/// transaction, which bounds the live tail.
 fn replay_sequential(
     s: &Schema,
     rules: &[TriggerDef],
     engine_cfg: &EngineConfig,
     script: &[Step],
     item: ClassId,
-) -> (Snapshot, u64) {
+) -> (Snapshot, u64, usize) {
     let mut engine = Engine::with_config(
         s.clone(),
         EngineConfig {
@@ -208,7 +211,7 @@ fn replay_sequential(
     for def in rules {
         engine.define_trigger(def.clone()).unwrap();
     }
-    let mut errors = 0u64;
+    let (mut errors, mut started, mut longest_txn) = (0u64, 0usize, 0usize);
     for step in script {
         let res = match step.clone() {
             Step::Wire(job) => match job {
@@ -240,11 +243,16 @@ fn replay_sequential(
                 r
             }
         };
-        if res.is_err() {
-            errors += 1;
+        match res {
+            Err(_) => errors += 1,
+            Ok(()) if matches!(step, Step::Wire(WireJob::Begin)) => {
+                started = engine.event_base().len()
+            }
+            Ok(()) => {}
         }
+        longest_txn = longest_txn.max(engine.event_base().len() - started);
     }
-    (snapshot(&mut engine, item), errors)
+    (snapshot(&mut engine, item), errors, longest_txn)
 }
 
 proptest! {
@@ -363,12 +371,13 @@ proptest! {
         // flush ever issued
         for t in 0..tenants {
             let script = &scripts[t as usize];
-            let (want, want_errors) =
+            let (want, want_errors, longest_txn) =
                 replay_sequential(&s, &rules, &engine_cfg, script, item);
             let got = runtime
                 .with_tenant(TenantId(t), |e| snapshot(e, item))
                 .expect("tenant has an engine");
             prop_assert_eq!(&got, &want, "tenant {} diverged", t);
+            prop_assert!(got.eb_log.len() <= longest_txn, "tenant {} kept more than a transaction", t);
             let (errors, _) = runtime.tenant_errors(TenantId(t)).unwrap();
             prop_assert_eq!(errors, want_errors, "tenant {} error count", t);
         }

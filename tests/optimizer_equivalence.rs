@@ -179,6 +179,175 @@ proptest! {
             }
         }
     }
+
+    /// Transactions the engine's way: the event base is cut and every
+    /// rule reset at each start, while the supports and the rules' plans
+    /// (with their memos and scratch) are kept from one transaction to
+    /// the next. The triggered sets equal the formal predicate over an
+    /// untruncated copy of the log.
+    #[test]
+    fn supports_kept_across_cuts_equal_formal_over_the_untruncated_log(
+        expr_seed in any::<u64>(),
+        stream_seed in any::<u64>(),
+        txns in 1usize..5,
+    ) {
+        let mut g = RandomExprGen::new(ExprGenConfig {
+            event_types: 5,
+            max_depth: 3,
+            instance_prob: 0.4,
+            negation_prob: 0.35,
+            seed: expr_seed,
+        });
+        let defs: Vec<TriggerDef> = g
+            .batch(6)
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| TriggerDef::new(format!("r{i}"), e))
+            .collect();
+        let mut run = TxnRun::new(&defs);
+        let mut rng = StdRng::seed_from_u64(stream_seed);
+        for _ in 0..txns {
+            run.begin();
+            let nblocks = rng.random_range(1..4usize);
+            for block in blocks(rng.random_range(0..u64::MAX), nblocks) {
+                run.block(&block);
+            }
+        }
+    }
+}
+
+/// The engine's transaction discipline over a base cut at every start
+/// (`live`), checked against an untruncated copy of the log (`full`):
+/// an optimized and an unoptimized support, each kept across
+/// transactions, against the formal predicate. Triggered rules are
+/// considered, so consumption windows move too.
+struct TxnRun<'a> {
+    defs: &'a [TriggerDef],
+    live: EventBase,
+    full: EventBase,
+    tables: [RuleTable; 2],
+    supports: [TriggerSupport; 2],
+    reference: Vec<RuleState>,
+}
+
+impl<'a> TxnRun<'a> {
+    fn new(defs: &'a [TriggerDef]) -> Self {
+        let table = || {
+            let mut rt = RuleTable::new();
+            for def in defs {
+                rt.define(def.clone(), Timestamp::ZERO).unwrap();
+            }
+            rt
+        };
+        TxnRun {
+            defs,
+            live: EventBase::new(),
+            full: EventBase::new(),
+            tables: [table(), table()],
+            supports: [TriggerSupport::optimized(), TriggerSupport::unoptimized()],
+            reference: defs.iter().map(|d| RuleState::new(d, Timestamp::ZERO)).collect(),
+        }
+    }
+
+    /// `Engine::begin`: cut the live base, restart every rule's windows.
+    fn begin(&mut self) {
+        self.live.truncate();
+        let start = self.live.now();
+        for rt in &mut self.tables {
+            rt.reset_all(start);
+        }
+        for st in &mut self.reference {
+            st.reset(start);
+        }
+    }
+
+    /// Play one block on both bases, check, and consider what fired.
+    fn block(&mut self, block: &[Option<(u32, u64)>]) -> Vec<String> {
+        play(&mut self.live, block);
+        play(&mut self.full, block);
+        let now = self.live.now();
+        let formal: Vec<String> = self
+            .defs
+            .iter()
+            .zip(&self.reference)
+            .filter(|(d, st)| is_triggered(d, st, &self.full, now))
+            .map(|(d, _)| d.name.clone())
+            .collect();
+        for (rt, sup) in self.tables.iter_mut().zip(&mut self.supports) {
+            sup.check(rt, &self.live, now);
+            let got: Vec<String> = rt.triggered().iter().map(|s| s.to_string()).collect();
+            assert_eq!(got, formal, "support vs formal at {now}");
+            for name in &formal {
+                rt.mark_considered(name, now).unwrap();
+            }
+        }
+        for name in &formal {
+            let i = self.defs.iter().position(|d| &d.name == name).unwrap();
+            self.reference[i].considered(&self.defs[i], now);
+        }
+        formal
+    }
+}
+
+/// Rules whose plans, probe memo and domain entries are built in one
+/// transaction and reused in the next, over every boundary shape: a
+/// primitive, an instance conjunction, a widened instance negation and a
+/// set negation.
+#[test]
+fn rules_kept_across_transactions_agree_with_the_untruncated_predicate() {
+    let (a, b) = (EventExpr::prim(et(0)), EventExpr::prim(et(1)));
+    let defs = vec![
+        TriggerDef::new("prim", a.clone()),
+        TriggerDef::new("conj", a.clone().iand(b.clone())),
+        TriggerDef::new("widened", a.clone().inot().ior(b.clone())),
+        TriggerDef::new("absent", a.not()),
+    ];
+    let mut run = TxnRun::new(&defs);
+    run.begin();
+    // A(o1), B(o1): every positive rule fires in transaction 1
+    assert_eq!(run.block(&[Some((0, 1)), Some((1, 1))]), ["prim", "conj", "widened"]);
+    run.begin();
+    // B(o1) alone: its A is before the cut, so `conj` must not fire, and
+    // o1 enters the new window afresh, where `-=A` holds for it
+    assert_eq!(run.block(&[Some((1, 1))]), ["widened", "absent"]);
+    run.begin();
+    // an eventless block (R = ∅: nothing fires), then A(o2) and B(o2)
+    // across two blocks; the eventless instant witnesses `-A`
+    assert!(run.block(&[None]).is_empty());
+    assert_eq!(run.block(&[Some((0, 2))]), ["prim", "absent"]);
+    assert_eq!(run.block(&[Some((1, 2))]), ["conj", "widened", "absent"]);
+}
+
+/// The probe memo filled in one transaction answers no probe after the
+/// cut, even at the epoch it was filled at. `second`'s rule was never
+/// reset, so its window reaches below the cut and sees only the empty
+/// live part; keyed on `(uid, epoch)` alone (which a cut keeps) the
+/// support would reuse `first`'s witness for the dropped `A(o1)` and fire
+/// on the unrelated `X(o2)`.
+#[test]
+fn probe_memo_built_before_a_cut_answers_no_probe_after_it() {
+    let def = TriggerDef::new("r", EventExpr::prim(et(0)));
+    for mut sup in [TriggerSupport::optimized(), TriggerSupport::unoptimized()] {
+        let (mut first, mut second) = (RuleTable::new(), RuleTable::new());
+        first.define(def.clone(), Timestamp::ZERO).unwrap();
+        second.define(def.clone(), Timestamp::ZERO).unwrap();
+        let (mut live, mut full) = (EventBase::new(), EventBase::new());
+        for eb in [&mut live, &mut full] {
+            eb.append(et(0), Oid(1)); // t1: A(o1)
+        }
+        sup.check(&mut first, &live, live.now());
+        assert!(first.state("r").unwrap().triggered);
+        live.truncate();
+        let cut = live.now();
+        sup.check(&mut second, &live, live.now());
+        for eb in [&mut live, &mut full] {
+            eb.append(et(6), Oid(2)); // t2: X(o2)
+        }
+        sup.check(&mut second, &live, live.now());
+        let formal = is_triggered(&def, &RuleState::new(&def, cut), &full, full.now());
+        assert!(!formal, "no A after the cut");
+        assert_eq!(second.state("r").unwrap().triggered, formal);
+    }
 }
 
 /// Deterministic regression: the exact scenario from the paper's §4.4

@@ -261,6 +261,57 @@ proptest! {
         }
     }
 
+    /// Transactions over a base cut at every start: one evaluator kept
+    /// across them (its scratch built in transaction k, then reused in
+    /// k + 1) answers every instant of the new transaction's window like
+    /// the recursive reference over an untruncated copy of the log, and
+    /// its frontier matrix equals a cold rebuild over the cut base.
+    #[test]
+    fn scratch_kept_across_cuts_matches_the_untruncated_reference(
+        expr_seed in any::<u64>(),
+        script_seed in any::<u64>(),
+        txns in 1usize..6,
+    ) {
+        let mut g = RandomExprGen::new(ExprGenConfig {
+            event_types: 4,
+            max_depth: 4,
+            instance_prob: 1.0,
+            negation_prob: 0.3,
+            seed: expr_seed,
+        });
+        let expr = g.generate_instance();
+        let mut pe = PlanEval::compile(&expr).unwrap();
+        let mut rng = StdRng::seed_from_u64(script_seed);
+        let (mut live, mut full) = (EventBase::new(), EventBase::new());
+        for _ in 0..txns {
+            live.truncate();
+            let start = live.now();
+            for _ in 0..rng.random_range(1..4usize) {
+                for _ in 0..rng.random_range(0..4usize) {
+                    let (ty, oid) = (et(rng.random_range(0..4u32)), Oid(rng.random_range(1..5u64)));
+                    live.append(ty, oid);
+                    full.append(ty, oid);
+                }
+                let w = Window::new(start, live.now());
+                for t in (start.raw() + 1)..=w.upto.raw() {
+                    let t = Timestamp(t);
+                    prop_assert_eq!(
+                        pe.eval(&live, w, t),
+                        boundary_ts_logical(&expr, &full, w, t),
+                        "{} over {:?} at {}", &expr, w, t
+                    );
+                }
+                let mut cold = PlanEval::new(pe.plan().clone());
+                pe.prepare_frontier(&live, w);
+                cold.prepare_frontier(&live, w);
+                prop_assert_eq!(
+                    pe.boundary_scratch(), cold.boundary_scratch(),
+                    "matrix diverged: {} over {:?}", &expr, w
+                );
+            }
+        }
+    }
+
     /// Interleaved growth: one evaluator observing a growing event base
     /// (epoch invalidation) stays exact at every step.
     #[test]
@@ -395,4 +446,73 @@ fn widened_domain_tracks_a_rising_lower_bound() {
     eb.append(et(0), Oid(3)); // t6: A(o3), but -=A still holds for o2
     let w = Window::new(Timestamp(3), eb.now());
     assert_eq!(check_window(&mut pe, &expr, &eb, w), vec![true, true, true]);
+}
+
+/// `A +=B`: one negation-free boundary over `A` and `B` on one object.
+fn conj_expr() -> EventExpr {
+    EventExpr::prim(et(0)).iand(EventExpr::prim(et(1)))
+}
+
+/// A scratch built in transaction k answers nothing after the cut at the
+/// start of k + 1, even at the very epoch it was built at: a window that
+/// reaches below the cut sees only the live part, which is empty here.
+/// Keyed on `(uid, epoch)` alone (which a cut keeps) the evaluator would
+/// answer from its memo of the dropped `A(o1), B(o1)`.
+#[test]
+fn scratch_built_before_a_cut_answers_nothing_after_it() {
+    let expr = conj_expr();
+    let mut pe = PlanEval::compile(&expr).unwrap();
+    let (mut live, mut full) = (EventBase::new(), EventBase::new());
+    for eb in [&mut live, &mut full] {
+        eb.append(et(0), Oid(1)); // t1: A(o1)
+        eb.append(et(1), Oid(1)); // t2: B(o1)
+    }
+    let w = Window::from_origin(live.now());
+    assert!(pe.eval(&live, w, w.upto).is_active(), "transaction k fires");
+    live.truncate();
+    let cut = live.now();
+    // same uid, same epoch, same window: only the cut differs
+    let got = pe.eval(&live, w, w.upto);
+    let clipped = Window::new(cut, w.upto);
+    assert_eq!(got, boundary_ts_logical(&expr, &full, clipped, w.upto));
+    assert!(!got.is_active(), "the dropped occurrences must not answer");
+    // and the next transaction's window is answered from the live part
+    for eb in [&mut live, &mut full] {
+        eb.append(et(1), Oid(2)); // t3: B(o2)
+        eb.append(et(0), Oid(2)); // t4: A(o2)
+    }
+    let w = Window::new(cut, live.now());
+    assert_eq!(check_window(&mut pe, &expr, &live, w), vec![false, true]);
+    for t in [Timestamp(3), Timestamp(4)] {
+        assert_eq!(pe.eval(&live, w, t), boundary_ts_logical(&expr, &full, w, t));
+    }
+}
+
+/// The advance path right after a cut: a matrix built at the cut itself
+/// (no live occurrence yet, the probe instant ahead of the clock) has
+/// absorbed every occurrence there was, so the next arrivals advance it
+/// instead of rebuilding it — and it still equals a cold rebuild and the
+/// untruncated reference at every instant.
+#[test]
+fn matrix_built_at_the_cut_advances_like_a_cold_rebuild() {
+    let expr = conj_expr();
+    let mut pe = PlanEval::compile(&expr).unwrap();
+    let (mut live, mut full) = (EventBase::new(), EventBase::new());
+    for eb in [&mut live, &mut full] {
+        eb.append(et(0), Oid(1)); // t1: A(o1), dropped by the cut
+    }
+    live.truncate();
+    let cut = live.now();
+    let ahead = Window::new(cut, Timestamp(cut.raw() + 3));
+    assert!(!pe.eval(&live, ahead, ahead.upto).is_active());
+    for eb in [&mut live, &mut full] {
+        eb.append(et(1), Oid(1)); // t2: B(o1), but A(o1) is before the cut
+        eb.append(et(0), Oid(3)); // t3: A(o3)
+        eb.append(et(1), Oid(3)); // t4: B(o3)
+    }
+    for t in 2..=4 {
+        let t = Timestamp(t);
+        assert_eq!(pe.eval(&live, ahead, t), boundary_ts_logical(&expr, &full, ahead, t), "{t}");
+    }
+    assert_eq!(check_window(&mut pe, &expr, &live, ahead), vec![false, false, true]);
 }

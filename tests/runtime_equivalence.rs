@@ -106,7 +106,9 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
     }
 }
 
-/// Everything observable about one tenant engine.
+/// Everything observable about one tenant engine. The event base is
+/// compared as its logical length, its clock and its live tail (the
+/// occurrences since the last transaction start).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Snapshot {
     stats: chimera::exec::EngineStats,
@@ -166,6 +168,43 @@ fn snapshot(engine: &mut Engine, item: ClassId) -> Snapshot {
     }
 }
 
+/// The sequential oracle: a fresh single-threaded engine replaying one
+/// tenant's jobs in order. Returns its snapshot, its error count and the
+/// event count of its longest transaction, which bounds the live tail.
+fn replay(
+    s: &Schema,
+    rules: &[TriggerDef],
+    engine_cfg: &EngineConfig,
+    jobs: &[Job],
+    item: ClassId,
+) -> (Snapshot, u64, usize) {
+    let mut engine = Engine::with_config(
+        s.clone(),
+        EngineConfig { check_workers: 1, ..engine_cfg.clone() },
+    );
+    for def in rules {
+        engine.define_trigger(def.clone()).unwrap();
+    }
+    let (mut errors, mut started, mut longest_txn) = (0u64, 0usize, 0usize);
+    for job in jobs {
+        let res = match job.clone() {
+            Job::Begin => engine.begin(),
+            Job::ExecBlock(ops) => engine.exec_block(&ops).map(|_| ()),
+            Job::RaiseExternal(ev) => engine.raise_external(&ev).map(|_| ()),
+            Job::Commit => engine.commit(),
+            Job::Rollback => engine.rollback(),
+            _ => Ok(()),
+        };
+        match res {
+            Err(_) => errors += 1,
+            Ok(()) if matches!(job, Job::Begin) => started = engine.event_base().len(),
+            Ok(()) => {}
+        }
+        longest_txn = longest_txn.max(engine.event_base().len() - started);
+    }
+    (snapshot(&mut engine, item), errors, longest_txn)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -223,38 +262,15 @@ proptest! {
         // sequential oracle: a fresh single-threaded engine per tenant,
         // replaying exactly that tenant's jobs in order
         for (t, jobs) in per_tenant.iter().enumerate() {
-            let reference = {
-                let mut engine = Engine::with_config(
-                    s.clone(),
-                    EngineConfig { check_workers: 1, ..engine_cfg.clone() },
-                );
-                let mut errors = 0u64;
-                for def in &rules {
-                    engine.define_trigger(def.clone()).unwrap();
-                }
-                for job in jobs {
-                    let res = match job.clone() {
-                        Job::Begin => engine.begin(),
-                        Job::ExecBlock(ops) => engine.exec_block(&ops).map(|_| ()),
-                        Job::RaiseExternal(ev) => engine.raise_external(&ev).map(|_| ()),
-                        Job::Commit => engine.commit(),
-                        Job::Rollback => engine.rollback(),
-                        _ => Ok(()),
-                    };
-                    if res.is_err() {
-                        errors += 1;
-                    }
-                }
-                (snapshot(&mut engine, item), errors)
-            };
+            let (want, want_errors, longest_txn) = replay(&s, &rules, &engine_cfg, jobs, item);
             let got = rt.with_tenant(TenantId(t as u64), |e| snapshot(e, item));
-            let (want, want_errors) = reference;
             if jobs.is_empty() {
                 prop_assert!(got.is_none(), "tenant {} never submitted", t);
                 continue;
             }
             let got = got.expect("tenant has an engine");
             prop_assert_eq!(&got, &want, "tenant {} diverged", t);
+            prop_assert!(got.eb_log.len() <= longest_txn, "tenant {} kept more than a transaction", t);
             let (errors, _) = rt.tenant_errors(TenantId(t as u64)).unwrap();
             prop_assert_eq!(errors, want_errors, "tenant {} error count", t);
         }
@@ -360,38 +376,15 @@ proptest! {
         }
 
         for (t, jobs) in per_tenant.iter().enumerate() {
-            let reference = {
-                let mut engine = Engine::with_config(
-                    s.clone(),
-                    EngineConfig { check_workers: 1, ..engine_cfg.clone() },
-                );
-                let mut errors = 0u64;
-                for def in &rules {
-                    engine.define_trigger(def.clone()).unwrap();
-                }
-                for job in jobs {
-                    let res = match job.clone() {
-                        Job::Begin => engine.begin(),
-                        Job::ExecBlock(ops) => engine.exec_block(&ops).map(|_| ()),
-                        Job::RaiseExternal(ev) => engine.raise_external(&ev).map(|_| ()),
-                        Job::Commit => engine.commit(),
-                        Job::Rollback => engine.rollback(),
-                        _ => Ok(()),
-                    };
-                    if res.is_err() {
-                        errors += 1;
-                    }
-                }
-                (snapshot(&mut engine, item), errors)
-            };
+            let (want, want_errors, longest_txn) = replay(&s, &rules, &engine_cfg, jobs, item);
             let got = rt.with_tenant(TenantId(t as u64), |e| snapshot(e, item));
-            let (want, want_errors) = reference;
             if jobs.is_empty() {
                 prop_assert!(got.is_none(), "tenant {} never submitted", t);
                 continue;
             }
             let got = got.expect("tenant has an engine");
             prop_assert_eq!(&got, &want, "tenant {} diverged under {:?}", t, scheduler);
+            prop_assert!(got.eb_log.len() <= longest_txn, "tenant {} kept more than a transaction", t);
             let (errors, _) = rt.tenant_errors(TenantId(t as u64)).unwrap();
             prop_assert_eq!(errors, want_errors, "tenant {} error count", t);
         }
