@@ -65,7 +65,7 @@ fn run(support: &mut TriggerSupport, rt: &mut RuleTable, blocks: &[Vec<(u32, u64
         let newly = support.check(rt, &eb, now);
         for name in newly {
             fired += 1;
-            rt.mark_considered(&name, now).unwrap();
+            rt.mark_considered(rt.index_of(&name).unwrap(), now);
         }
     }
     fired

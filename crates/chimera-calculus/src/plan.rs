@@ -117,7 +117,7 @@ pub enum InstOp {
     /// Primitive event type, resolved to an interned leaf slot.
     Leaf(u32),
     /// `-= E` (a *nested* instance negation; a root `-=` is absorbed
-    /// into [`BoundaryPlan::inot`]).
+    /// into its [`BoundaryPlan`] as the boundary's negated form).
     Not(u32),
     /// `E1 += E2`.
     And(u32, u32),
@@ -376,6 +376,15 @@ impl BoundaryScratch {
 #[derive(Debug, Clone)]
 pub struct PlanEval {
     plan: Arc<Plan>,
+    pad: Scratchpad,
+}
+
+/// One evaluator's scratch state, apart from the plan it belongs to: an
+/// evaluation borrows the plan rather than cloning its `Arc`, so
+/// evaluators on different threads over one shared plan never write to
+/// its reference count.
+#[derive(Debug, Clone)]
+struct Scratchpad {
     /// [`EventBase::memo_key`] of the event base the scratch state
     /// belongs to.
     key: Option<(u64, u64, u64)>,
@@ -390,21 +399,18 @@ impl PlanEval {
 
     /// Wrap an already compiled plan.
     pub fn new(plan: Plan) -> PlanEval {
-        let scratch = vec![BoundaryScratch::default(); plan.boundaries.len()];
         PlanEval {
+            pad: Scratchpad::new(&plan),
             plan: Arc::new(plan),
-            key: None,
-            scratch,
         }
     }
 
     /// A fresh evaluator over the same (shared, immutable) compiled plan,
     /// with an empty scratchpad.
-    fn fresh(&self) -> PlanEval {
+    pub fn fresh(&self) -> PlanEval {
         PlanEval {
             plan: self.plan.clone(),
-            key: None,
-            scratch: vec![BoundaryScratch::default(); self.plan.boundaries.len()],
+            pad: Scratchpad::new(&self.plan),
         }
     }
 
@@ -416,24 +422,24 @@ impl PlanEval {
     /// Evaluate `ts(E, t)` over window `w` of `eb`. Equals
     /// [`crate::ts_logical`] (and [`crate::ts_algebraic`]) bit for bit.
     pub fn eval(&mut self, eb: &EventBase, w: Window, t: Timestamp) -> TsVal {
-        self.refresh_key(eb);
-        let plan = self.plan.clone();
-        self.eval_set(&plan, plan.ops.len() - 1, eb, w, t)
+        let plan = &*self.plan;
+        self.pad.refresh_key(plan, eb);
+        self.pad.eval_set(plan, plan.ops.len() - 1, eb, w, t)
     }
 
     /// The objects for which an instance-compiled plan
     /// ([`Plan::compile_instance`]) is active at `w.upto` — the
     /// `occurred(expr, X)` set, sorted by OID.
     pub(crate) fn active_objects(&mut self, eb: &EventBase, w: Window) -> Vec<Oid> {
-        self.refresh_key(eb);
-        let plan = self.plan.clone();
+        let plan = &*self.plan;
+        self.pad.refresh_key(plan, eb);
         debug_assert_eq!(plan.boundaries.len(), 1);
         let bp = &plan.boundaries[0];
         let t = w.upto;
-        self.prepare_boundary(0, bp, eb, w.clip_upto(t));
+        self.pad.prepare_boundary(0, bp, eb, w.clip_upto(t));
         let ctx = InstCtx {
             bp,
-            scr: &self.scratch[0],
+            scr: &self.pad.scratch[0],
             eb,
             w,
         };
@@ -444,7 +450,44 @@ impl PlanEval {
             .collect()
     }
 
-    fn refresh_key(&mut self, eb: &EventBase) {
+    /// Test-only: force every boundary's matrix to be prepared for the
+    /// window frontier, bypassing the result memo (which can legitimately
+    /// answer a probe while the matrix still describes an earlier epoch).
+    /// Lets equivalence suites compare scratch state against a cold
+    /// rebuild through whichever path — advance or rebuild — production
+    /// would pick for this window.
+    #[doc(hidden)]
+    pub fn prepare_frontier(&mut self, eb: &EventBase, w: Window) {
+        let plan = &*self.plan;
+        self.pad.refresh_key(plan, eb);
+        for (bi, bp) in plan.boundaries.iter().enumerate() {
+            self.pad.prepare_boundary(bi, bp, eb, frontier_clip(eb, w, w.upto));
+        }
+    }
+
+    /// Test-only view of the per-boundary scratch state (`domain`, the
+    /// column-major stamp matrix and a widened domain's entry stamps),
+    /// used by the equivalence suites to assert the arrival-incremental
+    /// matrix equals a from-scratch cold rebuild cell for cell.
+    #[doc(hidden)]
+    pub fn boundary_scratch(&self) -> Vec<BoundaryScratchView> {
+        self.pad
+            .scratch
+            .iter()
+            .map(|s| (s.domain.to_vec(), s.stamps.clone(), s.first.clone()))
+            .collect()
+    }
+}
+
+impl Scratchpad {
+    fn new(plan: &Plan) -> Scratchpad {
+        Scratchpad {
+            key: None,
+            scratch: vec![BoundaryScratch::default(); plan.boundaries.len()],
+        }
+    }
+
+    fn refresh_key(&mut self, plan: &Plan, eb: &EventBase) {
         let key = eb.memo_key();
         if self.key == Some(key) {
             return;
@@ -462,7 +505,6 @@ impl PlanEval {
             Some((uid, cut, old_epoch))
                 if (uid, cut) == (key.0, key.1) && key.2 >= old_epoch =>
             {
-                let plan = Arc::clone(&self.plan); // refcount bump, not a deep clone
                 let delta = eb.occurrences_since(old_epoch);
                 for (bi, scr) in self.scratch.iter_mut().enumerate() {
                     let bp = &plan.boundaries[bi];
@@ -766,33 +808,6 @@ impl PlanEval {
         scr.memo.push((clip, t, res));
         res
     }
-
-    /// Test-only: force every boundary's matrix to be prepared for the
-    /// window frontier, bypassing the result memo (which can legitimately
-    /// answer a probe while the matrix still describes an earlier epoch).
-    /// Lets equivalence suites compare scratch state against a cold
-    /// rebuild through whichever path — advance or rebuild — production
-    /// would pick for this window.
-    #[doc(hidden)]
-    pub fn prepare_frontier(&mut self, eb: &EventBase, w: Window) {
-        self.refresh_key(eb);
-        let plan = Arc::clone(&self.plan);
-        for (bi, bp) in plan.boundaries.iter().enumerate() {
-            self.prepare_boundary(bi, bp, eb, frontier_clip(eb, w, w.upto));
-        }
-    }
-
-    /// Test-only view of the per-boundary scratch state (`domain`, the
-    /// column-major stamp matrix and a widened domain's entry stamps),
-    /// used by the equivalence suites to assert the arrival-incremental
-    /// matrix equals a from-scratch cold rebuild cell for cell.
-    #[doc(hidden)]
-    pub fn boundary_scratch(&self) -> Vec<BoundaryScratchView> {
-        self.scratch
-            .iter()
-            .map(|s| (s.domain.to_vec(), s.stamps.clone(), s.first.clone()))
-            .collect()
-    }
 }
 
 /// One boundary's scratch state as [`PlanEval::boundary_scratch`] shows
@@ -992,7 +1007,7 @@ impl PlanCache {
             // an unclaimed fresh one; most recently used live at the back
             let idx = evals
                 .iter()
-                .position(|pe| pe.key.is_none_or(|k| k.0 == uid));
+                .position(|pe| pe.pad.key.is_none_or(|k| k.0 == uid));
             match idx {
                 Some(i) => evals.remove(i),
                 None => {
@@ -1353,7 +1368,7 @@ mod tests {
         let shard = cache.shard(&expr).read().unwrap();
         let evals = shard.get(&expr).unwrap().evals.lock().unwrap();
         assert_eq!(evals.len(), 2, "one evaluator per event base");
-        assert!(evals.iter().all(|pe| pe.key.is_some()));
+        assert!(evals.iter().all(|pe| pe.pad.key.is_some()));
     }
 
     #[test]

@@ -23,10 +23,15 @@
 //! ## The batched, arrival-incremental ingestion pipeline
 //!
 //! Event expressions are never re-interpreted on the hot path: every rule
-//! carries one compiled evaluation plan (`chimera_calculus::plan`) in its
-//! rule-table state, through which the Trigger Support evaluates all `ts`
-//! probes, and the `occurred`/`at` condition formulas evaluate through a
-//! process-wide sharded compiled-plan cache of the same module.
+//! is a [`CompiledRule`] carrying one compiled evaluation plan
+//! (`chimera_calculus::plan`), and the engine's rule-table state holds a
+//! private scratchpad over that plan, through which the Trigger Support
+//! evaluates all `ts` probes. A compiled rule is immutable, so engines
+//! share it: [`Engine::define_trigger`] compiles and installs, and
+//! [`Engine::install_rule`] installs a rule compiled elsewhere — the
+//! multi-tenant runtime compiles its trigger set once and every tenant
+//! engine installs it. The `occurred`/`at` condition formulas evaluate
+//! through a process-wide sharded compiled-plan cache of the same module.
 //!
 //! Arrivals are processed **per block, not per occurrence**: a whole
 //! transaction line (or external batch handed to
@@ -40,10 +45,10 @@
 //! Rule considerations move a rule's window lower bound, which is the
 //! one case where its plan falls back to a cold rebuild. Transaction
 //! resets ([`Engine::begin`], [`Engine::rollback`]) keep every rule's
-//! compiled plan and scratchpad — only the runtime trigger state is
-//! cleared. `begin` also cuts the Event Base to the paper's
-//! per-transaction extent ([`EventBase::truncate`]); the scratchpads,
-//! keyed on the base's `(uid, cut, epoch)`, go cold by themselves.
+//! plan scratchpad — only the runtime trigger state is cleared. `begin`
+//! also cuts the Event Base to the paper's per-transaction extent
+//! ([`EventBase::truncate`]); the scratchpads, keyed on the base's
+//! `(uid, cut, epoch)`, go cold by themselves.
 
 use crate::action_exec::execute_actions;
 use crate::error::ExecError;
@@ -53,7 +58,8 @@ use chimera_events::{EventBase, EventOccurrence, EventType, Timestamp};
 use chimera_model::{
     AttrId, ClassId, Mutation, MutationKind, Object, ObjectStore, Oid, Schema, Value,
 };
-use chimera_rules::{CouplingMode, RuleTable, TriggerDef, TriggerSupport};
+use chimera_rules::{CompiledRule, CouplingMode, RuleTable, TriggerDef, TriggerSupport};
+use std::sync::Arc;
 
 /// One operation of a user transaction line.
 #[derive(Debug, Clone, PartialEq)]
@@ -230,10 +236,10 @@ impl Engine {
     }
 
     /// Overwrite one rule's processing stamps with recovered values.
-    /// Used after re-defining the trigger (definition stamps the state
+    /// Used after re-installing the rule (installation stamps the state
     /// with the *current* instant, which is wrong after an event-log
-    /// restore). The compiled plan and filter are rebuilt by definition
-    /// and stay untouched here.
+    /// restore). The compiled rule is shared and untouched here, and the
+    /// plan scratchpad stays as installation left it: empty.
     pub fn restore_rule_state(
         &mut self,
         name: &str,
@@ -293,10 +299,16 @@ impl Engine {
         self.in_txn
     }
 
-    /// Define a trigger. Allowed at any time; the rule starts observing
-    /// events from the current instant.
+    /// Define a trigger: compile it, then [`Engine::install_rule`].
     pub fn define_trigger(&mut self, def: TriggerDef) -> Result<()> {
-        self.rules.define(def, self.eb.now())?;
+        self.install_rule(CompiledRule::compile(def)?)
+    }
+
+    /// Install a compiled rule, shared with whoever else holds it.
+    /// Allowed at any time; the rule starts observing events from the
+    /// current instant.
+    pub fn install_rule(&mut self, rule: Arc<CompiledRule>) -> Result<()> {
+        self.rules.install(rule, self.eb.now())?;
         Ok(())
     }
 
@@ -457,41 +469,46 @@ impl Engine {
     fn react(&mut self, phase: CouplingMode) -> Result<()> {
         loop {
             self.support.check(&mut self.rules, &self.eb, self.eb.now());
-            let name = match phase {
+            let next = match phase {
                 CouplingMode::Immediate => self.rules.select_next(CouplingMode::Immediate),
                 CouplingMode::Deferred => self
                     .rules
                     .select_next(CouplingMode::Immediate)
                     .or_else(|| self.rules.select_next(CouplingMode::Deferred)),
             };
-            let Some(name) = name else { break };
-            let name = name.to_owned();
+            let Some(idx) = next else { break };
             self.steps_this_txn += 1;
             if self.steps_this_txn > self.config.max_rule_steps {
                 return Err(ExecError::RuleLimitExceeded {
                     limit: self.config.max_rule_steps,
                 });
             }
-            self.consider_and_execute(&name)?;
+            self.consider_and_execute(idx)?;
         }
         Ok(())
     }
 
-    /// Consideration + (possibly) execution of one rule.
-    fn consider_and_execute(&mut self, name: &str) -> Result<()> {
-        let def = self.rules.def(name)?.clone();
+    /// Consideration + (possibly) execution of the rule in slot `idx`.
+    fn consider_and_execute(&mut self, idx: usize) -> Result<()> {
         let now = self.eb.now();
-        let window = self.rules.state(name)?.condition_window(now);
-        let bindings: Vec<Binding> =
-            evaluate_condition(&def.condition, &self.schema, &self.store, &self.eb, window)?;
+        let (rule, state) = self.rules.at(idx);
+        let window = state.condition_window(now);
+        let bindings: Vec<Binding> = evaluate_condition(
+            &rule.def.condition,
+            &self.schema,
+            &self.store,
+            &self.eb,
+            window,
+        )?;
         // detrigger exactly at consideration; events generated by the
         // action below are *after* this instant and can re-trigger.
-        self.rules.mark_considered(name, now)?;
+        self.rules.mark_considered(idx, now);
         self.stats.considerations += 1;
         if bindings.is_empty() {
             return Ok(());
         }
-        let muts = execute_actions(&def.actions, &bindings, &self.schema, &mut self.store)?;
+        let actions = &self.rules.at(idx).0.def.actions;
+        let muts = execute_actions(actions, &bindings, &self.schema, &mut self.store)?;
         self.stats.executions += 1;
         self.stats.blocks += 1;
         self.handle_events(&muts);

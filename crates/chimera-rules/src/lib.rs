@@ -10,11 +10,15 @@
 //! a sequence of set-oriented data manipulations.
 //!
 //! The paper's rule-object style maps onto plain data here: a
-//! [`TriggerDef`] is the immutable definition, a [`RuleState`] the mutable
-//! runtime status (the `triggered` flag and the `last_consideration` /
-//! `last_consumption` stamps of §5), and the [`RuleTable`] is the §5 "Rule
-//! Table": a name-indexed map plus a priority queue that picks the rule to
-//! consider next.
+//! [`TriggerDef`] is the definition; a [`CompiledRule`] is that
+//! definition validated and compiled once (its `V(E)` filter, change-point
+//! types and `ts` plan), immutable and shared by `Arc` between every
+//! engine that installs it; a [`RuleState`] is one engine's mutable
+//! runtime status of the rule (the `triggered` flag, the
+//! `last_consideration` / `last_consumption` stamps of §5 and a private
+//! plan scratchpad); and the [`RuleTable`] is the §5 "Rule Table": a
+//! name-indexed map plus a priority queue that picks the rule to consider
+//! next.
 //!
 //! The triggering predicate `T(r, t)` of §4.4 is implemented in
 //! [`trigger`], with the §5.1 `V(E)` relevance filter as an optional fast
@@ -32,4 +36,4 @@ pub use condition::{CmpOp, Condition, Formula, Term, VarDecl};
 pub use modes::{ConsumptionMode, CouplingMode};
 pub use pool::SharedProbePool;
 pub use table::{RuleTable, TriggerSupport};
-pub use trigger::{is_triggered, probe_instants, RuleState, TriggerDef};
+pub use trigger::{is_triggered, probe_instants, CompiledRule, RuleState, TriggerDef};

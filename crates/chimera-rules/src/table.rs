@@ -35,19 +35,21 @@
 //! runtime shard), the sequential round being the same code path run as
 //! a single chunk), and *commit* (sequential: apply the §4.4 predicate in
 //! definition order).
-//! Per-rule state — the `Send` plan handle, the sticky witness, the
+//! Per-rule state — the plan scratchpad, the sticky witness, the
 //! consumption stamps — is owned by the rule's own table slot, so workers
 //! touch disjoint state and share only the event base, the round's
-//! arrival scan, and a read-only snapshot of the cross-rule probe memo;
+//! arrival scan, the immutable compiled rules, and a read-only snapshot
+//! of the cross-rule probe memo;
 //! parallel and sequential rounds are observationally identical
 //! (`tests/runtime_equivalence.rs` proves it property-by-property).
 
 use crate::modes::CouplingMode;
-use crate::trigger::{change_points_into, RuleState, TriggerDef};
+use crate::trigger::{change_points_into, CompiledRule, RuleState, TriggerDef};
 use chimera_calculus::EventExpr;
 use chimera_events::{EventBase, EventType, Timestamp, Window};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Rule-management errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,16 +85,19 @@ impl fmt::Display for RuleError {
 
 impl std::error::Error for RuleError {}
 
-/// One rule table slot.
+/// One rule table slot: the shared compiled rule and this table's own
+/// state of it.
 #[derive(Debug)]
 struct Slot {
-    def: TriggerDef,
+    rule: Arc<CompiledRule>,
     state: RuleState,
     /// Definition sequence number (priority tie-break).
     seq: usize,
 }
 
-/// The §5 Rule Table: name-indexed rule definitions plus runtime state.
+/// The §5 Rule Table: name-indexed compiled rules plus runtime state.
+/// Slots are numbered in definition order; [`RuleTable::select_next`]
+/// hands out those indices.
 #[derive(Debug, Default)]
 pub struct RuleTable {
     slots: Vec<Slot>,
@@ -115,24 +120,23 @@ impl RuleTable {
         self.slots.is_empty()
     }
 
-    /// Define a rule. Validates the event expression and, for targeted
-    /// rules, that every primitive is on the target class.
+    /// Define a rule: compile it ([`CompiledRule::compile`] validates)
+    /// and install the result.
     pub fn define(&mut self, def: TriggerDef, now: Timestamp) -> Result<(), RuleError> {
-        if self.by_name.contains_key(&def.name) {
-            return Err(RuleError::DuplicateRule(def.name));
+        self.install(CompiledRule::compile(def)?, now)
+    }
+
+    /// Install an already compiled rule, observing events from `now`.
+    /// The table shares the compiled rule and owns only its state: the
+    /// stamps and a fresh scratchpad over the rule's plan.
+    pub fn install(&mut self, rule: Arc<CompiledRule>, now: Timestamp) -> Result<(), RuleError> {
+        if self.by_name.contains_key(&rule.def.name) {
+            return Err(RuleError::DuplicateRule(rule.def.name.clone()));
         }
-        if def.events.validate().is_err() {
-            return Err(RuleError::InvalidExpression(def.name));
-        }
-        if let Some(target) = def.target {
-            if def.events.primitives().iter().any(|ty| ty.class != target) {
-                return Err(RuleError::TargetMismatch { rule: def.name });
-            }
-        }
-        let state = RuleState::new(&def, now);
+        let state = RuleState::installed(&rule, now);
         let seq = self.slots.len();
-        self.by_name.insert(def.name.clone(), seq);
-        self.slots.push(Slot { def, state, seq });
+        self.by_name.insert(rule.def.name.clone(), seq);
+        self.slots.push(Slot { rule, state, seq });
         Ok(())
     }
 
@@ -147,14 +151,14 @@ impl RuleTable {
         // reindex
         self.by_name.clear();
         for (i, s) in self.slots.iter().enumerate() {
-            self.by_name.insert(s.def.name.clone(), i);
+            self.by_name.insert(s.rule.def.name.clone(), i);
         }
         Ok(())
     }
 
     /// Rule definition by name.
     pub fn def(&self, name: &str) -> Result<&TriggerDef, RuleError> {
-        self.index_of(name).map(|i| &self.slots[i].def)
+        self.index_of(name).map(|i| &self.slots[i].rule.def)
     }
 
     /// Rule state by name.
@@ -168,16 +172,24 @@ impl RuleTable {
         Ok(&mut self.slots[i].state)
     }
 
-    fn index_of(&self, name: &str) -> Result<usize, RuleError> {
+    /// Slot index of a rule by name.
+    pub fn index_of(&self, name: &str) -> Result<usize, RuleError> {
         self.by_name
             .get(name)
             .copied()
             .ok_or_else(|| RuleError::UnknownRule(name.to_owned()))
     }
 
-    /// Iterate `(def, state)` pairs in definition order.
-    pub fn iter(&self) -> impl Iterator<Item = (&TriggerDef, &RuleState)> {
-        self.slots.iter().map(|s| (&s.def, &s.state))
+    /// The compiled rule and its state in slot `idx` (panics if out of
+    /// range).
+    pub fn at(&self, idx: usize) -> (&Arc<CompiledRule>, &RuleState) {
+        let s = &self.slots[idx];
+        (&s.rule, &s.state)
+    }
+
+    /// Iterate `(compiled rule, state)` pairs in definition order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Arc<CompiledRule>, &RuleState)> {
+        self.slots.iter().map(|s| (&s.rule, &s.state))
     }
 
     /// Names of currently triggered rules (definition order).
@@ -185,40 +197,33 @@ impl RuleTable {
         self.slots
             .iter()
             .filter(|s| s.state.triggered)
-            .map(|s| s.def.name.as_str())
+            .map(|s| s.rule.def.name.as_str())
             .collect()
     }
 
-    /// The rule-selection mechanism: the highest-priority triggered rule
-    /// with the requested coupling mode (ties → earliest definition).
-    pub fn select_next(&self, coupling: CouplingMode) -> Option<&str> {
+    /// The rule-selection mechanism: the slot index of the
+    /// highest-priority triggered rule with the requested coupling mode
+    /// (ties → earliest definition).
+    pub fn select_next(&self, coupling: CouplingMode) -> Option<usize> {
         self.slots
             .iter()
-            .filter(|s| s.state.triggered && s.def.coupling == coupling)
-            .max_by_key(|s| (s.def.priority, std::cmp::Reverse(s.seq)))
-            .map(|s| s.def.name.as_str())
+            .enumerate()
+            .filter(|(_, s)| s.state.triggered && s.rule.def.coupling == coupling)
+            .max_by_key(|(_, s)| (s.rule.def.priority, std::cmp::Reverse(s.seq)))
+            .map(|(i, _)| i)
     }
 
-    /// Record the consideration of a rule at `now` (detrigger + consume).
-    pub fn mark_considered(&mut self, name: &str, now: Timestamp) -> Result<(), RuleError> {
-        let i = self.index_of(name)?;
-        let consumption = self.slots[i].def.consumption;
-        let st = &mut self.slots[i].state;
-        st.triggered = false;
-        st.witness = false;
-        st.last_consideration = now;
-        st.checked_upto = now;
-        if consumption == crate::modes::ConsumptionMode::Consuming {
-            st.last_consumption = now;
-        }
-        Ok(())
+    /// Record the consideration of the rule in slot `idx` at `now`
+    /// (detrigger + consume; panics if `idx` is out of range).
+    pub fn mark_considered(&mut self, idx: usize, now: Timestamp) {
+        let s = &mut self.slots[idx];
+        s.state.considered(&s.rule.def, now);
     }
 
-    /// Reset all rule state for a new transaction starting at `start`.
-    /// Compiled plans and relevance filters derive only from the
-    /// definitions, so they are kept (with their scratchpads, which go
-    /// cold by themselves once the engine cuts the event base at the
-    /// transaction start) instead of being recompiled per transaction.
+    /// Reset all rule state for a new transaction starting at `start`:
+    /// the stamps only. The compiled rules are shared and immutable, and
+    /// each plan scratchpad is kept (it goes cold by itself once the
+    /// engine cuts the event base at the transaction start).
     pub fn reset_all(&mut self, start: Timestamp) {
         for s in &mut self.slots {
             s.state.reset(start);
@@ -383,7 +388,7 @@ impl TriggerSupport {
                 }
                 let any_arrivals = !r.types.is_empty();
                 let was_empty = !eb.any_in(Window::new(st.last_consideration, st.checked_upto));
-                if !st.filter.needs_recheck(&r.types, was_empty) {
+                if !slot.rule.filter.needs_recheck(&r.types, was_empty) {
                     // the skipped range cannot contain a fresh positive
                     // witness; do not advance checked_upto past instants
                     // we never probed unless nothing arrived at all.
@@ -405,7 +410,7 @@ impl TriggerSupport {
         // across a scoped worker pool when configured and worthwhile.
         for &(idx, ri) in &self.probe_plan {
             let r = &mut self.rounds[ri];
-            if table.slots[idx].state.widened && !r.prev_built {
+            if table.slots[idx].rule.widened && !r.prev_built {
                 r.prev_built = true;
                 for e in eb.slice(Window::new(r.from, now)) {
                     let before = Window::new(Timestamp::ZERO, Timestamp(e.ts.raw() - 1));
@@ -420,12 +425,12 @@ impl TriggerSupport {
             let plan = &self.probe_plan;
             // disjoint &mut borrows of exactly the candidate slots, in
             // slot order (probe_plan is built in increasing slot index)
-            let mut cands: Vec<(&TriggerDef, &mut RuleState, usize)> =
+            let mut cands: Vec<(&CompiledRule, &mut RuleState, usize)> =
                 Vec::with_capacity(plan.len());
             let mut pi = 0;
             for (idx, slot) in table.slots.iter_mut().enumerate() {
                 if pi < plan.len() && plan[pi].0 == idx {
-                    cands.push((&slot.def, &mut slot.state, plan[pi].1));
+                    cands.push((&slot.rule, &mut slot.state, plan[pi].1));
                     pi += 1;
                 }
             }
@@ -441,8 +446,8 @@ impl TriggerSupport {
                 .map(|(part, out)| -> crate::pool::Task<'_> {
                     Box::new(move || {
                         let mut local = ProbeScratch::default();
-                        for (def, st, ri) in part.iter_mut() {
-                            probe_slot(def, st, eb, now, &rounds[*ri].prev, base_memo, &mut local);
+                        for (rule, st, ri) in part.iter_mut() {
+                            probe_slot(rule, st, eb, now, &rounds[*ri].prev, base_memo, &mut local);
                         }
                         *out = Some(local);
                     })
@@ -457,7 +462,7 @@ impl TriggerSupport {
             for &(idx, ri) in &self.probe_plan {
                 let slot = &mut table.slots[idx];
                 probe_slot(
-                    &slot.def,
+                    &slot.rule,
                     &mut slot.state,
                     eb,
                     now,
@@ -480,7 +485,7 @@ impl TriggerSupport {
             }
             if st.witness && eb.any_in(st.trigger_window(now)) {
                 st.triggered = true;
-                newly.push(slot.def.name.clone());
+                newly.push(slot.rule.def.name.clone());
             }
         }
         newly
@@ -527,7 +532,7 @@ impl TriggerSupport {
 /// results in the worker's memo. This is the per-rule unit of work both
 /// the sequential and the parallel probe phase run.
 fn probe_slot(
-    def: &TriggerDef,
+    rule: &CompiledRule,
     st: &mut RuleState,
     eb: &EventBase,
     now: Timestamp,
@@ -538,15 +543,16 @@ fn probe_slot(
     let window = st.trigger_window(now);
     let arrivals = eb.slice(Window::new(st.checked_upto, now));
     let mut probes = std::mem::take(&mut local.probes);
-    change_points_into(st, arrivals, prev, now, &mut probes);
+    change_points_into(rule, st, arrivals, prev, now, &mut probes);
+    let events = &rule.def.events;
     let mut found = false;
     for &t in &probes {
         let key = (window.after, t);
         let cached = local
             .memo
-            .get(&def.events)
+            .get(events)
             .and_then(|m| m.get(&key))
-            .or_else(|| base_memo.get(&def.events).and_then(|m| m.get(&key)))
+            .or_else(|| base_memo.get(events).and_then(|m| m.get(&key)))
             .copied();
         let active = match cached {
             Some(hit) => {
@@ -558,7 +564,7 @@ fn probe_slot(
                 let active = st.plan.eval(eb, window, t).is_active();
                 local
                     .memo
-                    .entry(def.events.clone())
+                    .entry(events.clone())
                     .or_default()
                     .insert(key, active);
                 active
@@ -587,6 +593,11 @@ mod tests {
     }
     fn p(n: u32) -> EventExpr {
         EventExpr::prim(et(n))
+    }
+
+    /// [`RuleTable::select_next`] by name.
+    fn next_name(rt: &RuleTable, coupling: CouplingMode) -> Option<&str> {
+        rt.select_next(coupling).map(|i| rt.at(i).0.def.name.as_str())
     }
 
     #[test]
@@ -651,8 +662,8 @@ mod tests {
         let mut sup = TriggerSupport::optimized();
         let newly = sup.check(&mut rt, &eb, eb.now());
         assert_eq!(newly, vec!["lo".to_string(), "hi".to_string()]);
-        assert_eq!(rt.select_next(CouplingMode::Immediate), Some("hi"));
-        assert_eq!(rt.select_next(CouplingMode::Deferred), None);
+        assert_eq!(next_name(&rt, CouplingMode::Immediate), Some("hi"));
+        assert_eq!(next_name(&rt, CouplingMode::Deferred), None);
     }
 
     #[test]
@@ -663,7 +674,7 @@ mod tests {
         let mut eb = EventBase::new();
         eb.append(et(0), Oid(1));
         TriggerSupport::optimized().check(&mut rt, &eb, eb.now());
-        assert_eq!(rt.select_next(CouplingMode::Immediate), Some("first"));
+        assert_eq!(next_name(&rt, CouplingMode::Immediate), Some("first"));
     }
 
     #[test]
@@ -675,7 +686,7 @@ mod tests {
         let mut sup = TriggerSupport::optimized();
         sup.check(&mut rt, &eb, eb.now());
         assert!(rt.state("r").unwrap().triggered);
-        rt.mark_considered("r", eb.now()).unwrap();
+        rt.mark_considered(rt.index_of("r").unwrap(), eb.now());
         assert!(!rt.state("r").unwrap().triggered);
         eb.tick();
         assert!(sup.check(&mut rt, &eb, eb.now()).is_empty());
@@ -691,7 +702,7 @@ mod tests {
         rt.define(def, Timestamp::ZERO).unwrap();
         let mut eb = EventBase::new();
         eb.append(et(0), Oid(1));
-        rt.mark_considered("p", eb.now()).unwrap();
+        rt.mark_considered(rt.index_of("p").unwrap(), eb.now());
         let st = rt.state("p").unwrap();
         assert_eq!(st.last_consideration, eb.now());
         assert_eq!(st.last_consumption, Timestamp::ZERO);
@@ -744,8 +755,8 @@ mod tests {
                 assert_eq!(got, want, "expr {expr} diverged at now={now}");
                 // once triggered, both consider the rule to keep comparing
                 if want {
-                    rt_opt.mark_considered(&name, now).unwrap();
-                    rt_ref.mark_considered(&name, now).unwrap();
+                    rt_opt.mark_considered(rt_opt.index_of(&name).unwrap(), now);
+                    rt_ref.mark_considered(rt_ref.index_of(&name).unwrap(), now);
                 }
             }
         }
@@ -773,8 +784,8 @@ mod tests {
                 rt_b.state("r").unwrap().triggered
             );
             if rt_a.state("r").unwrap().triggered {
-                rt_a.mark_considered("r", now).unwrap();
-                rt_b.mark_considered("r", now).unwrap();
+                rt_a.mark_considered(rt_a.index_of("r").unwrap(), now);
+                rt_b.mark_considered(rt_b.index_of("r").unwrap(), now);
             }
         }
     }
@@ -895,8 +906,8 @@ mod tests {
                     "rule {name} diverged"
                 );
                 if a.triggered {
-                    rt_seq.mark_considered(&name, eb_seq.now()).unwrap();
-                    rt_par.mark_considered(&name, eb_par.now()).unwrap();
+                    rt_seq.mark_considered(rt_seq.index_of(&name).unwrap(), eb_seq.now());
+                    rt_par.mark_considered(rt_par.index_of(&name).unwrap(), eb_par.now());
                 }
             }
         }
@@ -918,5 +929,107 @@ mod tests {
         rt.reset_all(eb.now());
         assert!(!rt.state("r").unwrap().triggered);
         assert_eq!(rt.state("r").unwrap().last_consideration, eb.now());
+    }
+
+    /// Each rule's stamps, witness and plan scratch, in definition order.
+    type TableState = Vec<(
+        String,
+        bool,
+        bool,
+        Timestamp,
+        Timestamp,
+        Timestamp,
+        Vec<chimera_calculus::plan::BoundaryScratchView>,
+    )>;
+
+    fn table_state(rt: &RuleTable) -> TableState {
+        rt.iter()
+            .map(|(rule, st)| {
+                (
+                    rule.def.name.clone(),
+                    st.triggered,
+                    st.witness,
+                    st.last_consideration,
+                    st.last_consumption,
+                    st.checked_upto,
+                    st.plan.boundary_scratch(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tables_sharing_compiled_rules_keep_their_own_state() {
+        // two tables install the same compiled rules and see different
+        // blocks; each must stay identical, scratch included, to a table
+        // defined from its own `TriggerDef`s, so nothing one table does
+        // to a shared rule moves the other's state
+        let exprs = [
+            p(0),
+            p(1).and(p(0).not()),
+            p(0).iand(p(1)),
+            p(0).iand(p(1)).inot().ior(p(2)),
+            p(0).iprec(p(1)),
+        ];
+        let defs: Vec<TriggerDef> = exprs
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let mut d = TriggerDef::new(format!("r{i}"), e.clone());
+                if i % 2 == 1 {
+                    d.consumption = ConsumptionMode::Preserving;
+                }
+                d
+            })
+            .collect();
+        let compiled: Vec<Arc<CompiledRule>> = defs
+            .iter()
+            .map(|d| CompiledRule::compile(d.clone()).unwrap())
+            .collect();
+        let mut shared = [RuleTable::new(), RuleTable::new()];
+        let mut own = [RuleTable::new(), RuleTable::new()];
+        for k in 0..2 {
+            for (rule, def) in compiled.iter().zip(&defs) {
+                shared[k].install(Arc::clone(rule), Timestamp::ZERO).unwrap();
+                own[k].define(def.clone(), Timestamp::ZERO).unwrap();
+            }
+        }
+        for (i, rule) in compiled.iter().enumerate() {
+            assert_eq!(Arc::strong_count(rule), 3);
+            assert!(Arc::ptr_eq(shared[0].at(i).0, shared[1].at(i).0));
+        }
+        // one block per table per step: (type, oid) arrivals
+        let steps: [[Vec<(u32, u64)>; 2]; 5] = [
+            [vec![(0, 1)], vec![(1, 1), (1, 2)]],
+            [vec![(1, 1)], vec![(0, 3)]],
+            [vec![(2, 2), (0, 2)], vec![(1, 3)]],
+            [vec![], vec![(0, 1)]],
+            [vec![(1, 2)], vec![(2, 1)]],
+        ];
+        let mut ebs = [EventBase::new(), EventBase::new()];
+        let mut sup_shared = [TriggerSupport::optimized(), TriggerSupport::optimized()];
+        let mut sup_own = [TriggerSupport::optimized(), TriggerSupport::optimized()];
+        let mut diverged = false;
+        for (step, blocks) in steps.iter().enumerate() {
+            for k in 0..2 {
+                for &(ty, oid) in &blocks[k] {
+                    ebs[k].append(et(ty), Oid(oid));
+                }
+                ebs[k].tick();
+                let now = ebs[k].now();
+                let newly = sup_shared[k].check(&mut shared[k], &ebs[k], now);
+                assert_eq!(newly, sup_own[k].check(&mut own[k], &ebs[k], now));
+                assert_eq!(table_state(&shared[k]), table_state(&own[k]), "table {k}, step {step}");
+                for name in &newly {
+                    shared[k].mark_considered(shared[k].index_of(name).unwrap(), now);
+                    own[k].mark_considered(own[k].index_of(name).unwrap(), now);
+                }
+            }
+            diverged |= table_state(&shared[0]) != table_state(&shared[1]);
+        }
+        assert!(diverged, "the two streams must leave different state");
+        for k in 0..2 {
+            assert_eq!(sup_shared[k].stats, sup_own[k].stats);
+        }
     }
 }

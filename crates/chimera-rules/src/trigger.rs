@@ -24,9 +24,11 @@
 use crate::action::ActionStmt;
 use crate::condition::Condition;
 use crate::modes::{ConsumptionMode, CouplingMode};
+use crate::table::RuleError;
 use chimera_calculus::{ts_logical, EventExpr, PlanEval, RelevanceFilter};
 use chimera_events::{EventBase, EventOccurrence, EventType, Timestamp, Window};
 use chimera_model::ClassId;
+use std::sync::Arc;
 
 /// An immutable trigger definition.
 #[derive(Debug, Clone)]
@@ -67,8 +69,63 @@ impl TriggerDef {
     }
 }
 
-/// Mutable runtime state of a rule (§5: the `triggered` flag and the two
-/// per-rule timestamps).
+/// A rule compiled once from its definition: everything the Trigger
+/// Support reads that derives only from the [`TriggerDef`] — the §5.1
+/// `V(E)` filter "computed once per rule at definition time", the
+/// expression's change-point types and its compiled `ts` plan.
+/// Immutable, so one `Arc<CompiledRule>` is shared by every engine that
+/// installs it: the multi-tenant runtime compiles its trigger set once
+/// and each tenant installs clones, owning only a [`RuleState`].
+#[derive(Debug)]
+pub struct CompiledRule {
+    /// The definition.
+    pub def: TriggerDef,
+    /// The §5.1 static-optimization filter for the rule's expression.
+    pub filter: RelevanceFilter,
+    /// The expression's primitive event types: their occurrences are the
+    /// rule's change points.
+    pub(crate) leaf_types: Vec<EventType>,
+    /// Does some instance component carry a nested negation, widening
+    /// its §4.3 domain to every object affected in the window? Then an
+    /// object's first occurrence in the trigger window is a change point
+    /// too, whatever its type.
+    pub(crate) widened: bool,
+    /// The compiled evaluation plan for the rule's event expression, as
+    /// a prototype evaluator with an empty scratchpad: each installing
+    /// engine takes its own [`PlanEval::fresh`] scratch over the shared
+    /// plan (see [`chimera_calculus::plan`]).
+    plan: PlanEval,
+}
+
+impl CompiledRule {
+    /// Validate and compile a definition — the one place a rule is
+    /// checked: the event expression must be well formed (§3.2) and a
+    /// targeted rule's primitives must all be on its target class.
+    pub fn compile(def: TriggerDef) -> Result<Arc<CompiledRule>, RuleError> {
+        // plan compilation fails exactly when `EventExpr::validate` does
+        let Ok(plan) = PlanEval::compile(&def.events) else {
+            return Err(RuleError::InvalidExpression(def.name));
+        };
+        let leaf_types = def.events.primitives();
+        if let Some(target) = def.target {
+            if leaf_types.iter().any(|ty| ty.class != target) {
+                return Err(RuleError::TargetMismatch { rule: def.name });
+            }
+        }
+        Ok(Arc::new(CompiledRule {
+            filter: RelevanceFilter::new(&def.events),
+            leaf_types,
+            widened: plan.plan().boundaries().iter().any(|b| b.widens()),
+            plan,
+            def,
+        }))
+    }
+}
+
+/// One engine's runtime state of a rule (§5: the `triggered` flag and
+/// the two per-rule timestamps), plus the engine's private scratchpad
+/// over the rule's shared compiled plan. Everything else about the rule
+/// lives in its [`CompiledRule`].
 #[derive(Debug, Clone)]
 pub struct RuleState {
     /// Is the rule currently triggered?
@@ -86,37 +143,34 @@ pub struct RuleState {
     /// `ts > 0`? The §4.4 existential is sticky until consideration; the
     /// rule is triggered as soon as a witness exists *and* `R ≠ ∅`.
     pub witness: bool,
-    /// The §5.1 static-optimization filter for the rule's expression.
-    pub filter: RelevanceFilter,
-    /// The expression's primitive event types: their occurrences are the
-    /// rule's change points.
-    pub(crate) leaf_types: Vec<EventType>,
-    /// Does some instance component carry a nested negation, widening
-    /// its §4.3 domain to every object affected in the window? Then an
-    /// object's first occurrence in the trigger window is a change point
-    /// too, whatever its type.
-    pub(crate) widened: bool,
-    /// The compiled evaluation plan for the rule's event expression plus
-    /// its reusable scratchpad — the engine evaluates `ts` probes through
-    /// this instead of re-interpreting the AST (see [`chimera_calculus::plan`]).
+    /// This engine's evaluator over the rule's compiled plan: the shared
+    /// plan plus a scratchpad of its own — the engine evaluates `ts`
+    /// probes through this instead of re-interpreting the AST.
     pub plan: PlanEval,
 }
 
 impl RuleState {
-    /// Fresh state at transaction start. The event expression must be
-    /// valid (rule tables validate at definition time).
+    /// Fresh state at transaction start for a rule compiled on its own —
+    /// the reference constructor for [`is_triggered`] callers. The event
+    /// expression must be valid.
     pub fn new(def: &TriggerDef, txn_start: Timestamp) -> Self {
-        let plan = PlanEval::compile(&def.events)
-            .expect("rule event expressions are validated at definition time");
+        let plan = PlanEval::compile(&def.events).expect("a valid rule event expression");
+        RuleState::with_plan(plan, txn_start)
+    }
+
+    /// Fresh state at `start` for an installed rule: an empty scratchpad
+    /// over its shared plan, nothing recompiled.
+    pub(crate) fn installed(rule: &CompiledRule, start: Timestamp) -> Self {
+        RuleState::with_plan(rule.plan.fresh(), start)
+    }
+
+    fn with_plan(plan: PlanEval, start: Timestamp) -> Self {
         RuleState {
             triggered: false,
-            last_consideration: txn_start,
-            last_consumption: txn_start,
-            checked_upto: txn_start,
+            last_consideration: start,
+            last_consumption: start,
+            checked_upto: start,
             witness: false,
-            filter: RelevanceFilter::new(&def.events),
-            leaf_types: def.events.primitives(),
-            widened: plan.plan().boundaries().iter().any(|b| b.widens()),
             plan,
         }
     }
@@ -131,12 +185,10 @@ impl RuleState {
         Window::new(self.last_consumption, now)
     }
 
-    /// Reset in place for a new transaction starting at `start`. The
-    /// compiled plan, the relevance filter and the change-point types
-    /// derive only from the rule definition and are reused as-is — the
-    /// former per-transaction recompilation was pure waste, and the
-    /// plan's scratchpad revalidates itself against the event base's
-    /// `(uid, cut, epoch)` key anyway.
+    /// Reset in place for a new transaction starting at `start`: only
+    /// the stamps change. The plan scratchpad is kept — it revalidates
+    /// itself against the event base's `(uid, cut, epoch)` key — and the
+    /// rule's compiled half is never touched.
     pub fn reset(&mut self, start: Timestamp) {
         self.triggered = false;
         self.last_consideration = start;
@@ -176,7 +228,7 @@ pub fn probe_instants(eb: &EventBase, after: Timestamp, now: Timestamp) -> Vec<T
     probes
 }
 
-/// The rule's change points in `(st.checked_upto, now]`: the probe set of
+/// The change points of `rule` in `(st.checked_upto, now]`: the probe set of
 /// [`probe_instants`] restricted to the arrivals that can change the
 /// rule's activity. An arrival can when its type is one of the
 /// expression's primitives, or, for a widened rule, when its object has
@@ -190,6 +242,7 @@ pub fn probe_instants(eb: &EventBase, after: Timestamp, now: Timestamp) -> Vec<T
 /// for a widened rule, is the stamp of the previous occurrence on
 /// `arrivals[i]`'s object (`None`: it has none). `out` is cleared first.
 pub(crate) fn change_points_into(
+    rule: &CompiledRule,
     st: &RuleState,
     arrivals: &[EventOccurrence],
     prev: &[Option<Timestamp>],
@@ -197,8 +250,8 @@ pub(crate) fn change_points_into(
     out: &mut Vec<Timestamp>,
 ) {
     push_probe_set(arrivals, st.checked_upto, now, out, |i, e| {
-        st.leaf_types.contains(&e.ty)
-            || (st.widened && prev[i].is_none_or(|p| p <= st.last_consideration))
+        rule.leaf_types.contains(&e.ty)
+            || (rule.widened && prev[i].is_none_or(|p| p <= st.last_consideration))
     });
 }
 

@@ -148,6 +148,7 @@ const _: () = {
     assert_send::<chimera_rules::RuleTable>();
     assert_send::<chimera_rules::TriggerSupport>();
     assert_send::<chimera_rules::RuleState>();
+    assert_send_sync::<chimera_rules::CompiledRule>();
     assert_send_sync::<chimera_calculus::PlanEval>();
     assert_send_sync::<chimera_events::EventBase>();
     assert_send_sync::<Runtime>();

@@ -5,17 +5,17 @@
 use crate::pool::{Pool, SubmitRefused};
 use crate::shard::{
     approx_slot_bytes, enforce_residency, home_of, recover_home, reopen_home, restore_tenant,
-    spawn_worker, Counters, Envelope, Fabric, Home, Tenants, WorkerCtx, WorkerStats,
+    spawn_worker, Counters, Envelope, Fabric, Home, RuleSet, Tenants, WorkerCtx, WorkerStats,
 };
 use crate::stats::{RuntimeStats, ShardStats};
-use chimera_events::Timestamp;
 use chimera_exec::{EngineConfig, EngineStats, Op};
 use chimera_lifecycle::{LifecycleConfig, ResidencyLru};
 use chimera_model::{ClassId, Oid, Schema};
 use chimera_persist::{DurableStore, InMemoryStore, StateStore, SyncPolicy};
 use chimera_rules::table::RuleError;
-use chimera_rules::{RuleTable, TriggerDef};
+use chimera_rules::{CompiledRule, TriggerDef};
 use chimera_telemetry::{Gauge, Telemetry};
+use std::collections::HashSet;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -368,9 +368,10 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Build a runtime over `schema`. Every tenant engine is created on
-    /// the tenant's first job, with all of `triggers` pre-defined;
-    /// the set is validated here so engine creation cannot fail later.
+    /// Build a runtime over `schema`. `triggers` is validated and
+    /// compiled once, here; every tenant engine — created on the
+    /// tenant's first job, rehydrated, or recovered — installs that same
+    /// compiled set and owns only its rule stamps and plan scratchpads.
     ///
     /// With [`StorageMode::Durable`] this *is* recovery: any tenants
     /// already on disk are rebuilt before the first job is served (use
@@ -394,15 +395,9 @@ impl Runtime {
         triggers: Vec<TriggerDef>,
         config: RuntimeConfig,
     ) -> Result<(Runtime, RecoveryReport), RuntimeError> {
-        let mut probe = RuleTable::new();
-        for def in &triggers {
-            probe
-                .define(def.clone(), Timestamp::ZERO)
-                .map_err(RuntimeError::InvalidTrigger)?;
-        }
+        let rules = compile_rules(triggers).map_err(RuntimeError::InvalidTrigger)?;
         let shard_count = config.shards.max(1);
         let capacity = config.queue_capacity.max(1);
-        let triggers = Arc::new(triggers);
 
         let mut homes = Vec::with_capacity(shard_count);
         let mut snapshot_every = 0;
@@ -422,7 +417,7 @@ impl Runtime {
         // the live stage histograms would only skew the first snapshot
         let recovery_ctx = WorkerCtx::new(
             schema.clone(),
-            Arc::clone(&triggers),
+            Arc::clone(&rules),
             config.engine.clone(),
             Telemetry::off(),
             0,
@@ -457,7 +452,7 @@ impl Runtime {
             counters,
             workers: Arc::new((0..shard_count).map(|_| WorkerStats::default()).collect()),
             schema,
-            triggers,
+            rules,
             engine_cfg: config.engine.clone(),
             snapshot_every,
             telemetry: if config.telemetry {
@@ -665,7 +660,7 @@ impl Runtime {
         let snap = home.evicted_lock().get(&tenant.0).cloned()?;
         let ctx = WorkerCtx::new(
             self.fabric.schema.clone(),
-            Arc::clone(&self.fabric.triggers),
+            Arc::clone(&self.fabric.rules),
             self.config.engine.clone(),
             Telemetry::off(),
             0,
@@ -845,6 +840,22 @@ impl Runtime {
     }
 }
 
+/// Compile the runtime's trigger set, once: each definition is validated
+/// and compiled here, and names must be unique, so installing the set
+/// on a tenant engine cannot fail later.
+fn compile_rules(triggers: Vec<TriggerDef>) -> Result<RuleSet, RuleError> {
+    let mut names = HashSet::new();
+    triggers
+        .into_iter()
+        .map(|def| {
+            if !names.insert(def.name.clone()) {
+                return Err(RuleError::DuplicateRule(def.name));
+            }
+            CompiledRule::compile(def)
+        })
+        .collect()
+}
+
 /// Build one home shard's store for the configured mode, applying the
 /// configured [`StoreWrap`] (if any). Returns the store plus the
 /// `snapshot_every` compaction threshold.
@@ -932,7 +943,7 @@ impl fmt::Debug for Runtime {
 mod tests {
     use super::*;
     use chimera_calculus::EventExpr;
-    use chimera_events::EventType;
+    use chimera_events::{EventType, Timestamp};
     use chimera_model::{AttrDef, AttrType, SchemaBuilder, Value};
 
     fn schema() -> Schema {
@@ -1368,5 +1379,123 @@ mod tests {
             assert_eq!(shard.steals, 0);
         }
         assert_eq!(stats.jobs_processed, 96);
+    }
+
+    /// Each rule's name, `triggered`, stamps and witness, in definition
+    /// order.
+    type Stamps = Vec<(String, bool, Timestamp, Timestamp, Timestamp, bool)>;
+
+    fn stamps(engine: &chimera_exec::Engine) -> Stamps {
+        engine
+            .rules()
+            .iter()
+            .map(|(rule, st)| {
+                (
+                    rule.def.name.clone(),
+                    st.triggered,
+                    st.last_consideration,
+                    st.last_consumption,
+                    st.checked_upto,
+                    st.witness,
+                )
+            })
+            .collect()
+    }
+
+    /// Does the tenant's engine hold exactly the runtime's compiled
+    /// rules — the same allocations, in order? `None`: no such tenant.
+    fn shares_rules(rt: &Runtime, tenant: TenantId) -> Option<bool> {
+        let set = &rt.fabric.rules;
+        rt.with_tenant(tenant, |e| {
+            e.rules().len() == set.len()
+                && e.rules().iter().zip(set.iter()).all(|((r, _), s)| Arc::ptr_eq(r, s))
+        })
+    }
+
+    #[test]
+    fn tenants_share_the_compiled_rules_and_restore_their_stamps() {
+        use chimera_rules::{ConsumptionMode, CouplingMode};
+        let s = schema();
+        let stock = s.class_by_name("stock").unwrap();
+        let ext = |ch| EventExpr::prim(EventType::external(stock, ch));
+        let mut keep = TriggerDef::new("keep", ext(2).and(ext(1).not()));
+        keep.consumption = ConsumptionMode::Preserving;
+        let mut late = TriggerDef::new("late", EventExpr::prim(EventType::create(stock)));
+        late.coupling = CouplingMode::Deferred;
+        let defs = vec![tick_trigger(&s), keep, late];
+        let dir = std::env::temp_dir()
+            .join(format!("chimera-rt-shared-rules-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = RuntimeConfig {
+            storage: StorageMode::Durable(DurabilityConfig {
+                snapshot_every: 1,
+                ..DurabilityConfig::new(&dir)
+            }),
+            lifecycle: LifecycleConfig::with_max_resident(2),
+            ..cfg(1)
+        };
+        // the oracle: one sequential engine per tenant, its rules defined
+        // from the `TriggerDef`s, fed the same transactions
+        let mut oracle: Vec<chimera_exec::Engine> = (0..3)
+            .map(|_| {
+                let mut e = chimera_exec::Engine::new(s.clone());
+                for def in &defs {
+                    e.define_trigger(def.clone()).unwrap();
+                }
+                e
+            })
+            .collect();
+        let txn = |rt: &Runtime, oracle: &mut [chimera_exec::Engine], t: u64, ticks: u64| {
+            let blocks = [vec![(stock, 2, Oid(t))], vec![(stock, 1, Oid(0)); ticks as usize]];
+            let e = &mut oracle[t as usize];
+            rt.begin(TenantId(t)).unwrap();
+            e.begin().unwrap();
+            for block in blocks {
+                e.raise_external(&block).unwrap();
+                rt.raise_external(TenantId(t), block).unwrap();
+            }
+            rt.commit(TenantId(t)).unwrap();
+            e.commit().unwrap();
+            rt.flush().unwrap();
+        };
+        let check = |rt: &Runtime, oracle: &[chimera_exec::Engine]| {
+            for (t, e) in oracle.iter().enumerate() {
+                let tenant = TenantId(t as u64);
+                assert_eq!(shares_rules(rt, tenant), Some(true), "tenant {t}");
+                let got = rt.with_tenant(tenant, |got| stamps(got));
+                assert_eq!(got, Some(stamps(e)), "tenant {t}");
+            }
+        };
+        let settle = |rt: &Runtime| {
+            // eviction runs after a batch's release, so wait it out
+            while rt.stats().tenants_resident > 2 {
+                std::thread::yield_now();
+            }
+        };
+
+        let rt = Runtime::new(s.clone(), defs.clone(), config.clone()).unwrap();
+        for t in 0..3 {
+            txn(&rt, &mut oracle, t, t + 1);
+        }
+        settle(&rt);
+        // tenant 0, the coldest, is parked; 1 and 2 are fresh engines
+        assert!(rt.fabric.tenants.get(0).is_none());
+        check(&rt, &oracle);
+        // a claim rehydrates tenant 0
+        txn(&rt, &mut oracle, 0, 2);
+        settle(&rt);
+        assert!(rt.fabric.tenants.get(0).is_some());
+        assert_eq!(rt.stats().rehydrations, 1);
+        check(&rt, &oracle);
+        drop(rt);
+
+        // rebuilt from the snapshot: a newly compiled set, shared again
+        let (rt, report) = Runtime::recover(s, defs, config).unwrap();
+        assert_eq!(report.tenants_recovered, 3);
+        check(&rt, &oracle);
+        txn(&rt, &mut oracle, 1, 1);
+        check(&rt, &oracle);
+        drop(rt);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

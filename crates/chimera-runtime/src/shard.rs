@@ -35,7 +35,7 @@ use chimera_exec::{Engine, EngineConfig, EngineStats};
 use chimera_lifecycle::{LifecycleConfig, ResidencyLru};
 use chimera_model::{ObjectStore, Schema};
 use chimera_persist::{JobRecord, RuleStampRec, StateStore, TenantSnapshot};
-use chimera_rules::{SharedProbePool, TriggerDef};
+use chimera_rules::{CompiledRule, SharedProbePool};
 use chimera_telemetry::{Counter as TelCounter, Gauge as TelGauge, Stage, Telemetry, TraceKind};
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
@@ -174,7 +174,9 @@ pub(crate) struct Home {
     /// crash recovers an evicted tenant from the last full snapshot
     /// (which folds this map in) plus the job log, which only a full
     /// snapshot truncates.
-    pub evicted: Mutex<HashMap<u64, TenantSnapshot>>,
+    /// Parked behind an `Arc`, so a rehydration or an inspection takes a
+    /// handle, not a copy.
+    pub evicted: Mutex<HashMap<u64, Arc<TenantSnapshot>>>,
     /// Lifetime eviction / rehydration counts for this home.
     pub evictions: AtomicU64,
     pub rehydrations: AtomicU64,
@@ -221,7 +223,7 @@ impl Home {
     }
 
     /// Lock the evicted-tenant map.
-    pub fn evicted_lock(&self) -> MutexGuard<'_, HashMap<u64, TenantSnapshot>> {
+    pub fn evicted_lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<TenantSnapshot>>> {
         self.evicted.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -296,6 +298,10 @@ pub(crate) struct ShardRecoveryStats {
     pub recency: Vec<u64>,
 }
 
+/// The runtime's trigger set, compiled once in `Runtime::recover`:
+/// every tenant engine installs these same `Arc`s, in this order.
+pub(crate) type RuleSet = Arc<[Arc<CompiledRule>]>;
+
 /// Everything a worker (or startup recovery) needs to build and run
 /// tenant engines. Each carries its *own* [`SharedProbePool`]: every
 /// engine the worker touches parks the same `check_workers - 1` probe
@@ -304,7 +310,7 @@ pub(crate) struct ShardRecoveryStats {
 /// uses its claimer's pool.
 pub(crate) struct WorkerCtx {
     schema: Schema,
-    triggers: Arc<Vec<TriggerDef>>,
+    rules: RuleSet,
     engine_cfg: EngineConfig,
     probe_pool: SharedProbePool,
     /// The runtime's telemetry handle ([`Telemetry::off`] when disabled
@@ -317,14 +323,14 @@ pub(crate) struct WorkerCtx {
 impl WorkerCtx {
     pub fn new(
         schema: Schema,
-        triggers: Arc<Vec<TriggerDef>>,
+        rules: RuleSet,
         engine_cfg: EngineConfig,
         tel: Telemetry,
         worker: usize,
     ) -> Self {
         WorkerCtx {
             schema,
-            triggers,
+            rules,
             engine_cfg,
             probe_pool: SharedProbePool::default(),
             tel,
@@ -343,7 +349,7 @@ pub(crate) struct Fabric {
     pub counters: Arc<Counters>,
     pub workers: Arc<Vec<WorkerStats>>,
     pub schema: Schema,
-    pub triggers: Arc<Vec<TriggerDef>>,
+    pub rules: RuleSet,
     pub engine_cfg: EngineConfig,
     pub snapshot_every: u64,
     pub telemetry: Telemetry,
@@ -370,7 +376,7 @@ pub(crate) fn spawn_worker(index: usize, fabric: Fabric) -> JoinHandle<()> {
 fn run_worker(index: usize, fabric: Fabric) {
     let ctx = WorkerCtx::new(
         fabric.schema.clone(),
-        Arc::clone(&fabric.triggers),
+        Arc::clone(&fabric.rules),
         fabric.engine_cfg.clone(),
         fabric.telemetry.clone(),
         index,
@@ -588,7 +594,7 @@ fn try_evict(fabric: &Fabric, ctx: &WorkerCtx, tenant: u64, home_idx: usize) -> 
                 let snap = snapshot_tenant(tenant, &slot);
                 if store.store.evict_tenant(&snap).is_ok() {
                     drop(slot);
-                    home.evicted_lock().insert(tenant, snap);
+                    home.evicted_lock().insert(tenant, Arc::new(snap));
                     fabric.tenants.remove(tenant);
                     lru_lock(fabric).remove(tenant);
                     home.evictions.fetch_add(1, Ordering::Relaxed);
@@ -869,6 +875,7 @@ fn refuse(
         // replayed state; the job log and object state never diverge.
         let mut evicted = home.evicted_lock();
         if let Some(snap) = evicted.get_mut(&tenant) {
+            let snap = Arc::make_mut(snap);
             snap.job_errors += 1;
             snap.last_error = Some(msg.clone());
             counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -947,22 +954,29 @@ fn answer(reply: Option<(JobId, SyncSender<JobReply>)>, tenant: TenantId, outcom
     }
 }
 
-/// A fresh tenant slot: an engine with the runtime's trigger set
-/// installed and the creating worker's probe pool wired in.
+/// A fresh tenant slot: an engine with the runtime's compiled rule set
+/// installed (shared, not recompiled: the tenant owns only the rules'
+/// stamps and plan scratchpads) and the creating worker's probe pool
+/// wired in.
 fn fresh_slot(ctx: &WorkerCtx) -> TenantSlot {
     let mut engine = Engine::with_config(ctx.schema.clone(), ctx.engine_cfg.clone());
     engine.use_shared_probe_pool(ctx.probe_pool.clone());
-    for def in ctx.triggers.iter() {
-        engine
-            .define_trigger(def.clone())
-            .expect("runtime trigger set is validated at construction");
-    }
+    install_rules(&mut engine, &ctx.rules);
     TenantSlot {
         engine,
         job_errors: 0,
         last_error: None,
         jobs_applied: 0,
         trigger_sources: Vec::new(),
+    }
+}
+
+/// Install the runtime's rule set on a new engine.
+fn install_rules(engine: &mut Engine, rules: &RuleSet) {
+    for rule in rules.iter() {
+        engine
+            .install_rule(Arc::clone(rule))
+            .expect("runtime rule set is validated at construction");
     }
 }
 
@@ -1129,20 +1143,18 @@ pub(crate) fn recover_home(
 }
 
 /// Rebuild one tenant from its snapshot: restored store → fresh engine →
-/// runtime triggers → tenant trigger sources → event log → rule stamps →
-/// engine stats. Order matters: definitions stamp rule state with the
-/// *current* instant, so the recorded stamps are overlaid last.
+/// the runtime's compiled rules (installed, not recompiled) → tenant
+/// trigger sources (parsed and compiled for this tenant) → event log →
+/// rule stamps → engine stats. Order matters: installation stamps rule
+/// state with the *current* instant, so the recorded stamps are overlaid
+/// last.
 pub(crate) fn restore_tenant(ts: &TenantSnapshot, ctx: &WorkerCtx) -> Result<TenantSlot, String> {
     let objects = ts.objects.clone();
     let os = ObjectStore::restore(objects, ts.next_oid)
         .map_err(|e| format!("tenant {}: {e}", ts.tenant))?;
     let mut engine = Engine::with_restored_store(ctx.schema.clone(), os, ctx.engine_cfg.clone());
     engine.use_shared_probe_pool(ctx.probe_pool.clone());
-    for def in ctx.triggers.iter() {
-        engine
-            .define_trigger(def.clone())
-            .expect("runtime trigger set is validated at construction");
-    }
+    install_rules(&mut engine, &ctx.rules);
     for src in &ts.trigger_sources {
         apply_trigger_source(&mut engine, &ctx.schema, src)
             .map_err(|e| format!("tenant {}: snapshotted trigger source failed: {e}", ts.tenant))?;
@@ -1195,8 +1207,8 @@ fn snapshot_tenant(tenant: u64, slot: &TenantSlot) -> TenantSnapshot {
         rules: engine
             .rules()
             .iter()
-            .map(|(def, rs)| RuleStampRec {
-                name: def.name.clone(),
+            .map(|(rule, rs)| RuleStampRec {
+                name: rule.def.name.clone(),
                 triggered: rs.triggered,
                 last_consideration: rs.last_consideration.0,
                 last_consumption: rs.last_consumption.0,
@@ -1290,7 +1302,7 @@ fn fold_evicted(home: &Home, snaps: &mut Vec<TenantSnapshot>) {
         evicted
             .values()
             .filter(|s| !resident.contains(&s.tenant))
-            .cloned(),
+            .map(|s| TenantSnapshot::clone(s)),
     );
 }
 

@@ -78,7 +78,7 @@ fn main() {
         support.check(&mut table, &eb, eb.now());
         if table.state("r").unwrap().triggered {
             firings += 1;
-            table.mark_considered("r", eb.now()).unwrap();
+            table.mark_considered(table.index_of("r").unwrap(), eb.now());
         }
     }
     let s = support.stats;

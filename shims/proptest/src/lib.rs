@@ -400,7 +400,7 @@ pub mod prop {
         use super::super::{Strategy, TestRng};
         use std::ops::{Range, RangeInclusive};
 
-        /// Accepted size shapes for [`vec`].
+        /// Accepted size shapes for [`vec()`].
         #[derive(Clone, Debug)]
         pub struct SizeRange {
             lo: usize,

@@ -177,9 +177,9 @@ fn observe(engine: &mut Engine, item: ClassId) -> Observed {
         rules: engine
             .rules()
             .iter()
-            .map(|(def, st)| {
+            .map(|(rule, st)| {
                 (
-                    def.name.clone(),
+                    rule.def.name.clone(),
                     st.triggered,
                     st.witness,
                     st.last_consideration,

@@ -176,9 +176,9 @@ fn snapshot(engine: &mut Engine, item: ClassId) -> Snapshot {
         rules: engine
             .rules()
             .iter()
-            .map(|(def, st)| {
+            .map(|(rule, st)| {
                 (
-                    def.name.clone(),
+                    rule.def.name.clone(),
                     st.triggered,
                     st.witness,
                     st.last_consideration,

@@ -108,8 +108,8 @@ proptest! {
             prop_assert_eq!(opt, formal, "optimized vs formal on {} at {}", &expr, now);
             prop_assert_eq!(raw, formal, "unoptimized vs formal on {} at {}", &expr, now);
             if formal {
-                rt_opt.mark_considered("r", now).unwrap();
-                rt_raw.mark_considered("r", now).unwrap();
+                rt_opt.mark_considered(rt_opt.index_of("r").unwrap(), now);
+                rt_raw.mark_considered(rt_raw.index_of("r").unwrap(), now);
                 ref_state.considered(&ref_def, now);
             }
         }
@@ -171,9 +171,9 @@ proptest! {
             prop_assert_eq!(&raw, &formal, "unoptimized vs formal at {}", now);
             prop_assert_eq!(&par, &formal, "pooled vs formal at {}", now);
             for name in formal {
-                rt_opt.mark_considered(&name, now).unwrap();
-                rt_raw.mark_considered(&name, now).unwrap();
-                rt_par.mark_considered(&name, now).unwrap();
+                rt_opt.mark_considered(rt_opt.index_of(&name).unwrap(), now);
+                rt_raw.mark_considered(rt_raw.index_of(&name).unwrap(), now);
+                rt_par.mark_considered(rt_par.index_of(&name).unwrap(), now);
                 let i = defs.iter().position(|d| d.name == name).unwrap();
                 ref_states[i].considered(&defs[i], now);
             }
@@ -278,7 +278,7 @@ impl<'a> TxnRun<'a> {
             let got: Vec<String> = rt.triggered().iter().map(|s| s.to_string()).collect();
             assert_eq!(got, formal, "support vs formal at {now}");
             for name in &formal {
-                rt.mark_considered(name, now).unwrap();
+                rt.mark_considered(rt.index_of(name).unwrap(), now);
             }
         }
         for name in &formal {
@@ -529,7 +529,7 @@ fn object_seen_before_consideration_reenters_the_window() {
     play(&mut eb, &[Some((0, 1)), Some((1, 1))]); // A(o1), B(o1)
     sup.check(&mut rt, &eb, eb.now());
     assert!(rt.state("r").unwrap().triggered, "B(o1) at t2");
-    rt.mark_considered("r", eb.now()).unwrap();
+    rt.mark_considered(rt.index_of("r").unwrap(), eb.now());
     st.considered(&def, eb.now());
     play(&mut eb, &[None, Some((6, 1)), Some((0, 1))]); // tick, X(o1), A(o1)
     sup.check(&mut rt, &eb, eb.now());

@@ -149,9 +149,9 @@ fn snapshot(engine: &mut Engine, item: ClassId) -> Snapshot {
         rules: engine
             .rules()
             .iter()
-            .map(|(def, st)| {
+            .map(|(rule, st)| {
                 (
-                    def.name.clone(),
+                    rule.def.name.clone(),
                     st.triggered,
                     st.witness,
                     st.last_consideration,
@@ -450,8 +450,8 @@ proptest! {
             // consider every newly triggered rule on both sides so
             // consumption windows advance identically
             for name in newly_seq {
-                rt_seq.mark_considered(&name, now).unwrap();
-                rt_par.mark_considered(&name, now).unwrap();
+                rt_seq.mark_considered(rt_seq.index_of(&name).unwrap(), now);
+                rt_par.mark_considered(rt_par.index_of(&name).unwrap(), now);
             }
         }
         // identical probe decision totals (memoized or evaluated)
