@@ -34,8 +34,9 @@
 //!   arrival-relevance filter used by the trigger support;
 //! * [`plan`] — compiled evaluation plans: flat arena op arrays with
 //!   interned leaf slots and a reusable per-object stamp scratchpad, the
-//!   production path for the §4.3 instance→set boundary (wired into
-//!   [`ts_logical`]/[`ts_algebraic`] and cached per rule by the engine);
+//!   production path for the §4.3 instance→set boundary and the
+//!   `occurred` formula (compiled once per rule, with one scratchpad per
+//!   engine; [`ts_logical`]/[`ts_algebraic`] compile one per call);
 //! * [`incremental`] — a compact per-rule detector maintaining `ts`
 //!   online in O(|expr|) per arrival, the §5 implementation sketch taken
 //!   to its conclusion (observably equivalent to the from-scratch

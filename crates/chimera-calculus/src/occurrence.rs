@@ -17,6 +17,7 @@
 use crate::error::CalculusError;
 use crate::expr::EventExpr;
 use crate::instance::{boundary_domain, ots_logical};
+use crate::plan::{Plan, PlanEval};
 use crate::Result;
 use chimera_events::{EventBase, Timestamp, Window};
 use chimera_model::Oid;
@@ -44,15 +45,9 @@ use chimera_model::Oid;
 /// assert_eq!(occurred_objects(&expr, &eb, w).unwrap(), vec![Oid(2)]);
 /// ```
 pub fn occurred_objects(expr: &EventExpr, eb: &EventBase, w: Window) -> Result<Vec<Oid>> {
-    if !expr.is_instance_oriented() {
-        return Err(CalculusError::SetOrientedFormula);
-    }
-    expr.validate()?;
-    // process-wide sharded compiled-plan cache: one compiled condition
-    // plan per distinct formula expression, evaluated over the shared
-    // domain and batched leaf stamps instead of one `ots` recursion per
-    // object.
-    Ok(crate::plan::occurred_objects_planned(expr, eb, w))
+    // a throwaway plan per call; a rule condition's `occurred` plans are
+    // compiled once per rule and keep their scratch in the engine
+    Ok(PlanEval::new(Plan::compile_instance(expr)?).active_objects(eb, w))
 }
 
 /// `at(expr, X, T)`: `(object, instant)` pairs for every occurrence of the

@@ -80,16 +80,31 @@
 //! random expressions × random histories, and asserts the advanced
 //! scratch matrix equals a from-scratch cold rebuild cell for cell under
 //! interleaved arrivals, window advances, and probes.
+//!
+//! ## Where each plan lives
+//!
+//! A plan is compiled once and shared; a scratchpad belongs to one
+//! evaluator. Nothing in this module is process-global.
+//!
+//! * A rule's triggering expression ([`Plan::compile`]) and each of its
+//!   condition's `occurred` expressions ([`Plan::compile_instance`]) are
+//!   compiled once, at definition, into the rule's immutable
+//!   `CompiledRule` (`chimera-rules`) as prototype evaluators. Every
+//!   engine that installs the rule keeps its own [`PlanEval::fresh`]
+//!   scratch for each of them in its `RuleState`.
+//! * The free functions — [`crate::ts_logical`] / [`crate::ts_algebraic`]
+//!   at a boundary, and [`crate::occurred_objects`] — compile and
+//!   evaluate a throwaway plan on every call. They serve the reference
+//!   predicate `is_triggered`, the net-effect helpers, the baselines and
+//!   tests, never the engine's hot path.
 
+use crate::error::CalculusError;
 use crate::expr::EventExpr;
 use crate::ts::{ts_prim, TsVal};
 use crate::Result;
 use chimera_events::{EventBase, EventId, EventType, Timestamp, Window};
 use chimera_model::Oid;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::Arc;
 
 /// One set-oriented operator of a compiled plan. Operand fields are
 /// indices into the plan's op array (always smaller than the op's own
@@ -224,14 +239,17 @@ impl Plan {
         Ok(plan)
     }
 
-    /// Compile a validated *instance-oriented* expression as a single
-    /// per-object component (a root `-=` stays a nested [`InstOp::Not`],
-    /// giving `ots` rather than boundary semantics). Used for the
-    /// `occurred` / `at` event-formula path, which needs per-object
-    /// activity instead of the boundary max.
-    pub(crate) fn compile_instance(expr: &EventExpr) -> Result<Plan> {
-        expr.validate()?;
-        debug_assert!(expr.is_instance_oriented());
+    /// Compile an *instance-oriented* expression as a single per-object
+    /// component (a root `-=` stays a nested [`InstOp::Not`], giving
+    /// `ots` rather than boundary semantics): the plan of an
+    /// `occurred(expr, X)` event formula, which needs per-object activity
+    /// instead of the boundary max. Fails with
+    /// [`CalculusError::SetOrientedFormula`] for any expression holding a
+    /// set-oriented operator (an instance-oriented tree is well formed).
+    pub fn compile_instance(expr: &EventExpr) -> Result<Plan> {
+        if !expr.is_instance_oriented() {
+            return Err(CalculusError::SetOrientedFormula);
+        }
         Ok(Plan {
             ops: vec![SetOp::Boundary(0)],
             set_leaves: Vec::new(),
@@ -430,7 +448,7 @@ impl PlanEval {
     /// The objects for which an instance-compiled plan
     /// ([`Plan::compile_instance`]) is active at `w.upto` — the
     /// `occurred(expr, X)` set, sorted by OID.
-    pub(crate) fn active_objects(&mut self, eb: &EventBase, w: Window) -> Vec<Oid> {
+    pub fn active_objects(&mut self, eb: &EventBase, w: Window) -> Vec<Oid> {
         let plan = &*self.plan;
         self.pad.refresh_key(plan, eb);
         debug_assert_eq!(plan.boundaries.len(), 1);
@@ -899,198 +917,18 @@ impl InstCtx<'_> {
     }
 }
 
-/// Number of shards in the process-wide plan caches.
-const PLAN_CACHE_SHARDS: usize = 16;
-/// Per-shard entry cap; the least-recently-used entry beyond it is
-/// evicted (property suites generate unbounded fresh expressions).
-const PLAN_CACHE_SHARD_CAP: usize = 64;
-
-/// Evaluators kept per cache entry: one per recently seen event base
-/// (scratch state is keyed to a single EB `uid`, so engines with
-/// different event bases must not share one scratchpad — they would
-/// reset it on every alternation). Oldest-used evicted beyond the cap.
-const ENTRY_EVALS_CAP: usize = 4;
-
-/// One cached compiled plan plus its per-event-base scratchpads. The
-/// evaluators are `Mutex`-wrapped because a [`PlanEval`] carries mutable
-/// scratch state; neither the shard lock nor the entry lock is held
-/// while an evaluator runs (claim → evaluate privately → push back), so
-/// concurrent engines sharing an expression contend only on the brief
-/// claim/return, never on the evaluation itself. All evaluators in an
-/// entry share one compiled `Plan` arena; only the scratch differs.
-struct CacheEntry {
-    evals: Mutex<Vec<PlanEval>>,
-    /// Logical use stamp for LRU eviction (shared cache-wide counter).
-    last_used: AtomicU64,
-}
-
-type Shard = RwLock<HashMap<EventExpr, Arc<CacheEntry>>>;
-
-/// A process-wide expression → compiled-plan cache, sharded by expression
-/// hash. Replaces the former per-thread caches so that every thread of a
-/// multi-threaded engine shares one set of compiled arenas (and their
-/// arrival-incrementally maintained scratch state) instead of each
-/// rebuilding its own.
-struct PlanCache {
-    shards: Vec<Shard>,
-    tick: AtomicU64,
-}
-
-impl PlanCache {
-    fn new() -> PlanCache {
-        PlanCache {
-            shards: (0..PLAN_CACHE_SHARDS).map(|_| RwLock::default()).collect(),
-            tick: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, expr: &EventExpr) -> &Shard {
-        let mut h = std::hash::DefaultHasher::new();
-        expr.hash(&mut h);
-        &self.shards[(h.finish() as usize) % PLAN_CACHE_SHARDS]
-    }
-
-    /// Run `f` over the cached evaluator for `expr` and the event base
-    /// identified by `uid`, compiling (and possibly evicting the shard's
-    /// LRU entry) on first sight of the expression, and growing a fresh
-    /// scratchpad over the shared plan on first sight of the event base.
-    fn with<R>(
-        &self,
-        expr: &EventExpr,
-        uid: u64,
-        compile: impl Fn(&EventExpr) -> Result<PlanEval>,
-        f: impl FnOnce(&mut PlanEval) -> R,
-    ) -> R {
-        let shard = self.shard(expr);
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let cached = shard
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(expr)
-            .cloned();
-        let entry = match cached {
-            Some(e) => e,
-            None => {
-                // compile outside the write lock; a racing thread may have
-                // inserted meanwhile, in which case its entry wins
-                let pe = compile(expr).unwrap_or_else(|e| {
-                    panic!("plan compilation of a used expression failed: {e} ({expr})")
-                });
-                let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
-                let entry = map
-                    .entry(expr.clone())
-                    .or_insert_with(|| {
-                        Arc::new(CacheEntry {
-                            evals: Mutex::new(vec![pe]),
-                            last_used: AtomicU64::new(tick),
-                        })
-                    })
-                    .clone();
-                if map.len() > PLAN_CACHE_SHARD_CAP {
-                    let victim = map
-                        .iter()
-                        .filter(|(k, _)| *k != expr)
-                        .min_by_key(|(_, v)| v.last_used.load(Ordering::Relaxed))
-                        .map(|(k, _)| k.clone());
-                    if let Some(victim) = victim {
-                        map.remove(&victim);
-                    }
-                }
-                entry
-            }
-        };
-        entry.last_used.store(tick, Ordering::Relaxed);
-        // claim an evaluator under the entry lock...
-        let mut pe = {
-            let mut evals = entry.evals.lock().unwrap_or_else(PoisonError::into_inner);
-            // the evaluator whose scratch belongs to this event base — or
-            // an unclaimed fresh one; most recently used live at the back
-            let idx = evals
-                .iter()
-                .position(|pe| pe.pad.key.is_none_or(|k| k.0 == uid));
-            match idx {
-                Some(i) => evals.remove(i),
-                None => {
-                    if evals.len() >= ENTRY_EVALS_CAP {
-                        evals.remove(0);
-                    }
-                    match evals.first() {
-                        Some(proto) => proto.fresh(),
-                        // only reachable if a panicked evaluation lost the
-                        // entry's last evaluator: recompile
-                        None => compile(expr).unwrap_or_else(|e| {
-                            panic!("plan compilation of a used expression failed: {e} ({expr})")
-                        }),
-                    }
-                }
-            }
-        };
-        // ...but evaluate *outside* it: the claimed evaluator is privately
-        // owned, so threads of different event bases sharing an expression
-        // (every tenant of a multi-tenant runtime with a common rule set)
-        // evaluate concurrently instead of serializing on the entry. Two
-        // threads of the *same* event base may race to claim; the loser
-        // grows a fresh scratchpad that is merged back by the push below.
-        let out = f(&mut pe);
-        entry
-            .evals
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(pe);
-        out
-    }
-}
-
-/// Compile-time `Send + Sync` audit of everything the process-wide plan
-/// caches share across engine threads. The cache hands `Arc<CacheEntry>`
-/// clones to arbitrary threads and the entries carry whole evaluators, so
-/// a non-`Sync` field sneaking into any of these types must be a build
-/// error here rather than an `unsafe impl` or a runtime race.
+/// Compile-time `Send + Sync` audit of what a `CompiledRule` shares
+/// across engine threads: its prototype evaluators and, through them,
+/// the compiled plans. A non-`Sync` field sneaking into any of these
+/// types must be a build error here rather than an `unsafe impl` or a
+/// runtime race.
 #[allow(dead_code)]
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<Plan>();
     assert_send_sync::<BoundaryPlan>();
     assert_send_sync::<PlanEval>();
-    assert_send_sync::<BoundaryScratch>();
-    assert_send_sync::<CacheEntry>();
-    assert_send_sync::<PlanCache>();
-    assert_send_sync::<TsVal>();
 };
-
-/// Boundary-rooted plans used by the `ts_logical` / `ts_algebraic`
-/// dispatch (one per distinct boundary subtree).
-static BOUNDARY_PLANS: OnceLock<PlanCache> = OnceLock::new();
-/// Instance-compiled plans used by the `occurred` formula path.
-static INSTANCE_PLANS: OnceLock<PlanCache> = OnceLock::new();
-
-/// Evaluate a boundary-rooted (instance-oriented in set context)
-/// expression through the process-wide sharded compiled-plan cache. This
-/// is the production path behind [`crate::ts_logical`] /
-/// [`crate::ts_algebraic`]; the recursive definitions remain as
-/// [`crate::instance::boundary_ts_logical`] and
-/// [`crate::instance::boundary_ts_algebraic`] (the cross-checked
-/// references).
-pub(crate) fn boundary_ts_planned(
-    expr: &EventExpr,
-    eb: &EventBase,
-    w: Window,
-    t: Timestamp,
-) -> TsVal {
-    BOUNDARY_PLANS
-        .get_or_init(PlanCache::new)
-        .with(expr, eb.uid(), PlanEval::compile, |pe| pe.eval(eb, w, t))
-}
-
-/// `occurred(expr, X)` through the process-wide instance-plan cache.
-pub(crate) fn occurred_objects_planned(expr: &EventExpr, eb: &EventBase, w: Window) -> Vec<Oid> {
-    INSTANCE_PLANS.get_or_init(PlanCache::new).with(
-        expr,
-        eb.uid(),
-        |e| Plan::compile_instance(e).map(PlanEval::new),
-        |pe| pe.active_objects(eb, w),
-    )
-}
 
 #[cfg(test)]
 mod tests {
@@ -1152,7 +990,7 @@ mod tests {
                         want,
                         "{expr} over ({wa},9] at t{t}"
                     );
-                    // and the cached dispatch path agrees too
+                    // and the per-call dispatch path agrees too
                     assert_eq!(ts_logical(&expr, &eb, w, Timestamp(t)), want);
                 }
             }
@@ -1323,79 +1161,17 @@ mod tests {
     }
 
     #[test]
-    fn process_wide_cache_is_shared_across_threads() {
-        // the same expression evaluated from several threads goes through
-        // the sharded global cache and stays exact
-        let expr = p(0).iand(p(1));
-        let mut eb = EventBase::new();
-        eb.append(et(0), Oid(1));
-        eb.append(et(1), Oid(1));
-        eb.tick();
-        let want = ts_logical_interpreted(&expr, &eb, Window::from_origin(eb.now()), eb.now());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let w = Window::from_origin(eb.now());
-                    for _ in 0..50 {
-                        assert_eq!(ts_logical(&expr, &eb, w, eb.now()), want);
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn cache_keeps_scratch_per_event_base() {
-        // alternating engines with different event bases must each keep
-        // a warm scratchpad instead of resetting a shared one
-        let cache = PlanCache::new();
-        let expr = p(0).iand(p(1));
-        let mut eb1 = EventBase::new();
-        let mut eb2 = EventBase::new();
-        eb1.append(et(0), Oid(1));
-        eb1.append(et(1), Oid(1));
-        eb2.append(et(0), Oid(2));
-        for _ in 0..3 {
-            let v1 = cache.with(&expr, eb1.uid(), PlanEval::compile, |pe| {
-                pe.eval(&eb1, Window::from_origin(eb1.now()), eb1.now())
-            });
-            assert!(v1.is_active());
-            let v2 = cache.with(&expr, eb2.uid(), PlanEval::compile, |pe| {
-                pe.eval(&eb2, Window::from_origin(eb2.now()), eb2.now())
-            });
-            assert!(!v2.is_active());
-        }
-        let shard = cache.shard(&expr).read().unwrap();
-        let evals = shard.get(&expr).unwrap().evals.lock().unwrap();
-        assert_eq!(evals.len(), 2, "one evaluator per event base");
-        assert!(evals.iter().all(|pe| pe.pad.key.is_some()));
-    }
-
-    #[test]
-    fn plan_cache_evicts_least_recently_used() {
-        let cache = PlanCache::new();
-        // overfill a single logical cache; every expression still works
-        for round in 0..3u32 {
-            for n in 0..(PLAN_CACHE_SHARDS * PLAN_CACHE_SHARD_CAP + 50) as u32 {
-                let expr = p(n).iand(p(n + 1 + round));
-                let mut eb = EventBase::new();
-                eb.append(et(n), Oid(1));
-                eb.append(et(n + 1 + round), Oid(1));
-                let v = cache.with(&expr, eb.uid(), PlanEval::compile, |pe| {
-                    pe.eval(&eb, Window::from_origin(eb.now()), eb.now())
-                });
-                assert!(v.is_active());
-            }
-        }
-        for shard in &cache.shards {
-            assert!(shard.read().unwrap().len() <= PLAN_CACHE_SHARD_CAP + 1);
-        }
-    }
-
-    #[test]
     fn compile_rejects_invalid_expressions() {
         assert!(Plan::compile(&p(0).and(p(1)).iand(p(2))).is_err());
         assert!(Plan::compile(&p(0).or(p(1)).inot()).is_err());
+        // an `occurred` plan takes instance-oriented expressions only
+        for bad in [p(0).and(p(1)), p(0).and(p(1)).iand(p(2)), p(0).not().inot()] {
+            assert_eq!(
+                Plan::compile_instance(&bad).unwrap_err(),
+                CalculusError::SetOrientedFormula,
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use crate::expr::EventExpr;
 use crate::instance::{boundary_ts_algebraic, boundary_ts_logical};
+use crate::plan::PlanEval;
 use chimera_events::{EventBase, EventType, Timestamp, Window};
 use std::fmt;
 
@@ -105,11 +106,12 @@ pub(crate) fn ts_prim(eb: &EventBase, w: Window, t: Timestamp, ty: EventType) ->
 /// Logical-style evaluation of `ts(E, t)` over the window `w` of the EB.
 ///
 /// Instance-oriented sub-expressions in set context are folded in through
-/// the §4.3 boundary via a process-wide sharded **compiled-plan cache**
-/// ([`crate::plan`]): the boundary's object domain and leaf stamps come
-/// from the event base's indexes instead of a per-call rescan, and the
-/// cached scratch state is advanced arrival-incrementally as the event
-/// base grows. Use [`ts_logical_interpreted`] for the fully recursive
+/// the §4.3 boundary by a **compiled plan** ([`crate::plan`]) built for
+/// this call: the boundary's object domain and leaf stamps come from the
+/// event base's indexes instead of a rescan per object. Nothing is kept
+/// between calls; a caller that evaluates one expression repeatedly
+/// holds a [`crate::PlanEval`], whose scratch advances with the event
+/// base. Use [`ts_logical_interpreted`] for the fully recursive
 /// reference path.
 ///
 /// ```
@@ -191,7 +193,7 @@ fn ts_logical_mode(
         // instance-oriented sub-expression in set context: §4.3 boundary.
         EventExpr::IOr(..) | EventExpr::IAnd(..) | EventExpr::IPrec(..) | EventExpr::INot(..) => {
             if planned {
-                crate::plan::boundary_ts_planned(expr, eb, w, t)
+                boundary_ts_planned(expr, eb, w, t)
             } else {
                 boundary_ts_logical(expr, eb, w, t)
             }
@@ -201,7 +203,7 @@ fn ts_logical_mode(
 
 /// Algebraic-style evaluation of `ts(E, t)` (§4.2 "AlgebraicSemantics"):
 /// the same function computed purely with `min`/`max` and `u` products.
-/// Boundaries go through the compiled-plan cache, whose values the
+/// Boundaries go through a per-call compiled plan, whose values the
 /// recursive algebraic boundary is property-tested to match exactly; use
 /// [`ts_algebraic_interpreted`] for the fully recursive path.
 pub fn ts_algebraic(expr: &EventExpr, eb: &EventBase, w: Window, t: Timestamp) -> TsVal {
@@ -258,12 +260,22 @@ fn ts_algebraic_mode(
         }
         EventExpr::IOr(..) | EventExpr::IAnd(..) | EventExpr::IPrec(..) | EventExpr::INot(..) => {
             if planned {
-                crate::plan::boundary_ts_planned(expr, eb, w, t)
+                boundary_ts_planned(expr, eb, w, t)
             } else {
                 boundary_ts_algebraic(expr, eb, w, t)
             }
         }
     }
+}
+
+/// A boundary-rooted expression evaluated through a plan compiled for
+/// this one call.
+fn boundary_ts_planned(expr: &EventExpr, eb: &EventBase, w: Window, t: Timestamp) -> TsVal {
+    PlanEval::compile(expr)
+        .unwrap_or_else(|e| {
+            panic!("plan compilation of an evaluated expression failed: {e} ({expr})")
+        })
+        .eval(eb, w, t)
 }
 
 /// The §4.2 `occ(E, t)` predicate: is `E` active?

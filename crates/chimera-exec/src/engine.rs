@@ -23,15 +23,17 @@
 //! ## The batched, arrival-incremental ingestion pipeline
 //!
 //! Event expressions are never re-interpreted on the hot path: every rule
-//! is a [`CompiledRule`] carrying one compiled evaluation plan
-//! (`chimera_calculus::plan`), and the engine's rule-table state holds a
-//! private scratchpad over that plan, through which the Trigger Support
-//! evaluates all `ts` probes. A compiled rule is immutable, so engines
-//! share it: [`Engine::define_trigger`] compiles and installs, and
-//! [`Engine::install_rule`] installs a rule compiled elsewhere — the
+//! is a [`CompiledRule`] carrying the compiled evaluation plans
+//! (`chimera_calculus::plan`) of its event expression and of its
+//! condition's `occurred` formulas, and the engine's rule-table state
+//! holds a private scratchpad over each. The Trigger Support evaluates
+//! all `ts` probes through the first; consideration evaluates the
+//! condition through the others. A compiled rule is immutable, so
+//! engines share it: [`Engine::define_trigger`] compiles and installs,
+//! and [`Engine::install_rule`] installs a rule compiled elsewhere — the
 //! multi-tenant runtime compiles its trigger set once and every tenant
-//! engine installs it. The `occurred`/`at` condition formulas evaluate
-//! through a process-wide sharded compiled-plan cache of the same module.
+//! engine installs it. (`at` formulas are enumerated by the recursive
+//! evaluator at each consideration.)
 //!
 //! Arrivals are processed **per block, not per occurrence**: a whole
 //! transaction line (or external batch handed to
@@ -45,7 +47,7 @@
 //! Rule considerations move a rule's window lower bound, which is the
 //! one case where its plan falls back to a cold rebuild. Transaction
 //! resets ([`Engine::begin`], [`Engine::rollback`]) keep every rule's
-//! plan scratchpad — only the runtime trigger state is cleared. `begin`
+//! plan scratchpads — only the runtime trigger state is cleared. `begin`
 //! also cuts the Event Base to the paper's per-transaction extent
 //! ([`EventBase::truncate`]); the scratchpads, keyed on the base's
 //! `(uid, cut, epoch)`, go cold by themselves.
@@ -239,7 +241,7 @@ impl Engine {
     /// Used after re-installing the rule (installation stamps the state
     /// with the *current* instant, which is wrong after an event-log
     /// restore). The compiled rule is shared and untouched here, and the
-    /// plan scratchpad stays as installation left it: empty.
+    /// plan scratchpads stay as installation left them: empty.
     pub fn restore_rule_state(
         &mut self,
         name: &str,
@@ -491,10 +493,11 @@ impl Engine {
     /// Consideration + (possibly) execution of the rule in slot `idx`.
     fn consider_and_execute(&mut self, idx: usize) -> Result<()> {
         let now = self.eb.now();
-        let (rule, state) = self.rules.at(idx);
+        let (rule, state) = self.rules.at_mut(idx);
         let window = state.condition_window(now);
         let bindings: Vec<Binding> = evaluate_condition(
             &rule.def.condition,
+            &mut state.occurred,
             &self.schema,
             &self.store,
             &self.eb,

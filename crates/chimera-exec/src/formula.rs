@@ -18,7 +18,7 @@
 
 use crate::error::ExecError;
 use crate::Result;
-use chimera_calculus::{at_occurrences, occurred_objects};
+use chimera_calculus::{at_occurrences, PlanEval};
 use chimera_events::{EventBase, Window};
 use chimera_model::{ObjectStore, Oid, Schema, Value};
 use chimera_rules::condition::{CmpOp, Condition, Formula, Term};
@@ -33,8 +33,13 @@ pub type Binding = BTreeMap<String, Value>;
 /// Returns the binding tuples (empty ⇒ the condition failed and the
 /// action must not run). A condition with no declarations and no formulas
 /// succeeds with one empty tuple.
+///
+/// `occurred` holds one evaluator per `occurred` formula of `cond`, in
+/// writing order ([`Condition::compile_occurred`]): the engine passes the
+/// rule's own scratchpads, kept across considerations.
 pub fn evaluate_condition(
     cond: &Condition,
+    occurred: &mut [PlanEval],
     schema: &Schema,
     store: &ObjectStore,
     eb: &EventBase,
@@ -52,15 +57,18 @@ pub fn evaluate_condition(
 
     let mut rows: Vec<Binding> = vec![Binding::new()];
     let mut bound: HashSet<String> = HashSet::new();
+    let mut occurred = occurred.iter_mut();
 
     // phase 1: event formulas
     for f in &cond.formulas {
         match f {
-            Formula::Occurred { expr, var } => {
+            Formula::Occurred { var, .. } => {
+                let plan = occurred.next().expect("one evaluator per `occurred` formula");
                 let cid = *decl_class
                     .get(var.as_str())
                     .ok_or_else(|| ExecError::UndeclaredFormulaVariable(var.clone()))?;
-                let objs: Vec<Oid> = occurred_objects(expr, eb, window)?
+                let objs: Vec<Oid> = plan
+                    .active_objects(eb, window)
                     .into_iter()
                     .filter(|&oid| {
                         store
@@ -255,6 +263,18 @@ mod tests {
     use chimera_model::{AttrDef, AttrType, SchemaBuilder};
     use chimera_rules::condition::VarDecl;
 
+    /// [`evaluate_condition`] with freshly compiled `occurred` plans.
+    fn eval(
+        cond: &Condition,
+        schema: &Schema,
+        store: &ObjectStore,
+        eb: &EventBase,
+        window: Window,
+    ) -> Result<Vec<Binding>> {
+        let mut occurred = cond.compile_occurred().unwrap();
+        evaluate_condition(cond, &mut occurred, schema, store, eb, window)
+    }
+
     fn setup() -> (Schema, ObjectStore, EventBase) {
         let mut b = SchemaBuilder::new();
         b.class(
@@ -311,7 +331,7 @@ mod tests {
             ],
         };
         let w = Window::from_origin(eb.now());
-        let rows = evaluate_condition(&cond, &schema, &store, &eb, w).unwrap();
+        let rows = eval(&cond, &schema, &store, &eb, w).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0]["S"], Value::Ref(over));
         let _ = ok;
@@ -320,14 +340,8 @@ mod tests {
     #[test]
     fn empty_condition_succeeds_once() {
         let (schema, store, eb) = setup();
-        let rows = evaluate_condition(
-            &Condition::always(),
-            &schema,
-            &store,
-            &eb,
-            Window::from_origin(Timestamp(1)),
-        )
-        .unwrap();
+        let w = Window::from_origin(Timestamp(1));
+        let rows = eval(&Condition::always(), &schema, &store, &eb, w).unwrap();
         assert_eq!(rows.len(), 1);
         assert!(rows[0].is_empty());
     }
@@ -344,8 +358,7 @@ mod tests {
             }],
             formulas: vec![],
         };
-        let rows =
-            evaluate_condition(&cond, &schema, &store, &eb, Window::from_origin(eb.now())).unwrap();
+        let rows = eval(&cond, &schema, &store, &eb, Window::from_origin(eb.now())).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0]["S"], Value::Ref(a));
         assert_eq!(rows[1]["S"], Value::Ref(b));
@@ -374,8 +387,7 @@ mod tests {
                 time_var: "T".into(),
             }],
         };
-        let rows =
-            evaluate_condition(&cond, &schema, &store, &eb, Window::from_origin(eb.now())).unwrap();
+        let rows = eval(&cond, &schema, &store, &eb, Window::from_origin(eb.now())).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0]["S"], Value::Ref(oid));
         assert_eq!(rows[0]["T"], Value::Time(2));
@@ -399,8 +411,7 @@ mod tests {
                 var: "S".into(),
             }],
         };
-        let rows =
-            evaluate_condition(&cond, &schema, &store, &eb, Window::from_origin(eb.now())).unwrap();
+        let rows = eval(&cond, &schema, &store, &eb, Window::from_origin(eb.now())).unwrap();
         assert!(rows.is_empty());
     }
 
@@ -429,8 +440,7 @@ mod tests {
                 },
             ],
         };
-        let rows =
-            evaluate_condition(&cond, &schema, &store, &eb, Window::from_origin(eb.now())).unwrap();
+        let rows = eval(&cond, &schema, &store, &eb, Window::from_origin(eb.now())).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0]["S"], Value::Ref(a));
     }
@@ -447,7 +457,7 @@ mod tests {
             }],
         };
         assert!(matches!(
-            evaluate_condition(&cond, &schema, &store, &eb, Window::from_origin(Timestamp(1))),
+            eval(&cond, &schema, &store, &eb, Window::from_origin(Timestamp(1))),
             Err(ExecError::UndeclaredFormulaVariable(_))
         ));
     }
@@ -469,7 +479,7 @@ mod tests {
             formulas: vec![],
         };
         assert!(matches!(
-            evaluate_condition(&cond, &schema, &store, &eb, Window::from_origin(Timestamp(1))),
+            eval(&cond, &schema, &store, &eb, Window::from_origin(Timestamp(1))),
             Err(ExecError::DuplicateVariable(_))
         ));
     }
@@ -520,9 +530,7 @@ mod tests {
                 rhs: Term::attr("S", "quantity"),
             }],
         };
-        let rows =
-            evaluate_condition(&cond, &schema, &store, &eb, Window::from_origin(Timestamp(1)))
-                .unwrap();
+        let rows = eval(&cond, &schema, &store, &eb, Window::from_origin(Timestamp(1))).unwrap();
         assert!(rows.is_empty(), "Null = Null must not hold");
     }
 }

@@ -8,7 +8,7 @@
 //! produces the set of variable bindings for which every formula holds;
 //! the action then runs once, set-oriented, over all bindings.
 
-use chimera_calculus::EventExpr;
+use chimera_calculus::{CalculusError, EventExpr, Plan, PlanEval};
 use chimera_model::Value;
 use std::fmt;
 
@@ -178,6 +178,21 @@ impl Condition {
             .filter_map(|f| match f {
                 Formula::Occurred { var, .. } | Formula::At { var, .. } => Some(var.as_str()),
                 Formula::Compare { .. } => None,
+            })
+            .collect()
+    }
+
+    /// Compile the plans of the `occurred` formulas, in writing order —
+    /// the evaluators condition evaluation takes, one per formula. Fails
+    /// on the first expression that is not instance-oriented.
+    pub fn compile_occurred(&self) -> Result<Vec<PlanEval>, CalculusError> {
+        self.formulas
+            .iter()
+            .filter_map(|f| match f {
+                Formula::Occurred { expr, .. } => {
+                    Some(Plan::compile_instance(expr).map(PlanEval::new))
+                }
+                Formula::At { .. } | Formula::Compare { .. } => None,
             })
             .collect()
     }

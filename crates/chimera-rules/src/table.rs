@@ -63,7 +63,9 @@ pub enum RuleError {
         /// Rule name.
         rule: String,
     },
-    /// The rule's event expression is ill-formed (§3.2).
+    /// The rule's event expression is ill-formed (§3.2), or an
+    /// `occurred` expression of its condition is not instance-oriented
+    /// (§3.3).
     InvalidExpression(String),
 }
 
@@ -128,7 +130,7 @@ impl RuleTable {
 
     /// Install an already compiled rule, observing events from `now`.
     /// The table shares the compiled rule and owns only its state: the
-    /// stamps and a fresh scratchpad over the rule's plan.
+    /// stamps and fresh scratchpads over the rule's plans.
     pub fn install(&mut self, rule: Arc<CompiledRule>, now: Timestamp) -> Result<(), RuleError> {
         if self.by_name.contains_key(&rule.def.name) {
             return Err(RuleError::DuplicateRule(rule.def.name.clone()));
@@ -185,6 +187,14 @@ impl RuleTable {
     pub fn at(&self, idx: usize) -> (&Arc<CompiledRule>, &RuleState) {
         let s = &self.slots[idx];
         (&s.rule, &s.state)
+    }
+
+    /// The compiled rule and a mutable borrow of its state in slot `idx`
+    /// (panics if out of range): consideration evaluates the condition
+    /// through the state's `occurred` scratchpads.
+    pub fn at_mut(&mut self, idx: usize) -> (&Arc<CompiledRule>, &mut RuleState) {
+        let s = &mut self.slots[idx];
+        (&s.rule, &mut s.state)
     }
 
     /// Iterate `(compiled rule, state)` pairs in definition order.
@@ -583,6 +593,7 @@ fn probe_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition::{Condition, Formula, VarDecl};
     use crate::modes::ConsumptionMode;
     use crate::trigger::is_triggered;
     use chimera_calculus::EventExpr;
@@ -622,6 +633,53 @@ mod tests {
             rt.define(bad, Timestamp::ZERO),
             Err(RuleError::InvalidExpression(_))
         ));
+    }
+
+    #[test]
+    fn bad_occurred_expression_rejected_at_definition() {
+        // a programmatic definition bypasses the parser, so the condition's
+        // `occurred` expressions are checked when the rule compiles
+        let mut rt = RuleTable::new();
+        rt.define(TriggerDef::new("ok", p(0)), Timestamp::ZERO).unwrap();
+        for (name, bad) in [("set", p(0).and(p(1))), ("invalid", p(0).and(p(1)).iand(p(2)))] {
+            let mut def = TriggerDef::new(name, p(0));
+            def.condition = Condition {
+                decls: vec![VarDecl {
+                    name: "X".into(),
+                    class: "c".into(),
+                }],
+                formulas: vec![
+                    Formula::Occurred {
+                        expr: p(0),
+                        var: "X".into(),
+                    },
+                    Formula::Occurred {
+                        expr: bad,
+                        var: "X".into(),
+                    },
+                ],
+            };
+            assert_eq!(
+                rt.define(def, Timestamp::ZERO),
+                Err(RuleError::InvalidExpression(name.into()))
+            );
+        }
+        assert_eq!(rt.len(), 1, "the table is unchanged");
+        assert!(rt.def("set").is_err() && rt.def("invalid").is_err());
+        // the compiled rule carries one scratch per `occurred` formula
+        let mut def = TriggerDef::new("good", p(0));
+        def.condition.formulas = vec![
+            Formula::Occurred {
+                expr: p(0).iand(p(1)),
+                var: "X".into(),
+            },
+            Formula::Occurred {
+                expr: p(1),
+                var: "X".into(),
+            },
+        ];
+        rt.define(def, Timestamp::ZERO).unwrap();
+        assert_eq!(rt.state("good").unwrap().occurred.len(), 2);
     }
 
     #[test]

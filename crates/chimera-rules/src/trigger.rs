@@ -69,13 +69,14 @@ impl TriggerDef {
     }
 }
 
-/// A rule compiled once from its definition: everything the Trigger
-/// Support reads that derives only from the [`TriggerDef`] — the §5.1
-/// `V(E)` filter "computed once per rule at definition time", the
-/// expression's change-point types and its compiled `ts` plan.
-/// Immutable, so one `Arc<CompiledRule>` is shared by every engine that
-/// installs it: the multi-tenant runtime compiles its trigger set once
-/// and each tenant installs clones, owning only a [`RuleState`].
+/// A rule compiled once from its definition: everything the engine
+/// reads that derives only from the [`TriggerDef`] — the §5.1 `V(E)`
+/// filter "computed once per rule at definition time", the expression's
+/// change-point types, its compiled `ts` plan and the compiled plans of
+/// its condition's `occurred` formulas. Immutable, so one
+/// `Arc<CompiledRule>` is shared by every engine that installs it: the
+/// multi-tenant runtime compiles its trigger set once and each tenant
+/// installs clones, owning only a [`RuleState`].
 #[derive(Debug)]
 pub struct CompiledRule {
     /// The definition.
@@ -95,15 +96,24 @@ pub struct CompiledRule {
     /// engine takes its own [`PlanEval::fresh`] scratch over the shared
     /// plan (see [`chimera_calculus::plan`]).
     plan: PlanEval,
+    /// The compiled plans of the condition's `occurred` formulas, in
+    /// writing order, as prototype evaluators like `plan`: each
+    /// installing engine takes its own [`PlanEval::fresh`] scratch of
+    /// every one ([`RuleState::occurred`]).
+    occurred: Vec<PlanEval>,
 }
 
 impl CompiledRule {
     /// Validate and compile a definition — the one place a rule is
-    /// checked: the event expression must be well formed (§3.2) and a
-    /// targeted rule's primitives must all be on its target class.
+    /// checked: the event expression must be well formed (§3.2), every
+    /// `occurred` expression of the condition instance-oriented (§3.3),
+    /// and a targeted rule's primitives must all be on its target class.
     pub fn compile(def: TriggerDef) -> Result<Arc<CompiledRule>, RuleError> {
         // plan compilation fails exactly when `EventExpr::validate` does
-        let Ok(plan) = PlanEval::compile(&def.events) else {
+        let (Ok(plan), Ok(occurred)) = (
+            PlanEval::compile(&def.events),
+            def.condition.compile_occurred(),
+        ) else {
             return Err(RuleError::InvalidExpression(def.name));
         };
         let leaf_types = def.events.primitives();
@@ -117,14 +127,15 @@ impl CompiledRule {
             leaf_types,
             widened: plan.plan().boundaries().iter().any(|b| b.widens()),
             plan,
+            occurred,
             def,
         }))
     }
 }
 
 /// One engine's runtime state of a rule (§5: the `triggered` flag and
-/// the two per-rule timestamps), plus the engine's private scratchpad
-/// over the rule's shared compiled plan. Everything else about the rule
+/// the two per-rule timestamps), plus the engine's private scratchpads
+/// over the rule's shared compiled plans. Everything else about the rule
 /// lives in its [`CompiledRule`].
 #[derive(Debug, Clone)]
 pub struct RuleState {
@@ -147,31 +158,33 @@ pub struct RuleState {
     /// plan plus a scratchpad of its own — the engine evaluates `ts`
     /// probes through this instead of re-interpreting the AST.
     pub plan: PlanEval,
+    /// This engine's evaluators over the compiled plans of the rule's
+    /// condition `occurred` formulas, in writing order: consideration
+    /// evaluates the condition through these, so each scratch advances
+    /// with this engine's event base from one consideration to the next.
+    pub occurred: Vec<PlanEval>,
 }
 
 impl RuleState {
     /// Fresh state at transaction start for a rule compiled on its own —
-    /// the reference constructor for [`is_triggered`] callers. The event
-    /// expression must be valid.
+    /// the reference constructor for [`is_triggered`] callers. The
+    /// definition must compile.
     pub fn new(def: &TriggerDef, txn_start: Timestamp) -> Self {
-        let plan = PlanEval::compile(&def.events).expect("a valid rule event expression");
-        RuleState::with_plan(plan, txn_start)
+        let rule = CompiledRule::compile(def.clone()).expect("a valid rule definition");
+        RuleState::installed(&rule, txn_start)
     }
 
-    /// Fresh state at `start` for an installed rule: an empty scratchpad
-    /// over its shared plan, nothing recompiled.
+    /// Fresh state at `start` for an installed rule: empty scratchpads
+    /// over its shared plans, nothing recompiled.
     pub(crate) fn installed(rule: &CompiledRule, start: Timestamp) -> Self {
-        RuleState::with_plan(rule.plan.fresh(), start)
-    }
-
-    fn with_plan(plan: PlanEval, start: Timestamp) -> Self {
         RuleState {
             triggered: false,
             last_consideration: start,
             last_consumption: start,
             checked_upto: start,
             witness: false,
-            plan,
+            plan: rule.plan.fresh(),
+            occurred: rule.occurred.iter().map(PlanEval::fresh).collect(),
         }
     }
 
@@ -186,9 +199,9 @@ impl RuleState {
     }
 
     /// Reset in place for a new transaction starting at `start`: only
-    /// the stamps change. The plan scratchpad is kept — it revalidates
-    /// itself against the event base's `(uid, cut, epoch)` key — and the
-    /// rule's compiled half is never touched.
+    /// the stamps change. The plan scratchpads are kept — each
+    /// revalidates itself against the event base's `(uid, cut, epoch)`
+    /// key — and the rule's compiled half is never touched.
     pub fn reset(&mut self, start: Timestamp) {
         self.triggered = false;
         self.last_consideration = start;

@@ -4,9 +4,12 @@
 //! * `occurred` binds exactly the objects whose `ots` is active;
 //! * `at` instants are exactly the fresh per-object activations, and every
 //!   `at`-bound object also satisfies `occurred` at some point;
-//! * consuming windows are suffixes of preserving ones.
+//! * consuming windows are suffixes of preserving ones;
+//! * an `occurred` evaluator kept across a growing event base, moving
+//!   condition windows and transaction cuts — the scratch an engine keeps
+//!   per rule condition — answers exactly what a fresh one does.
 
-use chimera::calculus::{at_occurrences, occurred_objects, ots_logical};
+use chimera::calculus::{at_occurrences, occurred_objects, ots_logical, EventExpr, Plan, PlanEval};
 use chimera::events::{EventBase, EventType, Timestamp, Window};
 use chimera::model::{ClassId, Oid};
 use chimera::workload::{ExprGenConfig, RandomExprGen};
@@ -30,8 +33,90 @@ fn stream(seed: u64, len: usize) -> EventBase {
     eb
 }
 
+/// The `occurred(expr, X)` set straight from the definition: the objects
+/// of the window's §4.3 quantification domain (every affected object for
+/// an expression with negation, else those hit by one of its primitives)
+/// whose `ots` is active at the window's end.
+fn occurred_oracle(expr: &EventExpr, eb: &EventBase, w: Window) -> Vec<Oid> {
+    let prims = expr.primitives();
+    let widened = expr.contains_negation();
+    let mut objs: Vec<Oid> = eb
+        .slice(w)
+        .iter()
+        .filter(|o| widened || prims.contains(&o.ty))
+        .map(|o| o.oid)
+        .collect();
+    objs.sort_unstable();
+    objs.dedup();
+    objs.retain(|&oid| ots_logical(expr, eb, w, w.upto, oid).is_active());
+    objs
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One kept evaluator per window kind, driven like a rule's condition
+    /// scratch: blocks arrive, considerations move the consuming window's
+    /// lower bound, and each transaction start cuts the event base
+    /// ([`EventBase::truncate`]) and moves the preserving one. The third
+    /// window stays at the origin, so it reaches below every cut: a
+    /// scratch keyed without the cut would answer it from dropped
+    /// occurrences. Probes are skipped at random, so a kept scratch also
+    /// advances over several epochs at once.
+    #[test]
+    fn kept_occurred_scratch_equals_fresh_evaluation(
+        expr_seed in any::<u64>(),
+        script_seed in any::<u64>(),
+        steps in 1usize..40,
+    ) {
+        let mut g = RandomExprGen::new(ExprGenConfig {
+            event_types: 4,
+            max_depth: 4,
+            negation_prob: 0.35,
+            seed: expr_seed,
+            ..Default::default()
+        });
+        let expr = g.generate_instance();
+        let proto = PlanEval::new(Plan::compile_instance(&expr).unwrap());
+        let mut kept = [proto.fresh(), proto.fresh(), proto.fresh()];
+        let mut rng = StdRng::seed_from_u64(script_seed);
+        let mut eb = EventBase::new();
+        let (mut txn_start, mut considered) = (Timestamp::ZERO, Timestamp::ZERO);
+        for step in 0..steps {
+            match rng.random_range(0..10u32) {
+                0..=5 => {
+                    for _ in 0..rng.random_range(1..4usize) {
+                        eb.append(et(rng.random_range(0..4u32)), Oid(rng.random_range(1..5u64)));
+                    }
+                }
+                6 => {
+                    eb.tick();
+                }
+                7 => considered = eb.now(),
+                _ => {
+                    eb.truncate();
+                    txn_start = eb.now();
+                    considered = txn_start;
+                }
+            }
+            if rng.random_range(0..3u32) == 0 {
+                continue;
+            }
+            let now = eb.now();
+            let windows = [
+                Window::new(txn_start, now),
+                Window::new(considered, now),
+                Window::from_origin(now),
+            ];
+            for (pe, w) in kept.iter_mut().zip(windows) {
+                let got = pe.active_objects(&eb, w);
+                let want = occurred_oracle(&expr, &eb, w);
+                prop_assert_eq!(&got, &want, "{} over {:?} at step {}", &expr, w, step);
+                prop_assert_eq!(&proto.fresh().active_objects(&eb, w), &want);
+                prop_assert_eq!(&occurred_objects(&expr, &eb, w).unwrap(), &want);
+            }
+        }
+    }
 
     #[test]
     fn occurred_is_exactly_active_ots(

@@ -28,7 +28,10 @@
 //! * full snapshots racing rehydration, audited across restarts;
 //! * a bytes budget that charges live state only: tenants that run
 //!   hundreds of transactions under a cap fitting one transaction each
-//!   are never evicted.
+//!   are never evicted;
+//! * the stock triggers, whose conditions hold three `occurred`
+//!   formulas, through a cap of 4: rule conditions evaluate through
+//!   per-engine scratch that eviction drops and rehydration rebuilds.
 
 use chimera::events::Timestamp;
 use chimera::exec::{Engine, EngineConfig, Op};
@@ -40,7 +43,7 @@ use chimera::rules::{ActionStmt, TriggerDef};
 use chimera::runtime::{
     DurabilityConfig, Job, Runtime, RuntimeConfig, Scheduler, StorageMode, TenantId,
 };
-use chimera::workload::{ExprGenConfig, RandomExprGen};
+use chimera::workload::{stock_schema, stock_triggers, ExprGenConfig, RandomExprGen};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -909,4 +912,156 @@ fn bytes_cap_fitting_one_transaction_per_tenant_never_evicts() {
             .unwrap();
         assert_eq!((len, live), (EVENTS * TXNS, EVENTS), "tenant {t}");
     }
+}
+
+/// A stock-domain tenant's whole visible state: the [`Observed`] view
+/// over the stock class, each stock's `(quantity, min_quantity)` and the
+/// `del_quantity` of every stock order.
+type StockView = (Observed, Vec<(Oid, Value, Value)>, Vec<Value>);
+
+fn stock_view(engine: &mut Engine, schema: &Schema) -> StockView {
+    let stock = schema.class_by_name("stock").unwrap();
+    let order = schema.class_by_name("stockOrder").unwrap();
+    let observed = observe(engine, stock);
+    let stocks = observed
+        .extent
+        .iter()
+        .map(|&oid| {
+            let q = engine.read_attr(oid, "quantity").unwrap();
+            (oid, q, engine.read_attr(oid, "min_quantity").unwrap())
+        })
+        .collect();
+    let mut orders = engine.extent(order);
+    orders.sort_unstable();
+    let orders = orders
+        .into_iter()
+        .map(|oid| engine.read_attr(oid, "del_quantity").unwrap())
+        .collect();
+    (observed, stocks, orders)
+}
+
+/// The stock triggers' conditions — `checkStockQty`, `reorder` and
+/// `restockWatch`, one `occurred` formula each — evaluated through
+/// eviction churn: 16 tenants share the compiled rules through 2 workers
+/// under a residency cap of 4, so most claims rebuild a tenant's
+/// condition scratch from empty. Every tenant must end identical to a
+/// sequential engine that ran its script.
+#[test]
+fn stock_occurred_conditions_through_a_cap_of_4() {
+    const TENANTS: u64 = 16;
+    const CAP: usize = 4;
+    const TXNS: usize = 6;
+    const BLOCKS: usize = 3;
+    let s = stock_schema();
+    let triggers = stock_triggers(&s);
+    let stock = s.class_by_name("stock").unwrap();
+    let show = s.class_by_name("show").unwrap();
+    let q = s.attr_by_name(stock, "quantity").unwrap();
+    let shq = s.attr_by_name(show, "quantity").unwrap();
+    let engine_cfg = EngineConfig::default();
+    let rt = Runtime::new(
+        s.clone(),
+        triggers.clone(),
+        RuntimeConfig {
+            shards: 2,
+            scheduler: Scheduler::LoadAware,
+            engine: engine_cfg.clone(),
+            lifecycle: LifecycleConfig::with_max_resident(CAP),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    // the sequential engines also write the script: each job runs on its
+    // tenant's engine first, so a modification names only live objects
+    let mut oracles: Vec<Engine> = (0..TENANTS)
+        .map(|_| {
+            let mut e = Engine::with_config(s.clone(), engine_cfg.clone());
+            for def in &triggers {
+                e.define_trigger(def.clone()).unwrap();
+            }
+            e
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x570C);
+    let mut order: Vec<u64> = (0..TENANTS).collect();
+    for _ in 0..TXNS {
+        // one job per tenant at a time, tenants in a fresh order each
+        // step, so nearly every claim evicts and rehydrates
+        for step in 0..BLOCKS + 2 {
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
+            for &t in &order {
+                let engine = &mut oracles[t as usize];
+                let job = if step == 0 {
+                    engine.begin().unwrap();
+                    Job::Begin
+                } else if step <= BLOCKS {
+                    let (stocks, shows) = (engine.extent(stock), engine.extent(show));
+                    let ops: Vec<Op> = (0..rng.random_range(1..4usize))
+                        .map(|_| match rng.random_range(0..4u32) {
+                            1 if !stocks.is_empty() => Op::Modify {
+                                oid: stocks[rng.random_range(0..stocks.len())],
+                                attr: q,
+                                value: Value::Int(rng.random_range(0..150i64)),
+                            },
+                            2 if !shows.is_empty() => Op::Modify {
+                                oid: shows[rng.random_range(0..shows.len())],
+                                attr: shq,
+                                value: Value::Int(rng.random_range(0..50i64)),
+                            },
+                            3 => Op::Create {
+                                class: show,
+                                inits: vec![(shq, Value::Int(rng.random_range(0..50i64)))],
+                            },
+                            _ => Op::Create {
+                                class: stock,
+                                inits: vec![(q, Value::Int(rng.random_range(0..150i64)))],
+                            },
+                        })
+                        .collect();
+                    engine.exec_block(&ops).unwrap();
+                    Job::ExecBlock(ops)
+                } else if rng.random_range(0..4u32) == 0 {
+                    engine.rollback().unwrap();
+                    Job::Rollback
+                } else {
+                    engine.commit().unwrap();
+                    Job::Commit
+                };
+                rt.submit(TenantId(t), job).unwrap();
+            }
+        }
+    }
+    rt.flush().unwrap();
+    let stats = rt.stats();
+    assert_eq!(stats.jobs_processed, stats.jobs_submitted);
+    assert!(
+        stats.evictions > 0 && stats.rehydrations > 0,
+        "the cap must churn (evictions {}, rehydrations {})",
+        stats.evictions,
+        stats.rehydrations
+    );
+    let (mut orders, mut raised, mut clamped) = (0, 0, 0);
+    for (t, oracle) in oracles.iter_mut().enumerate() {
+        let want = stock_view(oracle, &s);
+        let got = rt
+            .with_tenant(TenantId(t as u64), |e| stock_view(e, &s))
+            .expect("every tenant is observable");
+        assert_eq!(got, want, "tenant {t} diverged through eviction churn");
+        assert_eq!(rt.tenant_errors(TenantId(t as u64)), Some((0, None)));
+        orders += want.2.len();
+        raised += want.1.iter().filter(|(_, _, m)| *m != Value::Int(10)).count();
+        for (oid, qty, _) in &want.1 {
+            let Value::Int(qty) = *qty else { continue };
+            assert!(qty <= 100, "tenant {t}: checkStockQty left {oid} at {qty}");
+            clamped += usize::from(qty == 100);
+        }
+    }
+    // each condition bound objects somewhere: `reorder` placed orders,
+    // `restockWatch` raised a minimum, `checkStockQty` clamped a quantity
+    assert!(
+        orders > 0 && raised > 0 && clamped > 0,
+        "orders {orders}, raised minimums {raised}, clamped {clamped}"
+    );
 }
