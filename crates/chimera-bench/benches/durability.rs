@@ -1,10 +1,9 @@
 //! PERF-11 — what durable tenants cost under runtime traffic.
 //!
-//! `persist.rs` prices the durable *single* engine (one fsync per
-//! commit, no concurrency). This bench prices the PR-6 tentpole: the
-//! sharded runtime with a per-shard [`StateStore`] underneath the job
-//! loop, where a whole drained queue batch rides one fsync (group
-//! commit). Three storage modes over the same ingestion session:
+//! This bench prices the sharded runtime with a per-shard
+//! [`StateStore`] underneath the job loop, where a whole drained queue
+//! batch rides one fsync (group commit). Three storage modes over the
+//! same ingestion session:
 //!
 //! * `in_memory`   — PR-4 baseline, no store.
 //! * `per_job`     — durable, `group_commit: false`: one sync per job

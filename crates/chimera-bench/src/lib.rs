@@ -1,7 +1,8 @@
 //! Shared helpers for the Criterion benches (see `benches/`).
 //!
-//! Each bench target regenerates one experiment of DESIGN.md §5; the
-//! measured shapes are recorded in EXPERIMENTS.md.
+//! Each bench target times one of the paper-shaped experiments that
+//! PAPER.md lists under "What the code implements" (the §5.1 static
+//! optimization, the Fig. 3 Event Base, the Fig. 5 `ts` traces, ...).
 
 use chimera_calculus::EventExpr;
 use chimera_events::{EventBase, EventType};

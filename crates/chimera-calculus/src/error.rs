@@ -12,7 +12,7 @@ pub enum CalculusError {
     SetInsideInstance,
     /// `at` was asked to enumerate occurrences of an expression containing
     /// negation. Negation is active *by absence* and has no discrete
-    /// occurrence instants, so enumeration is undefined (see DESIGN.md §7).
+    /// occurrence instants, so enumeration is undefined.
     NegationInAt,
     /// `occurred`/`at` require an instance-oriented expression (§3.3: "the
     /// occurred predicate now supports event expressions limited to

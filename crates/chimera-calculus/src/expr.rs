@@ -235,8 +235,9 @@ impl EventExpr {
     }
 
     /// Can the expression be active over an *empty* occurrence set? (Pure
-    /// negations are; see DESIGN.md §3 — the trigger support must re-check
-    /// such rules whenever the window becomes non-empty.)
+    /// negations are, and the trigger support must re-check such rules
+    /// whenever the window becomes non-empty: the `R ≠ ∅` guard, not a
+    /// primitive variation, was what held them back — see `optimize.rs`.)
     ///
     /// Evaluated at the set level: an instance-rooted sub-expression
     /// crosses the §4.3 boundary with an *empty object domain* when `R` is

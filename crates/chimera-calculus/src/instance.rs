@@ -15,8 +15,8 @@
 //! * negation root `-=F`: active iff **there is no object** `F` is active
 //!   for — `ts(-=F,t) = −max over oid of ots(F,t,oid)`.
 //!
-//! (The scanned formulas in §4.3 garble the min/max quantifiers; DESIGN.md
-//! §3 records why the prose reading is the authoritative one.)
+//! (The scanned formulas in §4.3 garble the min/max quantifiers, so the
+//! unambiguous prose of §3.2 is taken as the authoritative reading.)
 //!
 //! The quantification domain is the set of objects affected inside the
 //! window by the expression's own primitive event types; when the

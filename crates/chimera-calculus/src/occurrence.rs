@@ -12,7 +12,7 @@
 //! An occurrence instant of a composite is an event-arrival instant at
 //! which its `ots` assumes a *fresh* positive value equal to that instant.
 //! Negation is active by absence and therefore has no discrete occurrence
-//! instants; `at` rejects expressions containing `-=` (DESIGN.md §7).
+//! instants, so `at` rejects expressions containing `-=`.
 
 use crate::error::CalculusError;
 use crate::expr::EventExpr;

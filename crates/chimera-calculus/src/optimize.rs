@@ -17,7 +17,7 @@
 //! (§5.1: "if new arising event occurrences do not match V(E), no
 //! recomputation of ts is required").
 //!
-//! One completion beyond the paper (DESIGN.md §3): an expression that is
+//! One completion beyond the paper: an expression that is
 //! *vacuously active* (active over an empty `R`, e.g. pure negation) must
 //! also be re-checked when the window transitions from empty to non-empty,
 //! because the `R ≠ ∅` guard — not a primitive variation — was the only

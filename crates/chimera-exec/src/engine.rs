@@ -201,12 +201,10 @@ impl Engine {
     }
 
     /// Engine over a previously recovered store, with an empty event base
-    /// and fresh rule state. A caller that needs the event base back (the
-    /// runtime's snapshot restore and rehydration) repositions it and
-    /// replays the live tail with [`Engine::restore_event_log`], then
-    /// overlays the rule stamps with [`Engine::restore_rule_state`]; the
-    /// single-engine WAL recovery does not, since no transaction survives
-    /// a crash.
+    /// and fresh rule state. The runtime's snapshot restore and
+    /// rehydration then reposition the event base and replay its live
+    /// tail with [`Engine::restore_event_log`], and overlay the rule
+    /// stamps with [`Engine::restore_rule_state`].
     pub fn with_restored_store(schema: Schema, store: ObjectStore, config: EngineConfig) -> Self {
         let mut engine = Engine::with_config(schema, config);
         engine.store = store;

@@ -1,9 +1,8 @@
 //! The tenant-tagged, group-commit job log.
 //!
-//! Where [`crate::wal`] is *physical* redo for one engine's store, this
-//! log is *logical* command logging for a whole runtime shard: every job
-//! a shard worker is about to execute is staged as one record, and a
-//! whole drained queue batch is made durable with **one** fsync — the
+//! This log is *logical* command logging for a whole runtime shard:
+//! every job a shard worker is about to execute is staged as one record,
+//! and a whole drained queue batch is made durable with **one** fsync — the
 //! group commit that amortizes the ~ms-scale sync across every job
 //! already sitting in the shard's bounded queue. The engine is
 //! deterministic given a job sequence (proved by
@@ -27,10 +26,9 @@
 //! payload` records (see [`JobRecord::encode_into`] for the payload
 //! grammar).
 //!
-//! Torn-tail handling is the house rule (same as the redo WAL): a group
-//! is accepted only when its frame is complete, the sequence is dense,
-//! and the checksum verifies; anything else cuts the group and the rest
-//! of the file. The ack path above this layer only answers a job after
+//! Torn-tail handling: a group is accepted only when its frame is
+//! complete, the sequence is dense, and the checksum verifies; anything
+//! else cuts the group and the rest of the file. The ack path above this layer only answers a job after
 //! its group synced, so an acknowledged job is never in a torn group.
 
 use crate::codec::{decode_value, encode_value};

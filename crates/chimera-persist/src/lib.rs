@@ -1,58 +1,55 @@
 //! # chimera-persist
 //!
-//! Durability for the Chimera engine. The paper's prototype is an
-//! in-memory research system; a database a downstream user would adopt
-//! needs its committed state to survive a crash. This crate adds that in
-//! the standard redo-log + snapshot architecture, deliberately kept at
-//! the *store* level so that none of the paper's semantics is touched:
+//! Durability for the Chimera runtime. The paper's detector is an
+//! in-memory prototype; this crate makes a tenant's state survive a
+//! crash without touching any of the paper's semantics, because it works
+//! one level down, at the store a runtime home shard writes through.
+//! There is one durability stack:
 //!
-//! * **no transaction survives a crash** — Chimera rule state, the event
-//!   base and triggering windows are all transaction-scoped, so recovery
-//!   only needs the last committed object store;
-//! * the [`wal`] module writes one checksummed **redo batch per commit**
-//!   (full post-state of every object the transaction touched — physical
-//!   redo, idempotent by construction);
-//! * the [`snapshot`] module compacts the log into a checksummed full
-//!   snapshot;
-//! * the [`durable`] module wraps [`chimera_exec::Engine`] with
-//!   open/commit/compact, and recovery that tolerates torn tails: a batch
-//!   whose terminator line is missing or whose checksum mismatches is
-//!   discarded along with everything after it.
-//!
-//! On top of that sits the **pluggable storage layer** the multi-tenant
-//! runtime composes (this is what `chimera-runtime` threads through its
-//! shard workers):
-//!
-//! * the [`joblog`] module is *logical* command logging — every runtime
-//!   job is one line, and a whole drained queue batch becomes durable
-//!   with one fsync (**group commit**);
+//! * the [`joblog`] module is *logical* command logging: every job a
+//!   shard worker is about to run is one binary record, and a whole
+//!   drained queue batch becomes durable with one fsync (**group
+//!   commit**);
 //! * the [`shardsnap`] module writes full-fidelity tenant snapshots
-//!   (objects, event log, trigger sources, rule stamps, stats) so the
-//!   job log can be truncated;
-//! * the [`store`] module ties them together behind the [`StateStore`]
-//!   trait, with [`InMemoryStore`] (no-op) and [`DurableStore`]
-//!   (log + snapshot) backends.
+//!   (objects, the Event Base's cut and live tail, trigger sources, rule
+//!   stamps, stats) so the job log can be truncated;
+//! * the [`store`] module ties the two together behind the
+//!   [`StateStore`] trait, with an [`InMemoryStore`] (no-op) and a
+//!   [`DurableStore`] (log + snapshot) backend.
 //!
-//! The format is line-oriented text (consistent with the repository's
-//! no-serde decision — see DESIGN.md §8), checksummed with FNV-1a 64.
+//! Recovery is replay. The engine is a deterministic function of its job
+//! sequence, so the last snapshot plus the surviving log groups rebuild
+//! every tenant bit-identically — Event Base, consumption windows, error
+//! bookkeeping and an open transaction included. Snapshots are taken
+//! only between transactions; a transaction still open at the crash is
+//! recovered by replaying its logged jobs. A single engine that needs
+//! durability is a one-tenant runtime over a durable store
+//! (`examples/crash_recovery.rs`).
+//!
+//! A torn tail is cut, never guessed at: a log group counts only when its
+//! frame is complete, its sequence dense and its checksum valid, and
+//! recovery truncates the file back to the last such group. Snapshots
+//! are written to a temporary file and renamed into place, and every
+//! rename or file creation is made durable in its directory before the
+//! store relies on it.
+//!
+//! **No serde.** The workspace builds from in-tree crates only, so every
+//! format here is hand-rolled: the job log is binary, snapshots are
+//! line-oriented text, and both are checksummed with FNV-1a 64.
 
 pub mod codec;
-pub mod durable;
 pub mod joblog;
 pub mod shardsnap;
-pub mod snapshot;
 pub mod store;
-pub mod wal;
 
-pub use durable::{DurableEngine, RecoveryReport};
 pub use joblog::{JobGroup, JobLog, JobLogOutcome, JobRecord};
 pub use shardsnap::{RuleStampRec, ShardSnapshot, TenantSnapshot};
 pub use store::{
     DurableStore, InMemoryStore, ShardRecovery, StateStore, StoreCounters, SyncPolicy,
 };
-pub use wal::{RedoBatch, RedoRecord, Wal};
 
 use std::fmt;
+use std::path::Path;
 
 /// Errors raised by the durability layer.
 #[derive(Debug)]
@@ -60,12 +57,8 @@ pub enum PersistError {
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// A line or record failed to parse (includes torn-tail details; the
-    /// WAL reader converts these into a clean recovery cut instead).
+    /// job-log reader converts these into a clean recovery cut instead).
     Corrupt(String),
-    /// Engine/model error during replay or passthrough.
-    Engine(chimera_exec::ExecError),
-    /// Store error during replay.
-    Model(chimera_model::ModelError),
 }
 
 impl fmt::Display for PersistError {
@@ -73,8 +66,6 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "i/o error: {e}"),
             PersistError::Corrupt(what) => write!(f, "corrupt durable state: {what}"),
-            PersistError::Engine(e) => write!(f, "engine error: {e}"),
-            PersistError::Model(e) => write!(f, "store error: {e}"),
         }
     }
 }
@@ -107,21 +98,11 @@ impl From<std::io::Error> for PersistError {
         PersistError::Io(e)
     }
 }
-impl From<chimera_exec::ExecError> for PersistError {
-    fn from(e: chimera_exec::ExecError) -> Self {
-        PersistError::Engine(e)
-    }
-}
-impl From<chimera_model::ModelError> for PersistError {
-    fn from(e: chimera_model::ModelError) -> Self {
-        PersistError::Model(e)
-    }
-}
 
 /// Crate-level result alias.
 pub type Result<T> = std::result::Result<T, PersistError>;
 
-/// FNV-1a 64 over bytes — the checksum used by WAL batches and snapshots.
+/// FNV-1a 64 over bytes — the checksum of shard snapshots.
 /// Not cryptographic; it detects torn writes and bit rot, which is the
 /// failure model here.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -131,6 +112,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// fsync the directory that holds `path`. A file's own fsync covers its
+/// data, not the directory entry that names it, so a rename or a newly
+/// created file is durable only once its directory has been synced too.
+pub(crate) fn sync_parent(path: &Path) -> Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]

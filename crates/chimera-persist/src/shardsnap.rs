@@ -1,13 +1,11 @@
 //! Full-fidelity per-shard tenant snapshots (job-log compaction).
 //!
-//! The redo-log snapshot in [`crate::snapshot`] captures one engine's
-//! *object store* — enough for the transaction-scoped durability model of
-//! [`crate::durable`]. The runtime's durable tenants need more: recovery
-//! must reproduce each tenant bit-identically, so a shard snapshot also
-//! carries the event base, trigger sources, per-rule processing stamps,
-//! engine statistics and the shard's error bookkeeping. With all of that
-//! captured, the job log ([`crate::joblog`]) can be truncated at the
-//! snapshot's sequence and replay continues from there.
+//! Recovery must reproduce each tenant bit-identically, so a shard
+//! snapshot carries more than the object store: the event base, trigger
+//! sources, per-rule processing stamps, engine statistics and the
+//! shard's error bookkeeping. With all of that captured, the job log
+//! ([`crate::joblog`]) can be truncated at the snapshot's sequence and
+//! replay continues from there.
 //!
 //! The event base is per-transaction: the engine cuts it at every
 //! transaction start, so a tenant snapshot carries only the cut (the
@@ -195,8 +193,11 @@ impl ShardSnapshot {
         format!("{body}C {} {crc:016x}\n", self.seq)
     }
 
-    /// Write atomically (temp file + fsync + rename), same crash
-    /// guarantee as [`crate::snapshot::Snapshot::write`].
+    /// Write atomically and durably: temp file, fsync, rename over
+    /// `path`, then fsync the directory. A crash at any point leaves
+    /// either the previous snapshot or this one, and once this returns
+    /// the rename itself survives a crash — the caller truncates the job
+    /// log next, and must never pair an empty log with the old snapshot.
     pub fn write(&self, path: &Path) -> Result<()> {
         let tmp = path.with_extension("tmp");
         {
@@ -205,7 +206,7 @@ impl ShardSnapshot {
             f.sync_data()?;
         }
         fs::rename(&tmp, path)?;
-        Ok(())
+        crate::sync_parent(path)
     }
 
     /// Read and verify. `Ok(None)` when the file does not exist;
@@ -489,6 +490,17 @@ mod tests {
         s.write(&path).unwrap();
         assert_eq!(ShardSnapshot::read(&path).unwrap(), Some(s));
         assert!(!path.with_extension("tmp").exists());
+    }
+
+    #[test]
+    fn rename_leaves_no_tmp_behind() {
+        let path = tmp("atomic");
+        snap().write(&path).unwrap();
+        let mut next = snap();
+        next.seq += 1;
+        next.write(&path).unwrap();
+        assert!(!path.with_extension("tmp").exists());
+        assert_eq!(ShardSnapshot::read(&path).unwrap(), Some(next));
     }
 
     #[test]

@@ -179,6 +179,11 @@ impl StateStore for DurableStore {
         JobLog::repair(&log_path, &outcome)?;
         let next_seq = self.snap_seq + 1 + outcome.groups.len() as u64;
         self.log = Some(JobLog::open_append(&log_path, next_seq)?);
+        // the log (and this shard directory) may have just been created:
+        // make both entries durable before the first acknowledged group.
+        // Directory syncs stay out of `counters`, which count log syncs.
+        crate::sync_parent(&log_path)?;
+        crate::sync_parent(&self.dir)?;
         Ok(ShardRecovery {
             snapshot,
             tail: outcome.groups,
@@ -217,6 +222,8 @@ impl StateStore for DurableStore {
             seq,
             tenants: tenants.to_vec(),
         };
+        // `write` returns only once the rename is durable in the
+        // directory, so the truncation below can never outlive it
         snap.write(&self.snapshot_path())?;
         self.log_mut()?.truncate(seq + 1)?;
         self.snap_seq = seq;

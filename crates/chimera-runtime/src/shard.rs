@@ -576,14 +576,21 @@ pub(crate) fn enforce_residency(fabric: &Fabric, ctx: &WorkerCtx) {
 /// dropped.
 fn try_evict(fabric: &Fabric, ctx: &WorkerCtx, tenant: u64, home_idx: usize) -> bool {
     let home = &fabric.homes[home_idx];
-    let Some(arc) = fabric.tenants.get(tenant) else {
-        // gone some other way (tenant panic); drop the stale entry
-        lru_lock(fabric).remove(tenant);
-        return false;
-    };
     if !fabric.pool.try_claim_idle(tenant, home_idx) {
         return false; // running or has staged jobs
     }
+    // Look the slot up only under the idle claim, which no eviction or
+    // rehydration can overlap. A handle taken before the claim may be a
+    // slot that another worker has since evicted and rehydrated as a new
+    // one: freezing that stale engine would park a snapshot missing every
+    // job run since, and drop the live slot.
+    let Some(arc) = fabric.tenants.get(tenant) else {
+        // evicted meanwhile, or gone some other way (tenant panic): drop
+        // the stale entry
+        lru_lock(fabric).remove(tenant);
+        fabric.pool.release(tenant, home_idx, 0);
+        return false;
+    };
     // lock order matches maybe_snapshot: store slot, then tenant slot
     let mut evicted = false;
     {

@@ -1,20 +1,30 @@
-//! Durability walk-through: commit, crash, recover.
+//! Durability walk-through: commit, crash, recover, compact.
 //!
-//! Creates a database directory, commits two transactions (the paper's §2
-//! clamp trigger firing inside the first), simulates a crash by tearing
-//! the last WAL batch in half, and shows recovery cutting the torn tail
-//! back to the last complete commit. Finishes with a compaction and a
-//! clean reopen from the snapshot.
+//! A durable engine is the one tenant of a one-shard runtime whose store
+//! is the group-commit job log plus shard snapshot. The walk-through
+//! commits two transactions (the paper's §2 clamp trigger firing inside
+//! the first), simulates a crash by tearing the second transaction's
+//! first job-log group in half, and shows recovery cutting the torn tail
+//! back to the end of the first commit. It then commits a third
+//! transaction under `snapshot_every`, which compacts the log into
+//! `snap.chi`, and reopens cleanly from that snapshot. Every step is
+//! asserted, so the example fails on any divergence.
 //!
 //! Run with: `cargo run --example crash_recovery`
 
 use chimera::calculus::EventExpr;
 use chimera::events::EventType;
-use chimera::exec::{EngineConfig, Op};
-use chimera::model::{AttrDef, AttrType, Schema, SchemaBuilder, Value};
-use chimera::persist::DurableEngine;
+use chimera::exec::Op;
+use chimera::model::{AttrDef, AttrType, Oid, Schema, SchemaBuilder, Value};
+use chimera::persist::{JobLog, ShardSnapshot};
 use chimera::rules::{ActionStmt, CmpOp, Condition, Formula, Term, TriggerDef, VarDecl};
+use chimera::runtime::{
+    DurabilityConfig, Job, RecoveryReport, Runtime, RuntimeConfig, StorageMode, TenantId,
+};
 use std::fs;
+use std::path::Path;
+
+const TENANT: TenantId = TenantId(0);
 
 fn schema() -> Schema {
     let mut b = SchemaBuilder::new();
@@ -58,109 +68,144 @@ fn clamp(schema: &Schema) -> TriggerDef {
     def
 }
 
+/// Open (or recover) the one-shard durable runtime rooted at `dir`.
+fn open(schema: &Schema, dir: &Path, snapshot_every: u64) -> (Runtime, RecoveryReport) {
+    Runtime::recover(
+        schema.clone(),
+        vec![clamp(schema)],
+        RuntimeConfig {
+            shards: 1,
+            storage: StorageMode::Durable(DurabilityConfig {
+                dir: dir.to_path_buf(),
+                group_commit: true,
+                snapshot_every,
+            }),
+            ..Default::default()
+        },
+    )
+    .expect("open")
+}
+
+/// Run one job and wait for its reply. A reply is released only after
+/// its group's fsync, so waiting makes every job its own durable group.
+fn run(rt: &Runtime, job: Job) {
+    let (_, reply) = rt.submit_with_reply(TENANT, job).expect("submit");
+    let outcome = reply.recv().expect("reply").outcome;
+    assert!(outcome.is_done(), "{outcome:?}");
+}
+
+fn quantity(rt: &Runtime, oid: Oid) -> Value {
+    rt.with_tenant(TENANT, |e| e.read_attr(oid, "quantity").expect("read"))
+        .expect("tenant")
+}
+
 fn main() {
     let dir = std::env::temp_dir().join(format!("chimera-demo-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let schema = schema();
     let stock = schema.class_by_name("stock").expect("stock");
     let q = schema.attr_by_name(stock, "quantity").expect("quantity");
+    let log_path = dir.join("shard-0").join("jobs.wal");
+    let snap_path = dir.join("shard-0").join("snap.chi");
 
     // ── two committed transactions ────────────────────────────────────
-    let oid = {
-        let (mut db, report) = DurableEngine::open(
-            schema.clone(),
-            EngineConfig::default(),
-            &dir,
-            vec![clamp(&schema)],
-        )
-        .expect("open");
-        println!("fresh open: {report:?}");
-        db.begin().expect("begin");
-        let oid = db
-            .exec_block(&[Op::Create {
-                class: stock,
-                inits: vec![(q, Value::Int(500))],
-            }])
-            .expect("block")[0]
-            .oid;
-        db.commit().expect("commit 1");
-        println!(
-            "commit 1: created {oid}, trigger clamped quantity to {:?}",
-            db.engine().read_attr(oid, "quantity").expect("read")
-        );
-        db.begin().expect("begin");
-        db.exec_block(&[Op::Modify {
+    let (rt, report) = open(&schema, &dir, 0);
+    assert_eq!(report, RecoveryReport::default());
+    println!("fresh open: {report:?}");
+    run(&rt, Job::Begin);
+    run(
+        &rt,
+        Job::ExecBlock(vec![Op::Create {
+            class: stock,
+            inits: vec![(q, Value::Int(500))],
+        }]),
+    );
+    run(&rt, Job::Commit);
+    let oid = rt
+        .with_tenant(TENANT, |e| e.extent(stock)[0])
+        .expect("tenant");
+    assert_eq!(quantity(&rt, oid), Value::Int(100), "the clamp fired");
+    println!("commit 1: created {oid} with quantity 500, trigger clamped it to 100");
+    let commit1_len = fs::metadata(&log_path).expect("log").len() as usize;
+
+    run(&rt, Job::Begin);
+    run(
+        &rt,
+        Job::ExecBlock(vec![Op::Modify {
             oid,
             attr: q,
             value: Value::Int(42),
-        }])
-        .expect("block");
-        db.commit().expect("commit 2");
-        println!("commit 2: quantity set to 42, wal has 2 batches");
-        oid
-    };
+        }]),
+    );
+    run(&rt, Job::Commit);
+    assert_eq!(quantity(&rt, oid), Value::Int(42));
+    drop(rt);
+    let log = JobLog::read(&log_path, 1).expect("read log");
+    assert_eq!(log.groups.len(), 6, "one group per job");
+    println!("commit 2: quantity set to 42; jobs.wal holds 6 groups");
 
-    // ── simulated crash: tear the second batch in half ────────────────
-    let wal_path = dir.join("wal.log");
-    let bytes = fs::read(&wal_path).expect("read wal");
-    fs::write(&wal_path, &bytes[..bytes.len() - bytes.len() / 3]).expect("tear");
+    // ── simulated crash: tear transaction 2's first group in half ─────
+    let bytes = fs::read(&log_path).expect("read log");
+    let cut = commit1_len + log.groups[3].render().len() / 2;
+    fs::write(&log_path, &bytes[..cut]).expect("tear");
     println!(
-        "\nsimulated crash: truncated wal from {} to {} bytes",
-        bytes.len(),
-        bytes.len() - bytes.len() / 3
+        "\nsimulated crash: truncated jobs.wal from {} to {cut} bytes, mid group 4",
+        bytes.len()
     );
 
-    let (db, report) = DurableEngine::open(
-        schema.clone(),
-        EngineConfig::default(),
-        &dir,
-        vec![clamp(&schema)],
-    )
-    .expect("recover");
-    println!(
-        "recovery: replayed {} of 2 commits, torn tail: {:?}",
-        report.replayed, report.torn_tail
+    let (rt, report) = open(&schema, &dir, 3);
+    assert_eq!(report.jobs_replayed, 3, "commit 1's three groups survive");
+    assert_eq!(report.torn_tails.len(), 1, "{report:?}");
+    assert_eq!(
+        fs::metadata(&log_path).expect("log").len() as usize,
+        commit1_len
     );
+    let in_txn = rt.with_tenant(TENANT, |e| e.in_transaction());
+    assert_eq!(in_txn, Some(false), "transaction 2's begin was torn too");
+    assert_eq!(quantity(&rt, oid), Value::Int(100));
     println!(
-        "quantity after recovery: {:?} (commit 1's clamped value — commit 2 was torn)",
-        db.engine().read_attr(oid, "quantity").expect("read")
+        "recovery: replayed {} jobs, torn tail cut ({}); quantity = 100, \
+         commit 1's clamped value — transaction 2 was torn",
+        report.jobs_replayed, report.torn_tails[0]
     );
-    drop(db);
 
-    // ── compaction and clean reopen ───────────────────────────────────
-    let (mut db, _) = DurableEngine::open(
-        schema.clone(),
-        EngineConfig::default(),
-        &dir,
-        vec![clamp(&schema)],
-    )
-    .expect("reopen");
-    db.begin().expect("begin");
-    db.exec_block(&[Op::Modify {
-        oid,
-        attr: q,
-        value: Value::Int(7),
-    }])
-    .expect("block");
-    db.commit().expect("commit 3");
-    db.compact().expect("compact");
-    println!(
-        "\nre-committed quantity = 7 and compacted: snapshot at seq {}, wal now {} bytes",
-        db.committed_seq(),
-        fs::metadata(&wal_path).expect("meta").len()
+    // ── compaction through snapshot_every ─────────────────────────────
+    // The recovered log already holds 3 groups, so the threshold of 3 is
+    // met at once; the store still waits for a point between
+    // transactions, which is this transaction's commit.
+    run(&rt, Job::Begin);
+    run(
+        &rt,
+        Job::ExecBlock(vec![Op::Modify {
+            oid,
+            attr: q,
+            value: Value::Int(7),
+        }]),
     );
-    drop(db);
+    run(&rt, Job::Commit);
+    assert_eq!(rt.shutdown().snapshots, 1, "one compaction, at the commit");
+    let snap = ShardSnapshot::read(&snap_path)
+        .expect("read snapshot")
+        .expect("snap.chi written");
+    assert_eq!((snap.seq, snap.tenants.len()), (6, 1));
+    assert_eq!(fs::metadata(&log_path).expect("log").len(), 0);
+    println!(
+        "\ncommit 3: quantity = 7, compacted into snap.chi at seq {}; jobs.wal now 0 bytes",
+        snap.seq
+    );
 
-    let (db, report) = DurableEngine::open(
-        schema.clone(),
-        EngineConfig::default(),
-        &dir,
-        vec![clamp(&schema)],
-    )
-    .expect("final open");
-    println!(
-        "final open from snapshot: {report:?}, quantity = {:?}",
-        db.engine().read_attr(oid, "quantity").expect("read")
+    // ── clean reopen from snap.chi ────────────────────────────────────
+    let (rt, report) = open(&schema, &dir, 3);
+    assert_eq!(
+        report,
+        RecoveryReport {
+            tenants_recovered: 1,
+            jobs_replayed: 0,
+            torn_tails: vec![],
+        }
     );
+    assert_eq!(quantity(&rt, oid), Value::Int(7));
+    println!("final open from the snapshot alone: {report:?}, quantity = 7");
+    drop(rt);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -55,7 +55,7 @@
 //! | [`workload`] | `chimera-workload` | generators and traces |
 //! | [`analysis`] | `chimera-analysis` | triggering graph, termination, confluence |
 //! | [`temporal`] | `chimera-temporal` | clock events, related-work derived operators |
-//! | [`persist`] | `chimera-persist` | pluggable `StateStore`: group-commit job log, WAL, snapshots, crash recovery |
+//! | [`persist`] | `chimera-persist` | pluggable `StateStore`: group-commit job log, shard snapshots, crash recovery |
 //! | [`chaos`] | `chimera-chaos` | deterministic fault injection: seeded storage faults, mid-frame TCP cuts |
 //! | [`telemetry`] | `chimera-telemetry` | lock-cheap recorder: stage latency histograms, counters/gauges, postmortem trace ring |
 //! | [`lifecycle`] | `chimera-lifecycle` | tenant residency policy: LRU budget config + the intrusive recency list |

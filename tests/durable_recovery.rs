@@ -19,13 +19,16 @@
 //! where the cut landed: whole surviving groups count, the torn tail
 //! does not.
 //!
-//! Two tests: a deterministic single-shard run cut at *every* byte of
-//! the log, and a proptest over random multi-tenant scripts × shard
+//! The suite: a deterministic single-shard run cut at *every* byte of
+//! the log; a snapshot-after-every-group run whose deletions and oid
+//! counter come back from the snapshot alone; a corrupt-snapshot
+//! refusal; and proptests over random multi-tenant scripts (creates,
+//! modifies, deletes, external events, trigger definitions) × shard
 //! counts × sync policies × snapshot cadences × cut positions.
 
 use chimera::events::Timestamp;
 use chimera::exec::{Engine, EngineConfig, Op};
-use chimera::model::{AttrDef, AttrType, ClassId, Oid, Schema, SchemaBuilder, Value};
+use chimera::model::{AttrDef, AttrId, AttrType, ClassId, Oid, Schema, SchemaBuilder, Value};
 use chimera::persist::{JobLog, ShardSnapshot};
 use chimera::prelude::EventType;
 use chimera::rules::{ActionStmt, TriggerDef};
@@ -97,6 +100,9 @@ fn trigger_source(k: u64) -> String {
     )
 }
 
+/// `item.qty`.
+const QTY: AttrId = AttrId(0);
+
 fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
     if !in_txn {
         // occasionally define a trigger before any transaction exists
@@ -105,7 +111,7 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
         }
         return Job::Begin;
     }
-    match rng.random_range(0..11u32) {
+    match rng.random_range(0..13u32) {
         0..=4 => {
             let n = rng.random_range(1..4usize);
             let events = (0..n)
@@ -124,13 +130,24 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
             let ops = (0..n)
                 .map(|_| Op::Create {
                     class: item,
-                    inits: vec![(chimera::model::AttrId(0), Value::Int(rng.random_range(0..200i64)))],
+                    inits: vec![(QTY, Value::Int(rng.random_range(0..200i64)))],
                 })
                 .collect();
             Job::ExecBlock(ops)
         }
-        7 => Job::Commit,
-        8 => Job::Rollback,
+        // small oids, so these hit live, deleted and never-created
+        // objects alike; an op on a missing object is a job error, which
+        // the oracle must see too
+        7 => Job::ExecBlock(vec![Op::Modify {
+            oid: Oid(rng.random_range(1..6u64)),
+            attr: QTY,
+            value: Value::Int(rng.random_range(0..200i64)),
+        }]),
+        8 => Job::ExecBlock(vec![Op::Delete {
+            oid: Oid(rng.random_range(1..6u64)),
+        }]),
+        9 => Job::Commit,
+        10 => Job::Rollback,
         _ => Job::DefineTriggerSource(trigger_source(rng.random_range(0..3u64))),
     }
 }
@@ -472,6 +489,75 @@ fn every_byte_cut_recovers_the_surviving_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Snapshot restore meets deletions: with a snapshot after every group,
+/// a script that deletes, modifies and fails on a missing object ends
+/// with an empty log, so recovery comes from the snapshot alone. The
+/// restored oid counter must then keep allocating where the crashed
+/// runtime stopped — a deleted oid is never reused — and a second
+/// crash recovers that too.
+#[test]
+fn snapshot_restore_meets_deletions_and_continues_the_oid_counter() {
+    let s = schema();
+    let item = s.class_by_name("item").unwrap();
+    let triggers: Vec<TriggerDef> = vec![];
+    let engine_cfg = EngineConfig::default();
+    let dir = tmpdir("snap-deletes");
+    let storage = DurabilityConfig {
+        dir: dir.clone(),
+        group_commit: true,
+        snapshot_every: 1,
+    };
+    let config = || RuntimeConfig {
+        shards: 1,
+        storage: StorageMode::Durable(storage.clone()),
+        engine: engine_cfg.clone(),
+        ..Default::default()
+    };
+    let create = |qty| Op::Create {
+        class: item,
+        inits: vec![(QTY, Value::Int(qty))],
+    };
+    let before = vec![
+        Job::Begin,
+        Job::ExecBlock(vec![create(1), create(2), create(3)]),
+        Job::Commit,
+        Job::Begin,
+        // delete the newest object, so only the restored counter, not
+        // the surviving extent, knows that oid 3 was ever allocated
+        Job::ExecBlock(vec![Op::Delete { oid: Oid(3) }]),
+        Job::ExecBlock(vec![Op::Modify {
+            oid: Oid(2),
+            attr: QTY,
+            value: Value::Int(30),
+        }]),
+        Job::ExecBlock(vec![Op::Delete { oid: Oid(9) }]), // a job error
+        Job::Commit,
+    ];
+    let after = vec![Job::Begin, Job::ExecBlock(vec![create(4)]), Job::Commit];
+    let mut jobs = Vec::new();
+    for script in [before, after] {
+        // one job per group, so a snapshot follows every commit
+        let rt = Runtime::new(s.clone(), triggers.clone(), config()).unwrap();
+        for job in script {
+            rt.submit(TenantId(0), job.clone()).unwrap();
+            rt.flush().unwrap();
+            jobs.push(job);
+        }
+        drop(rt);
+        let log = std::fs::metadata(dir.join("shard-0").join("jobs.wal")).unwrap();
+        assert_eq!(log.len(), 0, "the last commit's snapshot truncated the log");
+        let per_tenant = std::slice::from_ref(&jobs);
+        check_recovery(&storage, &s, &triggers, &engine_cfg, 1, per_tenant)
+            .unwrap_or_else(|e| panic!("after {} jobs: {e}", jobs.len()));
+    }
+    let (rt, report) = Runtime::recover(s.clone(), triggers, config()).unwrap();
+    assert_eq!((report.tenants_recovered, report.jobs_replayed), (1, 0));
+    let extent = rt.with_tenant(TenantId(0), |e| e.extent(item)).unwrap();
+    assert_eq!(extent, vec![Oid(1), Oid(2), Oid(4)]);
+    drop(rt);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A torn log tail is repairable damage; a corrupt *snapshot* is not —
 /// the snapshot is the replay base, so silently dropping it would
 /// resurrect a stale prefix as if it were current. Recovery must
@@ -511,7 +597,7 @@ fn corrupt_snapshot_fails_recovery_with_typed_error() {
             Job::Begin,
             Job::ExecBlock(vec![Op::Create {
                 class: item,
-                inits: vec![(chimera::model::AttrId(0), Value::Int(5))],
+                inits: vec![(QTY, Value::Int(5))],
             }]),
             Job::Commit,
         ] {

@@ -1,17 +1,17 @@
 //! Full-stack integration: every extension crate working together.
 //!
 //! A deadline-monitoring database: static analysis vets the rule set,
-//! clock events drive it, and the durable engine makes its effects
-//! survive a crash. This is the composition a downstream adopter would
-//! actually run, so it gets an integration test of its own.
+//! clock events drive it, and a one-tenant durable runtime makes its
+//! effects survive a crash. This is the composition a downstream adopter
+//! would actually run, so it gets an integration test of its own.
 
 use chimera::analysis::analyze;
 use chimera::calculus::EventExpr;
 use chimera::events::EventType;
-use chimera::exec::{EngineConfig, Op};
+use chimera::exec::Op;
 use chimera::model::{AttrDef, AttrType, Schema, SchemaBuilder, Value};
-use chimera::persist::DurableEngine;
 use chimera::rules::{ActionStmt, CmpOp, Condition, Formula, Term, TriggerDef, VarDecl};
+use chimera::runtime::{DurabilityConfig, Job, Runtime, RuntimeConfig, StorageMode, TenantId};
 use chimera::temporal::{ClockDriver, ClockSpec};
 use std::fs;
 use std::path::PathBuf;
@@ -75,6 +75,7 @@ fn tmpdir(name: &str) -> PathBuf {
 fn analyzed_temporal_rules_on_a_durable_engine() {
     let schema = schema();
     let order = schema.class_by_name("order").unwrap();
+    let clock = schema.class_by_name("clock").unwrap();
     let defs = vec![escalate(&schema)];
 
     // 1. static analysis vets the rule set: the escalation writes only
@@ -84,63 +85,65 @@ fn analyzed_temporal_rules_on_a_durable_engine() {
     assert!(report.confluence.is_empty());
     assert_eq!(report.max_cascade_depth, Some(1));
 
-    // 2. run it durably with a clock driver.
+    // 2. run it durably, as the one tenant of a one-shard runtime, with a
+    //    clock driver anchored on the tenant's engine.
     let dir = tmpdir("run");
-    let oid;
+    let config = || RuntimeConfig {
+        shards: 1,
+        storage: StorageMode::Durable(DurabilityConfig::new(&dir)),
+        ..Default::default()
+    };
+    let tenant = TenantId(0);
+    let oids;
     {
-        let (mut db, _) = DurableEngine::open(
-            schema.clone(),
-            EngineConfig::default(),
-            &dir,
-            defs.clone(),
-        )
-        .unwrap();
-        let clock = schema.class_by_name("clock").unwrap();
-        let mut driver = ClockDriver::new(db.engine(), clock);
+        let rt = Runtime::new(schema.clone(), defs.clone(), config()).unwrap();
+        let run = |job: Job| {
+            let (_, reply) = rt.submit_with_reply(tenant, job).unwrap();
+            let outcome = reply.recv().unwrap().outcome;
+            assert!(outcome.is_done(), "{outcome:?}");
+        };
+        run(Job::Begin);
+        let mut driver = rt
+            .with_tenant(tenant, |e| ClockDriver::new(e, clock))
+            .unwrap();
         driver.register(ClockSpec::After { delay: 2 }, AUDIT);
-
-        db.begin().unwrap();
-        oid = db
-            .exec_block(&[Op::Create {
+        for _ in 0..2 {
+            run(Job::ExecBlock(vec![Op::Create {
                 class: order,
                 inits: vec![],
-            }])
-            .unwrap()[0]
-            .oid;
-        db.exec_block(&[Op::Create {
-            class: order,
-            inits: vec![],
-        }])
-        .unwrap();
-        // tick due at anchor+2: delivered through the durable wrapper
-        let due = driver.collect_due(db.engine().event_base().now());
+            }]));
+        }
+        // tick due at anchor+2: delivered as a logged job
+        let now = rt.with_tenant(tenant, |e| e.event_base().now()).unwrap();
+        let due = driver.collect_due(now);
         assert_eq!(due.len(), 1);
-        let occs = db.raise_external(&due).unwrap();
-        assert_eq!(occs.len(), 1);
-        // no fills happened: both orders escalated, durably
-        assert_eq!(
-            db.engine().read_attr(oid, "escalations").unwrap(),
-            Value::Int(1)
-        );
-        db.commit().unwrap();
+        run(Job::RaiseExternal(due));
+        // no fills happened: both orders escalated
+        oids = rt.with_tenant(tenant, |e| e.extent(order)).unwrap();
+        assert_eq!(oids.len(), 2);
+        for &oid in &oids {
+            let escalations = rt.with_tenant(tenant, |e| e.read_attr(oid, "escalations"));
+            assert_eq!(escalations.unwrap().unwrap(), Value::Int(1));
+        }
+        run(Job::Commit);
         // crash: drop without further commits
     }
 
     // 3. recovery: the escalation — a *rule* effect triggered by a
     //    *clock* event — survived the crash.
-    let (db, report) = DurableEngine::open(
-        schema.clone(),
-        EngineConfig::default(),
-        &dir,
-        defs,
-    )
+    let (rt, report) = Runtime::recover(schema.clone(), defs, config()).unwrap();
+    // begin, two creates, the tick, commit
+    assert_eq!(report.jobs_replayed, 5);
+    assert!(report.torn_tails.is_empty());
+    rt.with_tenant(tenant, |e| {
+        assert!(!e.in_transaction());
+        assert_eq!(e.extent(order), oids);
+        for &oid in &oids {
+            assert_eq!(e.read_attr(oid, "escalations").unwrap(), Value::Int(1));
+        }
+    })
     .unwrap();
-    assert_eq!(report.replayed, 1);
-    assert_eq!(report.objects, 2);
-    assert_eq!(
-        db.engine().read_attr(oid, "escalations").unwrap(),
-        Value::Int(1)
-    );
+    drop(rt);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1032,8 +1032,13 @@ fn stock_occurred_conditions_through_a_cap_of_4() {
                 rt.submit(TenantId(t), job).unwrap();
             }
         }
+        // Every tenant is idle and between transactions here, so the cap
+        // evicts all but 4 and the next transaction must rehydrate them.
+        // Within a transaction the workers race the submissions freely;
+        // this barrier only keeps the churn checked below from depending
+        // on whether they kept pace.
+        rt.flush().unwrap();
     }
-    rt.flush().unwrap();
     let stats = rt.stats();
     assert_eq!(stats.jobs_processed, stats.jobs_submitted);
     assert!(
@@ -1041,6 +1046,13 @@ fn stock_occurred_conditions_through_a_cap_of_4() {
         "the cap must churn (evictions {}, rehydrations {})",
         stats.evictions,
         stats.rehydrations
+    );
+    // every eviction parks one tenant and every rehydration unparks one:
+    // an eviction through a stale slot handle would count twice
+    assert_eq!(
+        stats.evictions - stats.rehydrations,
+        stats.tenants as u64 - stats.tenants_resident,
+        "evictions must balance rehydrations plus the tenants parked now"
     );
     let (mut orders, mut raised, mut clamped) = (0, 0, 0);
     for (t, oracle) in oracles.iter_mut().enumerate() {

@@ -2,17 +2,18 @@
 //!
 //! * codec round-trip over arbitrary values/objects (including adversarial
 //!   strings full of separators and escapes);
-//! * WAL fuzzing: arbitrary byte tails appended to a valid log never
-//!   panic the reader and never corrupt the valid prefix;
+//! * job-log fuzzing: arbitrary byte tails appended to a valid log never
+//!   panic the reader, read back exactly the valid groups and are cut;
 //! * random cut points (a denser version of the exhaustive unit test, over
-//!   randomized workloads).
+//!   randomized groups) read back exactly the groups wholly before the cut.
 
-use chimera::model::{ClassId, Object, Oid, Value};
+use chimera::exec::Op;
+use chimera::model::{AttrId, ClassId, Object, Oid, Value};
 use chimera::persist::codec::{decode_object, decode_value, encode_object, encode_value};
-use chimera::persist::{RedoRecord, Wal};
+use chimera::persist::{JobGroup, JobLog, JobRecord};
 use proptest::prelude::*;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -68,7 +69,35 @@ proptest! {
     }
 }
 
-/// A WAL path no other call in any process shares: properties run
+fn arb_job() -> impl Strategy<Value = JobRecord> {
+    prop_oneof![
+        Just(JobRecord::Begin),
+        Just(JobRecord::Commit),
+        Just(JobRecord::Rollback),
+        (1u64..1_000, 0u32..8, arb_value()).prop_map(|(oid, attr, value)| {
+            JobRecord::ExecBlock(vec![Op::Modify {
+                oid: Oid(oid),
+                attr: AttrId(attr),
+                value,
+            }])
+        }),
+        prop::collection::vec((0u32..8, 0u32..16, 0u64..1_000), 1..6).prop_map(|evs| {
+            JobRecord::RaiseExternal(
+                evs.into_iter()
+                    .map(|(class, chan, oid)| (ClassId(class), chan, Oid(oid)))
+                    .collect(),
+            )
+        }),
+        ".{0,40}".prop_map(JobRecord::DefineTriggerSource),
+    ]
+}
+
+/// One group's `(tenant, job)` records.
+fn arb_group() -> impl Strategy<Value = Vec<(u64, JobRecord)>> {
+    prop::collection::vec((0u64..8, arb_job()), 1..4)
+}
+
+/// A log path no other call in any process shares: properties run
 /// concurrently, so the pid alone is not unique.
 fn tmpfile(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -78,63 +107,87 @@ fn tmpfile(tag: &str) -> PathBuf {
     dir.join(format!("{tag}-{}-{n}.log", std::process::id()))
 }
 
+/// Write `groups` as a fresh job log at `path`, one sync per group, and
+/// return them as the reader must see them (sequence from 1).
+fn write_log(path: &Path, groups: &[Vec<(u64, JobRecord)>]) -> Vec<JobGroup> {
+    let _ = fs::remove_file(path);
+    let mut log = JobLog::open_append(path, 1).unwrap();
+    for jobs in groups {
+        for (tenant, job) in jobs {
+            log.stage(*tenant, job);
+        }
+        log.sync().unwrap();
+    }
+    groups
+        .iter()
+        .enumerate()
+        .map(|(i, jobs)| JobGroup {
+            seq: 1 + i as u64,
+            jobs: jobs.clone(),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Appending arbitrary garbage to a valid WAL never panics the reader
-    /// and never loses or alters the valid batches.
+    /// Garbage appended after N valid groups never panics the reader:
+    /// it reads back exactly those N groups and reports the tail as
+    /// torn, and a repair leaves a clean log of the same N groups.
     #[test]
     fn wal_reader_survives_garbage_tails(
-        objs in prop::collection::vec(arb_object(), 1..5),
-        garbage in prop::collection::vec(any::<u8>(), 0..200),
+        groups in prop::collection::vec(arb_group(), 1..5),
+        garbage in prop::collection::vec(any::<u8>(), 1..200),
     ) {
         let path = tmpfile("garbage");
-        let _ = fs::remove_file(&path);
-        let mut wal = Wal::open_append(&path, 1).unwrap();
-        for (i, obj) in objs.iter().enumerate() {
-            wal.append(vec![RedoRecord::Put(obj.clone())], 1_000 + i as u64).unwrap();
-        }
-        drop(wal);
-        let clean = Wal::read(&path, 1).unwrap();
-        prop_assert_eq!(clean.batches.len(), objs.len());
+        let written = write_log(&path, &groups);
+        let clean = JobLog::read(&path, 1).unwrap();
+        prop_assert_eq!(&clean.groups, &written);
+        prop_assert!(clean.torn.is_none());
 
         let mut bytes = fs::read(&path).unwrap();
+        let valid_len = bytes.len() as u64;
         bytes.extend_from_slice(&garbage);
         fs::write(&path, &bytes).unwrap();
-        let noisy = Wal::read(&path, 1).unwrap();
-        // valid prefix intact; garbage either torn or (if it happens to
-        // parse) ignored — but never fewer batches than before
-        prop_assert!(noisy.batches.len() >= clean.batches.len());
-        for (a, b) in clean.batches.iter().zip(&noisy.batches) {
-            prop_assert_eq!(a, b);
-        }
+        let noisy = JobLog::read(&path, 1).unwrap();
+        prop_assert_eq!(&noisy.groups, &written);
+        prop_assert_eq!(noisy.valid_len, valid_len);
+        prop_assert!(noisy.torn.is_some(), "a garbage tail must read as torn");
+
+        JobLog::repair(&path, &noisy).unwrap();
+        let repaired = JobLog::read(&path, 1).unwrap();
+        prop_assert_eq!(&repaired.groups, &written);
+        prop_assert!(repaired.torn.is_none());
         let _ = fs::remove_file(&path);
     }
 
-    /// A random cut anywhere in the log yields a clean prefix of batches.
+    /// A cut at any byte reads back exactly the groups that end at or
+    /// before it — a prefix — and reports a torn tail unless the cut
+    /// falls on a group boundary.
     #[test]
     fn wal_random_cut_is_a_prefix(
-        objs in prop::collection::vec(arb_object(), 1..6),
+        groups in prop::collection::vec(arb_group(), 1..6),
         cut_frac in 0.0f64..1.0,
     ) {
         let path = tmpfile("cut");
-        let _ = fs::remove_file(&path);
-        let mut wal = Wal::open_append(&path, 1).unwrap();
-        for (i, obj) in objs.iter().enumerate() {
-            wal.append(vec![RedoRecord::Put(obj.clone())], 1_000 + i as u64).unwrap();
-        }
-        drop(wal);
+        let written = write_log(&path, &groups);
         let full = fs::read(&path).unwrap();
-        let all = Wal::read(&path, 1).unwrap();
+        let ends: Vec<usize> = written
+            .iter()
+            .scan(0, |end, g| {
+                *end += g.render().len();
+                Some(*end)
+            })
+            .collect();
+        prop_assert_eq!(ends.last().copied(), Some(full.len()));
         let cut = (full.len() as f64 * cut_frac) as usize;
         fs::write(&path, &full[..cut]).unwrap();
-        let out = Wal::read(&path, 1).unwrap();
-        prop_assert!(out.batches.len() <= all.batches.len());
-        for (a, b) in out.batches.iter().zip(&all.batches) {
-            prop_assert_eq!(a, b);
-        }
-        // applying the surviving prefix never references a later batch
-        prop_assert_eq!(out.valid_len as usize <= cut, true);
+        let out = JobLog::read(&path, 1).unwrap();
+        let whole = ends.iter().filter(|&&end| end <= cut).count();
+        prop_assert_eq!(&out.groups[..], &written[..whole]);
+        let boundary = if whole == 0 { 0 } else { ends[whole - 1] };
+        prop_assert_eq!(out.valid_len as usize, boundary);
+        prop_assert_eq!(out.torn.is_some(), cut != boundary);
         let _ = fs::remove_file(&path);
     }
 }

@@ -80,7 +80,11 @@ use chimera::temporal::{
 };
 
 // chimera-persist
-use chimera::persist::{DurableEngine, RecoveryReport, RedoBatch, RedoRecord, Wal};
+use chimera::persist::{
+    DurableStore, InMemoryStore, JobGroup, JobLog, JobLogOutcome, JobRecord, PersistError,
+    RuleStampRec, ShardRecovery, ShardSnapshot, StateStore, StoreCounters, SyncPolicy,
+    TenantSnapshot,
+};
 
 // facade-local interpreter module
 use chimera::interp::{InterpError, Interpreter};
