@@ -2,14 +2,12 @@
 //!
 //! This bench prices the sharded runtime with a per-shard
 //! [`StateStore`] underneath the job loop, where a whole drained queue
-//! batch rides one fsync (group commit). Three storage modes over the
+//! batch rides one fsync (group commit). Two storage modes over the
 //! same ingestion session:
 //!
 //! * `in_memory`   — PR-4 baseline, no store.
-//! * `per_job`     — durable, `group_commit: false`: one sync per job
-//!   group even when the queue drained many (the pathological policy).
-//! * `group_commit` — durable, default policy: the drained batch is
-//!   staged and fsynced once.
+//! * `group_commit` — durable: the drained batch is staged and fsynced
+//!   once.
 //!
 //! Crossed with the block size (1 / 16 / 256 external events per
 //! submitted job) so the sync cost is visible both where it dominates
@@ -78,9 +76,7 @@ fn storage(mode: &str, tag: &str) -> (StorageMode, Option<PathBuf>) {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let mut cfg = DurabilityConfig::new(&dir);
-            cfg.group_commit = mode == "group_commit";
-            (StorageMode::Durable(cfg), Some(dir))
+            (StorageMode::Durable(DurabilityConfig::new(&dir)), Some(dir))
         }
     }
 }
@@ -145,7 +141,7 @@ fn bench_durability(crit: &mut Criterion) {
     group.sample_size(10);
     for per_block in [1usize, 16, 256] {
         group.throughput(Throughput::Elements(8192));
-        for mode in ["in_memory", "per_job", "group_commit"] {
+        for mode in ["in_memory", "group_commit"] {
             group.bench_with_input(
                 BenchmarkId::new(mode, per_block),
                 &per_block,

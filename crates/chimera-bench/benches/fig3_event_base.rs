@@ -1,5 +1,5 @@
 //! FIG3/FIG4 — the Event Base: reconstructs the paper's Fig. 3 table
-//! (printed once for EXPERIMENTS.md) and measures the EB operations the
+//! (printed once per run) and measures the EB operations the
 //! §5 implementation depends on: append, most-recent-stamp lookup
 //! (Occurred-Events tree leaf), window slicing and per-object lookup.
 

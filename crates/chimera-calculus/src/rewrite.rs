@@ -34,7 +34,7 @@ pub enum Strength {
 /// expressions yields a `(lhs, rhs)` pair claimed equivalent.
 #[derive(Clone, Copy)]
 pub struct Law {
-    /// Law name as cited in EXPERIMENTS.md.
+    /// Law name, as listed in [`LAWS`] and [`INSTANCE_LAWS`].
     pub name: &'static str,
     /// Number of metavariables.
     pub arity: usize,
@@ -43,7 +43,10 @@ pub struct Law {
     /// Some laws only hold when the metavariables are negation-free:
     /// `A < (B , C) ≡ (A < B) , (A < C)` evaluates `A` at *different*
     /// instants on the two sides, which negation's non-monotone `ts` can
-    /// distinguish (see EXPERIMENTS.md for the counterexample).
+    /// distinguish: with `A = -X` and `B@1, X@3, C@5`, the right side
+    /// accepts `A` at `B`'s stamp while the left side, probing `A` at the
+    /// disjunction's latest stamp, rejects it (the unit test
+    /// `prec_disjunction_right_needs_negation_free`).
     pub requires_negation_free: bool,
     /// Instantiate the two sides.
     pub build: fn(&[EventExpr]) -> (EventExpr, EventExpr),

@@ -171,7 +171,7 @@ impl StateStore for ChaosStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_persist::{DurableStore, SyncPolicy};
+    use chimera_persist::DurableStore;
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -184,7 +184,7 @@ mod tests {
     }
 
     fn durable(dir: &std::path::Path) -> Box<dyn StateStore> {
-        Box::new(DurableStore::open(dir, SyncPolicy::GroupCommit).unwrap())
+        Box::new(DurableStore::open(dir).unwrap())
     }
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
         assert_eq!(counters.transient(), 1);
         drop(s);
         // the group is on disk
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+        let mut s = DurableStore::open(&dir).unwrap();
         let rec = s.recover().unwrap();
         assert_eq!(rec.tail.len(), 1);
         assert_eq!(rec.tail[0].jobs, vec![(1, JobRecord::Begin)]);
@@ -220,7 +220,7 @@ mod tests {
         assert!(err.is_transient());
         assert_eq!(counters.torn(), 1);
         drop(s);
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+        let mut s = DurableStore::open(&dir).unwrap();
         let rec = s.recover().unwrap();
         assert_eq!(rec.tail.len(), 1, "the 'failed' commit actually landed");
         let _ = std::fs::remove_dir_all(&dir);

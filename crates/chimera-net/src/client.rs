@@ -10,7 +10,7 @@
 //! (`stats`, `flush`, queries) drain first so their response is the
 //! next frame on the stream.
 //!
-//! ## Reconnect (version 4)
+//! ## Reconnect
 //!
 //! With a [`ReconnectPolicy`] configured, a dead connection is not the
 //! end of the session: every in-flight submission is resolved as a
@@ -196,7 +196,7 @@ struct Wire {
     writer: BufWriter<TcpStream>,
     server: String,
     shards: u32,
-    durability: Option<WireDurability>,
+    durability: WireDurability,
 }
 
 /// Dial, apply the socket deadlines, and run the handshake — raw, so
@@ -357,9 +357,8 @@ impl Client {
         self.wire.shards
     }
 
-    /// The durability level the server announced in its ack (`None`
-    /// only when talking to a version-1 server that predates it).
-    pub fn server_durability(&self) -> Option<WireDurability> {
+    /// The durability level the server announced in its ack.
+    pub fn server_durability(&self) -> WireDurability {
         self.wire.durability
     }
 
@@ -710,9 +709,9 @@ impl Client {
     }
 
     /// The server runtime's full telemetry registry — counters, gauges,
-    /// latency histograms (buckets included) and the drained trace tail
-    /// (version 5). A server with telemetry disabled answers with
-    /// `enabled = false` and empty series, not an error.
+    /// latency histograms (buckets included) and the drained trace tail.
+    /// A server with telemetry disabled answers with `enabled = false`
+    /// and empty series, not an error.
     pub fn metrics_snapshot(&mut self) -> Result<MetricsSnapshot, NetError> {
         match self.call(Request::MetricsSnapshot)? {
             Response::MetricsReply(m) => Ok(m),

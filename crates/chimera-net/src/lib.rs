@@ -28,41 +28,34 @@
 //!   connection count is capped ([`ServerConfig::max_connections`]);
 //!   a connection over the cap gets one typed [`Response::Busy`] frame.
 //!
-//! Protocol version 2 surfaces the runtime's durable-storage layer:
-//! the handshake negotiates a [`WireDurability`] level (a client can
-//! *require* group commit via [`Client::connect_requiring`]), `Stats`
-//! reports the WAL/snapshot/recovery counters, and `DefineTriggers` is
-//! answered with one [`TriggerOutcome`] per declaration instead of
-//! failing the whole batch on the first bad one. Version 3 surfaces the
-//! runtime's load-aware scheduler — `Stats` gains `steals`,
-//! `ready_queue_depth` and the per-home-shard [`WireShardStats`]
-//! breakdown (so hot-tenant skew is observable over the wire), plus
-//! `net_reads_throttled`, the count of reader throttle episodes under
-//! the per-connection bytes-in-flight cap
-//! ([`ServerConfig::max_bytes_in_flight`]) that keeps a firehose client
-//! from ballooning server memory. All of it rides in optional trailing
-//! fields, so version-2 frames stay decodable. Version 4 is the
-//! robustness layer: server-side handshake/idle/write deadlines
-//! (`ServerConfig::handshake_timeout`, `read_timeout`, `write_timeout`,
-//! with reaped connections counted in `net_conns_reaped`), the typed
-//! degraded-durability outcome [`WireOutcome::RefusedDurability`], and
-//! client-side reconnect ([`ClientConfig`], [`ReconnectPolicy`]): a
-//! lost connection resolves every in-flight submission as a typed
-//! [`WireOutcome::Disconnected`] completion (at-most-once, explicit
-//! loss — never a hang, never a silent drop) before redialing with
-//! backoff + jitter and replaying the session's trigger definitions.
-//! The new stats again ride as optional trailing fields. Version 5 is
-//! the telemetry layer: [`Request::MetricsSnapshot`] returns the server
-//! runtime's full [`chimera_telemetry`] registry — counters, gauges,
-//! the log₂-bucketed stage latency histograms (buckets included, so a
-//! poller can merge or re-quantile them), and the drained postmortem
-//! trace tail — as a [`Response::MetricsReply`]. The server also feeds
-//! the shared recorder itself: per-frame decode and handler timings,
-//! per-connection round-trip latency, accept/reap/cut traces and the
-//! live connection gauge. The client keeps its own always-on local
-//! recorder of synchronous request latency ([`Client::telemetry`]). No
-//! existing message's encoding changed, so version-4 frames decode
-//! byte-for-byte under version 5.
+//! Protocol version 7 ([`PROTOCOL_VERSION`]) gives each message exactly
+//! one layout with every field present. The handshake negotiates a
+//! [`WireDurability`] level (a client can *require* group commit via
+//! [`Client::connect_requiring`]). `DefineTriggers` is answered with one
+//! [`TriggerOutcome`] per declaration. `Stats` reports the runtime, store,
+//! scheduler, robustness and lifecycle counters with the per-home-shard
+//! [`WireShardStats`] breakdown, plus the server's own
+//! `net_reads_throttled` (reads deferred under the per-connection
+//! bytes-in-flight cap, [`ServerConfig::max_bytes_in_flight`]) and
+//! `net_conns_reaped` (connections closed on an expired handshake or
+//! read deadline: `ServerConfig::handshake_timeout`, `read_timeout`,
+//! `write_timeout`). A job whose home shard's durability is poisoned is
+//! answered [`WireOutcome::RefusedDurability`]; with a
+//! [`ReconnectPolicy`] ([`ClientConfig`]) the client resolves every
+//! in-flight submission on a lost connection as a typed
+//! [`WireOutcome::Disconnected`] completion (at-most-once, explicit loss)
+//! before redialing with backoff and jitter and replaying the session's
+//! trigger definitions. [`Request::MetricsSnapshot`] returns the server
+//! runtime's full [`chimera_telemetry`] registry — counters, gauges, the
+//! log₂-bucketed stage latency histograms and the drained trace tail —
+//! as a [`Response::MetricsReply`]. The server feeds that recorder
+//! itself (per-frame decode and handler timings, per-connection
+//! round-trip latency, accept/reap/cut traces, the live connection
+//! gauge), and the client keeps its own recorder of synchronous request
+//! latency ([`Client::telemetry`]). The extension
+//! rule: any layout change or new tag bumps the version, and the server
+//! refuses a `Hello` of any other version, so no decoder carries an
+//! earlier layout.
 //! * **[`client`]** — a blocking client with submission pipelining,
 //!   used by the examples, the loopback bench (`benches/net.rs`) and
 //!   the network equivalence suite.

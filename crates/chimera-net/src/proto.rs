@@ -21,13 +21,11 @@
 //! identity; `tests/wire_roundtrip.rs` proves it on arbitrary messages)
 //! and decoding arbitrary bytes returns a typed error, never panics.
 //!
-//! Version 2 additions (all frame-compatible — the length-prefixed
-//! framing is untouched): `Hello`/`HelloAck` negotiate a durability
-//! level via *optional trailing* fields, `StatsReply` appends the
-//! storage-layer counters the same way, `TriggersDefined` reports one
-//! [`TriggerOutcome`] per declaration instead of a bare count, and
-//! [`Response::Busy`] is the server's typed refusal when its
-//! accepted-connection cap is reached.
+//! Each message has exactly one layout and every field is always
+//! present: an optional value is a presence flag followed by the value,
+//! and a sequence is a counted vector. So every strict prefix of an
+//! encoding fails to decode. A layout change or a new tag bumps
+//! [`crate::wire::PROTOCOL_VERSION`] (see the extension rule there).
 
 use crate::wire::{
     put_bool, put_i64, put_str, put_u32, put_u64, put_u8, Reader, WireError,
@@ -348,8 +346,6 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
 pub enum WireDurability {
     /// No storage layer: tenant state dies with the process.
     InMemory,
-    /// Durable with one fsync per job.
-    PerJob,
     /// Durable with one fsync per drained queue batch (group commit).
     GroupCommit,
 }
@@ -359,8 +355,7 @@ impl WireDurability {
     pub fn of_storage(storage: &StorageMode) -> WireDurability {
         match storage {
             StorageMode::InMemory => WireDurability::InMemory,
-            StorageMode::Durable(cfg) if cfg.group_commit => WireDurability::GroupCommit,
-            StorageMode::Durable(_) => WireDurability::PerJob,
+            StorageMode::Durable(_) => WireDurability::GroupCommit,
         }
     }
 
@@ -369,8 +364,7 @@ impl WireDurability {
             buf,
             match self {
                 WireDurability::InMemory => 0,
-                WireDurability::PerJob => 1,
-                WireDurability::GroupCommit => 2,
+                WireDurability::GroupCommit => 1,
             },
         );
     }
@@ -378,8 +372,7 @@ impl WireDurability {
     fn decode(r: &mut Reader<'_>) -> Result<WireDurability, WireError> {
         Ok(match r.u8()? {
             0 => WireDurability::InMemory,
-            1 => WireDurability::PerJob,
-            2 => WireDurability::GroupCommit,
+            1 => WireDurability::GroupCommit,
             t => return Err(WireError::BadTag(t)),
         })
     }
@@ -389,7 +382,6 @@ impl std::fmt::Display for WireDurability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             WireDurability::InMemory => "in-memory",
-            WireDurability::PerJob => "durable (per-job fsync)",
             WireDurability::GroupCommit => "durable (group commit)",
         })
     }
@@ -408,8 +400,7 @@ pub enum Request {
         client: String,
         /// Durability level the client *requires*, if any: the server
         /// refuses the handshake when its runtime provides a different
-        /// one. Encoded as an optional trailing field — a version-1
-        /// client simply omits it and the server accepts it as `None`.
+        /// one. Encoded as a presence flag followed by the value.
         durability: Option<WireDurability>,
     },
     /// Install tenant-local triggers from concrete §2–§3 trigger syntax,
@@ -443,7 +434,7 @@ pub enum Request {
     Shutdown,
     /// The full telemetry registry — counters, gauges, latency
     /// histograms (buckets included) and the drained trace tail —
-    /// answered with [`Response::MetricsReply`] (version 5). On a
+    /// answered with [`Response::MetricsReply`]. On a
     /// server whose runtime has telemetry disabled the reply carries
     /// `enabled = false` and empty series, never an error: polling a
     /// metrics endpoint must be safe against configuration.
@@ -472,8 +463,12 @@ impl Request {
                 put_u8(&mut buf, REQ_HELLO);
                 put_u32(&mut buf, *version);
                 put_str(&mut buf, client);
-                if let Some(d) = durability {
-                    d.encode(&mut buf);
+                match durability {
+                    Some(d) => {
+                        put_bool(&mut buf, true);
+                        d.encode(&mut buf);
+                    }
+                    None => put_bool(&mut buf, false),
                 }
             }
             Request::DefineTriggers { tenant, source } => {
@@ -506,8 +501,7 @@ impl Request {
             REQ_HELLO => Request::Hello {
                 version: r.u32()?,
                 client: r.str()?,
-                // optional trailing field: absent from version-1 clients
-                durability: if r.remaining() > 0 {
+                durability: if r.bool()? {
                     Some(WireDurability::decode(&mut r)?)
                 } else {
                     None
@@ -612,7 +606,7 @@ pub enum WireOutcome {
     /// The job panicked; the tenant's engine was discarded.
     Panicked,
     /// The job ran in memory but its home shard's durability is
-    /// poisoned, so it was **not** made durable (version 4; the typed
+    /// poisoned, so it was **not** made durable (the typed
     /// degraded-service answer — never a hang, never a silent drop).
     RefusedDurability {
         /// Why durability was refused.
@@ -622,7 +616,7 @@ pub enum WireOutcome {
     /// may or may not have run (at-most-once). Synthesized by the
     /// *client* on reconnect for orphaned submissions — a server never
     /// sends it, but it is a first-class encodable outcome so the wire
-    /// vocabulary stays total (version 4).
+    /// vocabulary stays total.
     Disconnected,
 }
 
@@ -694,15 +688,11 @@ pub struct WireStats {
     pub executions: u64,
     pub commits: u64,
     pub rollbacks: u64,
-    // storage-layer counters, appended in version 2 as optional trailing
-    // fields: a version-1 peer's StatsReply decodes with them zeroed
     pub wal_appends: u64,
     pub wal_syncs: u64,
     pub snapshots: u64,
     pub tenants_recovered: u64,
     pub jobs_replayed: u64,
-    // scheduler + server counters, appended in version 3 the same way:
-    // a version-2 peer's reply decodes with zeros / empty breakdown
     pub steals: u64,
     pub ready_queue_depth: u64,
     /// Reads the server deferred because a connection hit its
@@ -710,8 +700,6 @@ pub struct WireStats {
     /// the server owns this counter and splices it in).
     pub net_reads_throttled: u64,
     pub per_shard: Vec<WireShardStats>,
-    // robustness counters, appended in version 4 the same way: a
-    // version-3 peer's reply decodes with them zeroed
     pub store_retries: u64,
     /// Live gauge of poisoned home shards (see
     /// [`chimera_runtime::RuntimeStats::shards_poisoned`]).
@@ -719,8 +707,6 @@ pub struct WireStats {
     /// Connections the server reaped on an expired handshake or read
     /// deadline (server-wide; the server owns and splices this in).
     pub net_conns_reaped: u64,
-    // lifecycle counters, appended in version 6 the same way: a
-    // version-5 (or earlier) peer's reply decodes with them zeroed
     /// Tenant engines evicted to the durable store to stay inside the
     /// residency budget (see [`chimera_runtime::RuntimeStats::evictions`]).
     pub evictions: u64,
@@ -848,9 +834,8 @@ pub enum Response {
         server: String,
         /// Runtime shard count.
         shards: u32,
-        /// The runtime's effective durability level. Optional trailing
-        /// field: `None` only when decoding a version-1 server's ack.
-        durability: Option<WireDurability>,
+        /// The runtime's effective durability level.
+        durability: WireDurability,
     },
     /// Answers [`Request::SubmitBlock`]: the per-job completion
     /// notification, delivered once the tenant's shard retired the job.
@@ -881,10 +866,7 @@ pub enum Response {
     /// Answers [`Request::WithTenantQuery`].
     TenantReply(TenantReply),
     /// Answers [`Request::MetricsSnapshot`] with the server runtime's
-    /// full telemetry registry (version 5). The trace tail is encoded
-    /// as an *optional trailing block* — omitted entirely when there
-    /// are no traces — so the rest of the registry decodes the same
-    /// way whether or not a trace section follows it.
+    /// full telemetry registry, trace tail included.
     MetricsReply(MetricsSnapshot),
     /// Answers [`Request::Shutdown`].
     ShutdownAck,
@@ -918,9 +900,8 @@ const RESP_BUSY: u8 = 0x8A;
 const RESP_METRICS: u8 = 0x8B;
 
 /// Encode one telemetry registry snapshot. Layout: `enabled` flag, the
-/// counter / gauge / histogram series (each a counted vector), then —
-/// only when non-empty — the trace tail as a counted vector of
-/// fixed-width 33-byte events.
+/// counter / gauge / histogram series, then the trace tail — each a
+/// counted vector, the trace events fixed-width at 33 bytes.
 fn encode_metrics(buf: &mut Vec<u8>, m: &MetricsSnapshot) {
     put_bool(buf, m.enabled);
     put_u32(buf, m.counters.len() as u32);
@@ -941,19 +922,13 @@ fn encode_metrics(buf: &mut Vec<u8>, m: &MetricsSnapshot) {
             put_u64(buf, *b);
         }
     }
-    // Optional trailing block. An *empty* tail is omitted (not encoded
-    // as a zero count) so every truncation of this message either fails
-    // to decode or re-encodes bit-exactly — the invariant
-    // `tests/wire_roundtrip.rs` holds every message to.
-    if !m.traces.is_empty() {
-        put_u32(buf, m.traces.len() as u32);
-        for ev in &m.traces {
-            put_u64(buf, ev.seq);
-            put_u64(buf, ev.at_ns);
-            put_u8(buf, ev.kind as u8);
-            put_u64(buf, ev.a);
-            put_u64(buf, ev.b);
-        }
+    put_u32(buf, m.traces.len() as u32);
+    for ev in &m.traces {
+        put_u64(buf, ev.seq);
+        put_u64(buf, ev.at_ns);
+        put_u8(buf, ev.kind as u8);
+        put_u64(buf, ev.a);
+        put_u64(buf, ev.b);
     }
 }
 
@@ -985,24 +960,21 @@ fn decode_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError> {
         }
         hists.push(HistSnapshot { name, buckets });
     }
-    let mut traces = Vec::new();
-    if r.remaining() > 0 {
-        // a trace event is exactly 33 bytes
-        let n = r.count_of(33)?;
-        traces.reserve(n);
-        for _ in 0..n {
-            let seq = r.u64()?;
-            let at_ns = r.u64()?;
-            let kind = r.u8()?;
-            let kind = TraceKind::from_u8(kind).ok_or(WireError::BadTag(kind))?;
-            traces.push(TraceEvent {
-                seq,
-                at_ns,
-                kind,
-                a: r.u64()?,
-                b: r.u64()?,
-            });
-        }
+    // a trace event is exactly 33 bytes
+    let n = r.count_of(33)?;
+    let mut traces = Vec::with_capacity(n);
+    for _ in 0..n {
+        let seq = r.u64()?;
+        let at_ns = r.u64()?;
+        let kind = r.u8()?;
+        let kind = TraceKind::from_u8(kind).ok_or(WireError::BadTag(kind))?;
+        traces.push(TraceEvent {
+            seq,
+            at_ns,
+            kind,
+            a: r.u64()?,
+            b: r.u64()?,
+        });
     }
     Ok(MetricsSnapshot {
         enabled,
@@ -1037,9 +1009,7 @@ impl Response {
                 put_u32(&mut buf, *version);
                 put_str(&mut buf, server);
                 put_u32(&mut buf, *shards);
-                if let Some(d) = durability {
-                    d.encode(&mut buf);
-                }
+                durability.encode(&mut buf);
             }
             Response::JobDone {
                 job,
@@ -1097,13 +1067,11 @@ impl Response {
                     s.executions,
                     s.commits,
                     s.rollbacks,
-                    // version-2 trailing fields (storage layer)
                     s.wal_appends,
                     s.wal_syncs,
                     s.snapshots,
                     s.tenants_recovered,
                     s.jobs_replayed,
-                    // version-3 trailing fields (scheduler + server)
                     s.steals,
                     s.ready_queue_depth,
                     s.net_reads_throttled,
@@ -1124,14 +1092,14 @@ impl Response {
                         put_u64(&mut buf, v);
                     }
                 }
-                // version-4 trailing fields (robustness)
-                for v in [s.store_retries, s.shards_poisoned, s.net_conns_reaped] {
-                    put_u64(&mut buf, v);
-                }
-                // version-6 trailing fields (tenant lifecycle); version
-                // 5 added no StatsReply fields, so this is the fourth
-                // optional block
-                for v in [s.evictions, s.rehydrations, s.tenants_resident] {
+                for v in [
+                    s.store_retries,
+                    s.shards_poisoned,
+                    s.net_conns_reaped,
+                    s.evictions,
+                    s.rehydrations,
+                    s.tenants_resident,
+                ] {
                     put_u64(&mut buf, v);
                 }
             }
@@ -1203,12 +1171,7 @@ impl Response {
                 version: r.u32()?,
                 server: r.str()?,
                 shards: r.u32()?,
-                // optional trailing field: absent from version-1 servers
-                durability: if r.remaining() > 0 {
-                    Some(WireDurability::decode(&mut r)?)
-                } else {
-                    None
-                },
+                durability: WireDurability::decode(&mut r)?,
             },
             RESP_JOB_DONE => {
                 let job = r.u64()?;
@@ -1241,39 +1204,30 @@ impl Response {
                 Response::TriggersDefined { outcomes }
             }
             RESP_FLUSH_DONE => Response::FlushDone,
-            RESP_STATS => {
-                let mut s = WireStats {
-                    shards: r.u32()?,
-                    tenants: r.u64()?,
-                    jobs_submitted: r.u64()?,
-                    jobs_processed: r.u64()?,
-                    jobs_shed: r.u64()?,
-                    submits_blocked: r.u64()?,
-                    job_errors: r.u64()?,
-                    job_panics: r.u64()?,
-                    blocks: r.u64()?,
-                    events: r.u64()?,
-                    considerations: r.u64()?,
-                    executions: r.u64()?,
-                    commits: r.u64()?,
-                    rollbacks: r.u64()?,
-                    ..WireStats::default()
-                };
-                // version-2 trailing fields: zero when a version-1
-                // server sent the reply
-                if r.remaining() > 0 {
-                    s.wal_appends = r.u64()?;
-                    s.wal_syncs = r.u64()?;
-                    s.snapshots = r.u64()?;
-                    s.tenants_recovered = r.u64()?;
-                    s.jobs_replayed = r.u64()?;
-                }
-                // version-3 trailing fields: zeros / empty breakdown
-                // when a version-2 server sent the reply
-                if r.remaining() > 0 {
-                    s.steals = r.u64()?;
-                    s.ready_queue_depth = r.u64()?;
-                    s.net_reads_throttled = r.u64()?;
+            RESP_STATS => Response::StatsReply(WireStats {
+                shards: r.u32()?,
+                tenants: r.u64()?,
+                jobs_submitted: r.u64()?,
+                jobs_processed: r.u64()?,
+                jobs_shed: r.u64()?,
+                submits_blocked: r.u64()?,
+                job_errors: r.u64()?,
+                job_panics: r.u64()?,
+                blocks: r.u64()?,
+                events: r.u64()?,
+                considerations: r.u64()?,
+                executions: r.u64()?,
+                commits: r.u64()?,
+                rollbacks: r.u64()?,
+                wal_appends: r.u64()?,
+                wal_syncs: r.u64()?,
+                snapshots: r.u64()?,
+                tenants_recovered: r.u64()?,
+                jobs_replayed: r.u64()?,
+                steals: r.u64()?,
+                ready_queue_depth: r.u64()?,
+                net_reads_throttled: r.u64()?,
+                per_shard: {
                     // one per-shard entry is exactly 7 u64s
                     let n = r.count_of(56)?;
                     let mut per_shard = Vec::with_capacity(n);
@@ -1288,24 +1242,15 @@ impl Response {
                             tenants: r.u64()?,
                         });
                     }
-                    s.per_shard = per_shard;
-                }
-                // version-4 trailing fields: zeros when a version-3
-                // server sent the reply
-                if r.remaining() > 0 {
-                    s.store_retries = r.u64()?;
-                    s.shards_poisoned = r.u64()?;
-                    s.net_conns_reaped = r.u64()?;
-                }
-                // version-6 trailing fields: zeros when a version-5 (or
-                // earlier) server sent the reply
-                if r.remaining() > 0 {
-                    s.evictions = r.u64()?;
-                    s.rehydrations = r.u64()?;
-                    s.tenants_resident = r.u64()?;
-                }
-                Response::StatsReply(s)
-            }
+                    per_shard
+                },
+                store_retries: r.u64()?,
+                shards_poisoned: r.u64()?,
+                net_conns_reaped: r.u64()?,
+                evictions: r.u64()?,
+                rehydrations: r.u64()?,
+                tenants_resident: r.u64()?,
+            }),
             RESP_TENANT => {
                 let reply = match r.u8()? {
                     0 => TenantReply::NoSuchTenant,

@@ -89,8 +89,8 @@ pub struct ServerConfig {
     pub handshake_timeout: std::time::Duration,
     /// Idle deadline *after* the handshake: a connection whose next
     /// frame does not arrive within this window is reaped. `None`
-    /// waits forever (the pre-version-4 behavior). Reaps of either kind
-    /// are counted in the `Stats` reply (`net_conns_reaped`).
+    /// waits forever. Reaps of either kind are counted in the `Stats`
+    /// reply (`net_conns_reaped`).
     pub read_timeout: Option<std::time::Duration>,
     /// Socket write deadline for responses: a peer that stops draining
     /// its receive window while completions are streaming out would
@@ -719,11 +719,10 @@ fn handle(
                         "protocol version mismatch: client {version}, server {PROTOCOL_VERSION}"
                     ),
                 }
-            } else if durability.is_some_and(|required| required != provided) {
+            } else if let Some(required) = durability.filter(|&d| d != provided) {
                 Response::Error {
                     message: format!(
-                        "durability mismatch: client requires {}, server provides {provided}",
-                        durability.unwrap()
+                        "durability mismatch: client requires {required}, server provides {provided}"
                     ),
                 }
             } else {
@@ -731,7 +730,7 @@ fn handle(
                     version: PROTOCOL_VERSION,
                     server: config.name.clone(),
                     shards: runtime.shard_count() as u32,
-                    durability: Some(provided),
+                    durability: provided,
                 }
             }
         }

@@ -21,30 +21,15 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Version announced in `Hello`/`HelloAck`. Bump on any codec change.
-/// Version 2: durability negotiation in the handshake, storage counters
-/// in `StatsReply`, per-declaration `TriggersDefined` outcomes, and the
-/// `Busy` connection-cap refusal. Version 3: scheduler counters
-/// (`steals`, `ready_queue_depth`), the connection read-throttle counter,
-/// and the per-shard stats breakdown — all optional trailing fields in
-/// `StatsReply`, so version-2 peers interoperate (they decode as zeros /
-/// an empty breakdown). Version 4: the robustness layer — typed
-/// durability refusals (`WireOutcome::RefusedDurability`) and
-/// client-synthesized `Disconnected` outcomes in `JobDone`, plus
-/// `store_retries` / `shards_poisoned` / `net_conns_reaped` as another
-/// round of optional trailing `StatsReply` fields. Version 5: the
-/// telemetry layer — the `MetricsSnapshot` request and its
-/// `MetricsReply` (full counter/gauge/histogram registry plus the
-/// drained trace tail; the trace block is an optional trailing field).
-/// No existing message's encoding changed, so version-4 peers still
-/// decode every version-4 message byte-for-byte (pinned in
-/// `tests/wire_roundtrip.rs`). Version 6: the tenant lifecycle layer —
-/// `evictions` / `rehydrations` / `tenants_resident` as a fourth round
-/// of optional trailing `StatsReply` fields (version 5 added no
-/// `StatsReply` fields, so version-5 peers decode them as zeros; every
-/// version-5 message still decodes byte-for-byte, pinned in
-/// `tests/wire_roundtrip.rs`). The framing layer is unchanged.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// Version announced in `Hello`/`HelloAck`.
+///
+/// Extension rule: any change to a message's layout, and any new
+/// message or variant tag, bumps this number, and the server refuses a
+/// `Hello` carrying any other version with a typed `Response::Error`.
+/// No peer the server talks to can therefore send an earlier layout, so
+/// every decoder knows exactly one layout per message — no optional
+/// trailing fields, no version branches.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Default upper bound on one frame's payload (16 MiB) — comfortably
 /// above a 256-event block, far below an allocation attack.
@@ -205,7 +190,7 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

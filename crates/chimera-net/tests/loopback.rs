@@ -339,29 +339,34 @@ fn handshake_is_mandatory() {
 fn version_mismatch_is_rejected() {
     let server = start_server(vec![]);
     let addr = server.local_addr();
-    let mut sock = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut sock,
-        &chimera_net::Request::Hello {
-            version: 999,
-            client: "time traveler".into(),
-            durability: None,
+    // the previous version is refused like any other: no decoder keeps
+    // an earlier layout
+    let current = chimera_net::PROTOCOL_VERSION;
+    for version in [current - 1, current + 1, 999] {
+        let mut sock = TcpStream::connect(addr).unwrap();
+        write_frame(
+            &mut sock,
+            &chimera_net::Request::Hello {
+                version,
+                client: "time traveler".into(),
+                durability: None,
+            }
+            .encode(),
+        )
+        .unwrap();
+        let reply = chimera_net::read_frame(&mut sock, 1 << 20).unwrap().unwrap();
+        match chimera_net::Response::decode(&reply).unwrap() {
+            chimera_net::Response::Error { message } => {
+                assert!(message.contains("version mismatch"), "{message}")
+            }
+            other => panic!("expected Error, got {other:?}"),
         }
-        .encode(),
-    )
-    .unwrap();
-    let reply = chimera_net::read_frame(&mut sock, 1 << 20).unwrap().unwrap();
-    match chimera_net::Response::decode(&reply).unwrap() {
-        chimera_net::Response::Error { message } => {
-            assert!(message.contains("version mismatch"), "{message}")
-        }
-        other => panic!("expected Error, got {other:?}"),
+        // keep the read half open so the server-side write can't race the
+        // hangup; explicit shutdown of our write half signals we're done
+        let _ = sock.shutdown(std::net::Shutdown::Write);
+        let mut rest = Vec::new();
+        let _ = sock.read_to_end(&mut rest);
     }
-    // keep the read half open so the server-side write can't race the
-    // hangup; explicit shutdown of our write half signals we're done
-    let _ = sock.shutdown(std::net::Shutdown::Write);
-    let mut rest = Vec::new();
-    let _ = sock.read_to_end(&mut rest);
     server.shutdown();
 }
 
@@ -557,10 +562,10 @@ fn handshake_negotiates_durability() {
     // requiring what the server provides succeeds, and the ack reports
     // the effective level either way
     let c = Client::connect_requiring(addr, "strict", WireDurability::InMemory).unwrap();
-    assert_eq!(c.server_durability(), Some(WireDurability::InMemory));
+    assert_eq!(c.server_durability(), WireDurability::InMemory);
     drop(c);
     let c = Client::connect(addr).unwrap();
-    assert_eq!(c.server_durability(), Some(WireDurability::InMemory));
+    assert_eq!(c.server_durability(), WireDurability::InMemory);
     drop(c);
     server.shutdown();
 }
@@ -652,7 +657,7 @@ fn durable_server_round_trip() {
     let addr = server.local_addr();
 
     let mut c = Client::connect_requiring(addr, "durable", WireDurability::GroupCommit).unwrap();
-    assert_eq!(c.server_durability(), Some(WireDurability::GroupCommit));
+    assert_eq!(c.server_durability(), WireDurability::GroupCommit);
     let outcomes = c
         .define_triggers(
             3,

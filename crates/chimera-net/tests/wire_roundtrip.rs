@@ -96,12 +96,11 @@ fn arb_query(rng: &mut StdRng) -> TenantQuery {
     }
 }
 
-fn arb_durability(rng: &mut StdRng) -> Option<WireDurability> {
-    match rng.random_range(0..4u32) {
-        0 => None,
-        1 => Some(WireDurability::InMemory),
-        2 => Some(WireDurability::PerJob),
-        _ => Some(WireDurability::GroupCommit),
+fn arb_durability(rng: &mut StdRng) -> WireDurability {
+    if rng.next_u32() & 1 == 1 {
+        WireDurability::GroupCommit
+    } else {
+        WireDurability::InMemory
     }
 }
 
@@ -139,7 +138,11 @@ fn arb_request(rng: &mut StdRng) -> Request {
         0 => Request::Hello {
             version: rng.next_u32(),
             client: arb_string(rng),
-            durability: arb_durability(rng),
+            durability: if rng.next_u32() & 1 == 1 {
+                Some(arb_durability(rng))
+            } else {
+                None
+            },
         },
         1 => Request::DefineTriggers {
             tenant: rng.next_u64(),
@@ -309,31 +312,22 @@ proptest! {
         }
     }
 
-    /// Every strict prefix of a valid encoding is rejected as truncated
-    /// — unless the cut removed exactly a whole optional trailing field
-    /// (that's a *version-1* encoding by construction, so it must decode
-    /// to a value that itself round-trips bit-exactly). Either way:
-    /// never a panic, never an unstable partial decode.
+    /// Every message has one layout with every field present, so every
+    /// strict prefix of a valid encoding fails to decode.
     #[test]
     fn truncated_encodings_rejected(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let req = arb_request(&mut rng);
-        let bytes = req.encode();
+        let bytes = arb_request(&mut rng).encode();
         for cut in 0..bytes.len() {
-            if let Ok(m) = Request::decode(&bytes[..cut]) {
-                prop_assert_eq!(Request::decode(&m.encode()).unwrap(), m, "cut {}", cut);
-            }
+            prop_assert!(Request::decode(&bytes[..cut]).is_err(), "cut {}", cut);
         }
-        let resp = arb_response(&mut rng);
-        let bytes = resp.encode();
+        let bytes = arb_response(&mut rng).encode();
         for cut in 0..bytes.len() {
-            if let Ok(m) = Response::decode(&bytes[..cut]) {
-                prop_assert_eq!(Response::decode(&m.encode()).unwrap(), m, "cut {}", cut);
-            }
+            prop_assert!(Response::decode(&bytes[..cut]).is_err(), "cut {}", cut);
         }
     }
 
-    /// Appending garbage to a valid encoding is `Trailing`, and decoding
+    /// Appending a byte to a valid encoding is `Trailing`, and decoding
     /// arbitrary byte soup returns an error or an honest message — and
     /// never panics.
     #[test]
@@ -342,10 +336,7 @@ proptest! {
         let req = arb_request(&mut rng);
         let mut bytes = req.encode();
         bytes.push(rng.next_u32() as u8);
-        prop_assert!(matches!(
-            Request::decode(&bytes),
-            Err(WireError::Trailing { .. }) | Err(_)
-        ));
+        prop_assert_eq!(Request::decode(&bytes), Err(WireError::Trailing { extra: 1 }));
         for _ in 0..16 {
             let len = rng.random_range(0..64usize);
             let soup: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
@@ -395,185 +386,152 @@ fn frame_roundtrip_and_bounds() {
     assert_eq!(read_frame(&mut &[0x01u8][..], 1024), Err(WireError::Truncated));
 }
 
-#[test]
-fn version1_peers_still_decode() {
-    // cutting the optional trailing durability off a version-2 Hello
-    // yields exactly a version-1 Hello (and the same for the ack)
-    let hello = Request::Hello {
-        version: 2,
-        client: "new".into(),
-        durability: Some(WireDurability::GroupCommit),
-    };
-    let bytes = hello.encode();
-    match Request::decode(&bytes[..bytes.len() - 1]).unwrap() {
-        Request::Hello { durability: None, version: 2, .. } => {}
-        other => panic!("expected durability-less Hello, got {other:?}"),
-    }
-    let ack = Response::HelloAck {
-        version: 2,
-        server: "srv".into(),
-        shards: 4,
-        durability: Some(WireDurability::PerJob),
-    };
-    let bytes = ack.encode();
-    match Response::decode(&bytes[..bytes.len() - 1]).unwrap() {
-        Response::HelloAck { durability: None, shards: 4, .. } => {}
-        other => panic!("expected durability-less HelloAck, got {other:?}"),
-    }
-    // older StatsReply shapes decode with the newer counters zeroed,
-    // not an error. The version-6 trailing block is 3 u64s; so is the
-    // version-4 block; the version-3 block on an empty breakdown is
-    // 3 u64s + a u32 count; the version-2 block is 5 u64s.
-    let stats = WireStats {
-        shards: 3,
-        jobs_submitted: 11,
-        wal_appends: 7,
-        wal_syncs: 5,
-        snapshots: 2,
-        tenants_recovered: 1,
-        jobs_replayed: 9,
-        steals: 13,
-        ready_queue_depth: 4,
-        net_reads_throttled: 6,
-        store_retries: 21,
-        shards_poisoned: 1,
-        net_conns_reaped: 2,
-        evictions: 8,
-        rehydrations: 6,
-        tenants_resident: 2,
-        ..WireStats::default()
-    };
-    let bytes = Response::StatsReply(stats).encode();
-    let v6_block = 3 * 8;
-    let v4_block = 3 * 8;
-    let v3_block = 3 * 8 + 4;
-    // a version-4/5 reply: robustness counters present, lifecycle zeroed
-    match Response::decode(&bytes[..bytes.len() - v6_block]).unwrap() {
-        Response::StatsReply(s) => {
-            assert_eq!(s.store_retries, 21);
-            assert_eq!(s.evictions, 0);
-            assert_eq!(s.rehydrations, 0);
-            assert_eq!(s.tenants_resident, 0);
-        }
-        other => panic!("expected StatsReply, got {other:?}"),
-    }
-    let bytes = &bytes[..bytes.len() - v6_block];
-    // a version-3 reply: scheduler counters present, robustness zeroed
-    match Response::decode(&bytes[..bytes.len() - v4_block]).unwrap() {
-        Response::StatsReply(s) => {
-            assert_eq!(s.steals, 13);
-            assert_eq!(s.store_retries, 0);
-            assert_eq!(s.shards_poisoned, 0);
-            assert_eq!(s.net_conns_reaped, 0);
-        }
-        other => panic!("expected StatsReply, got {other:?}"),
-    }
-    let bytes = &bytes[..bytes.len() - v4_block];
-    // a version-2 reply: storage counters present, scheduler zeroed
-    match Response::decode(&bytes[..bytes.len() - v3_block]).unwrap() {
-        Response::StatsReply(s) => {
-            assert_eq!(s.shards, 3);
-            assert_eq!(s.wal_appends, 7);
-            assert_eq!(s.steals, 0);
-            assert_eq!(s.net_reads_throttled, 0);
-            assert!(s.per_shard.is_empty());
-        }
-        other => panic!("expected StatsReply, got {other:?}"),
-    }
-    // a version-1 reply (14 flat fields): storage counters zeroed too
-    match Response::decode(&bytes[..bytes.len() - v3_block - 5 * 8]).unwrap() {
-        Response::StatsReply(s) => {
-            assert_eq!(s.shards, 3);
-            assert_eq!(s.jobs_submitted, 11);
-            assert_eq!(s.wal_appends, 0);
-            assert_eq!(s.jobs_replayed, 0);
-            assert_eq!(s.steals, 0);
-        }
-        other => panic!("expected StatsReply, got {other:?}"),
-    }
+// ------------------------------------------------------ pinned job path
+
+/// The frames `net.bytes_per_job` counts: one `SubmitBlock` per job and
+/// its `JobDone`. These bytes are fixed; a codec change that moves them
+/// moves that metric.
+const TENANT: [u8; 8] = [7, 0, 0, 0, 0, 0, 0, 0];
+
+fn submit(job: WireJob) -> Vec<u8> {
+    Request::SubmitBlock { tenant: 7, job }.encode()
+}
+
+fn pinned(parts: &[&[u8]]) -> Vec<u8> {
+    parts.concat()
 }
 
 #[test]
-fn version4_peers_still_decode() {
-    // version 5 added *new tags only* and version 6 *optional trailing
-    // StatsReply fields only* — no version-4 message's encoding
-    // changed, so a version-4 peer decodes every frame it knew about
-    // byte-for-byte. Pin the fixed encodings that contract rests on
-    // (and the new tags, which a version-4 peer rejects as BadTag — a
-    // typed refusal, never a desync, since frames are length-prefixed).
-    assert_eq!(chimera_net::PROTOCOL_VERSION, 6);
-    assert_eq!(Request::Flush.encode(), vec![0x04]);
-    assert_eq!(Request::Stats.encode(), vec![0x05]);
-    assert_eq!(Request::Shutdown.encode(), vec![0x07]);
-    assert_eq!(Request::MetricsSnapshot.encode(), vec![0x08]);
-    assert_eq!(Response::FlushDone.encode(), vec![0x84]);
-    assert_eq!(Response::ShutdownAck.encode(), vec![0x87]);
-    assert_eq!(Response::MetricsReply(MetricsSnapshot::disabled()).encode()[0], 0x8B);
-
-    // the MetricsReply trace tail is an optional trailing block: cutting
-    // it yields a reply that decodes (traces empty, every other series
-    // intact) and re-encodes bit-exactly to the cut form
-    let m = MetricsSnapshot {
-        enabled: true,
-        counters: vec![("batches_claimed".into(), 7)],
-        gauges: vec![("conns_active".into(), -2)],
-        hists: vec![HistSnapshot {
-            name: "execute".into(),
-            buckets: vec![0; 64],
-        }],
-        traces: vec![TraceEvent {
-            seq: 1,
-            at_ns: 99,
-            kind: TraceKind::JobClaimed,
-            a: 3,
-            b: 4,
-        }],
-    };
-    let bytes = Response::MetricsReply(m.clone()).encode();
-    // the trace block is a u32 count plus one 33-byte event
-    let cut = &bytes[..bytes.len() - (4 + 33)];
-    match Response::decode(cut).unwrap() {
-        Response::MetricsReply(got) => {
-            assert!(got.traces.is_empty());
-            assert_eq!(got.counters, m.counters);
-            assert_eq!(got.gauges, m.gauges);
-            assert_eq!(got.hists, m.hists);
-            assert_eq!(Response::MetricsReply(got).encode(), cut);
-        }
-        other => panic!("expected MetricsReply, got {other:?}"),
-    }
+fn protocol_version_is_7() {
+    assert_eq!(chimera_net::PROTOCOL_VERSION, 7);
 }
 
 #[test]
-fn version5_peers_still_decode() {
-    // version 6 appends *optional trailing StatsReply fields only* — a
-    // version-5 StatsReply (no lifecycle block) still decodes, with the
-    // lifecycle counters zeroed, and every other field intact. Build a
-    // version-5-shaped reply by cutting the version-6 block off a full
-    // encoding whose lifecycle fields are zero: byte-for-byte, that is
-    // what a version-5 server would have sent.
-    let stats = WireStats {
-        shards: 2,
-        tenants: 9,
-        jobs_submitted: 41,
-        store_retries: 3,
-        shards_poisoned: 1,
-        net_conns_reaped: 5,
-        ..WireStats::default()
-    };
-    let full = Response::StatsReply(stats.clone()).encode();
-    let v5 = &full[..full.len() - 3 * 8];
-    match Response::decode(v5).unwrap() {
-        Response::StatsReply(s) => {
-            assert_eq!(s, stats);
-            assert_eq!(s.evictions, 0);
-            assert_eq!(s.rehydrations, 0);
-            assert_eq!(s.tenants_resident, 0);
-            // re-encoding appends the (all-zero) version-6 block back
-            assert_eq!(Response::StatsReply(s).encode(), full);
+fn submit_block_bytes_are_pinned() {
+    assert_eq!(submit(WireJob::Begin), pinned(&[&[0x03], &TENANT, &[0]]));
+    assert_eq!(submit(WireJob::Commit), pinned(&[&[0x03], &TENANT, &[3]]));
+    assert_eq!(submit(WireJob::Rollback), pinned(&[&[0x03], &TENANT, &[4]]));
+    assert_eq!(
+        submit(WireJob::RaiseExternal(vec![ExternalEvent {
+            class: 1,
+            channel: 2,
+            oid: 3,
+        }])),
+        pinned(&[
+            &[0x03],
+            &TENANT,
+            &[2, 1, 0, 0, 0],          // RaiseExternal, 1 event
+            &[1, 0, 0, 0],             // class
+            &[2, 0, 0, 0],             // channel
+            &[3, 0, 0, 0, 0, 0, 0, 0], // oid
+        ])
+    );
+    // one op of each kind, and one value of each kind
+    let ops = vec![
+        WireOp::Create {
+            class: 1,
+            inits: vec![
+                (1, Value::Null),
+                (2, Value::Int(-2)),
+                (3, Value::Str("ab".into())),
+                (4, Value::Bool(true)),
+                (5, Value::Time(9)),
+                (6, Value::Ref(Oid(5))),
+            ],
+        },
+        WireOp::Modify {
+            oid: 5,
+            attr: 2,
+            value: Value::Float(TotalF64::from_bits(1.5f64.to_bits())),
+        },
+        WireOp::Delete { oid: 5 },
+        WireOp::Specialize { oid: 5, class: 2 },
+        WireOp::Generalize { oid: 5, class: 1 },
+        WireOp::Select {
+            class: 1,
+            deep: true,
+        },
+    ];
+    const OID5: [u8; 8] = [5, 0, 0, 0, 0, 0, 0, 0];
+    assert_eq!(
+        submit(WireJob::ExecBlock(ops)),
+        pinned(&[
+            &[0x03],
+            &TENANT,
+            &[1, 6, 0, 0, 0], // ExecBlock, 6 ops
+            // Create: class 1, 6 initializers
+            &[0, 1, 0, 0, 0, 6, 0, 0, 0],
+            &[1, 0, 0, 0, 0],                                                 // Null
+            &[2, 0, 0, 0, 1, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF], // Int -2
+            &[3, 0, 0, 0, 3, 2, 0, 0, 0, b'a', b'b'],                         // Str "ab"
+            &[4, 0, 0, 0, 4, 1],                                              // Bool true
+            &[5, 0, 0, 0, 5, 9, 0, 0, 0, 0, 0, 0, 0],                         // Time 9
+            &[6, 0, 0, 0, 6],                                                 // Ref 5
+            &OID5,
+            // Modify: oid 5, attr 2, Float 1.5 (its bit pattern)
+            &[1],
+            &OID5,
+            &[2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F],
+            // Delete: oid 5
+            &[2],
+            &OID5,
+            // Specialize: oid 5, class 2
+            &[3],
+            &OID5,
+            &[2, 0, 0, 0],
+            // Generalize: oid 5, class 1
+            &[4],
+            &OID5,
+            &[1, 0, 0, 0],
+            // Select: class 1, deep
+            &[5, 1, 0, 0, 0, 1],
+        ])
+    );
+}
+
+#[test]
+fn job_done_bytes_are_pinned() {
+    let done = |outcome| {
+        Response::JobDone {
+            job: 1,
+            tenant: 7,
+            outcome,
         }
-        other => panic!("expected StatsReply, got {other:?}"),
-    }
+        .encode()
+    };
+    let head: &[u8] = &[0x82, 1, 0, 0, 0, 0, 0, 0, 0];
+    assert_eq!(
+        done(WireOutcome::Done {
+            events: 2,
+            considerations: 3,
+            executions: 4,
+        }),
+        pinned(&[
+            head,
+            &TENANT,
+            &[0],
+            &[2, 0, 0, 0, 0, 0, 0, 0],
+            &[3, 0, 0, 0, 0, 0, 0, 0],
+            &[4, 0, 0, 0, 0, 0, 0, 0],
+        ])
+    );
+    assert_eq!(
+        done(WireOutcome::Error {
+            message: "no".into()
+        }),
+        pinned(&[head, &TENANT, &[1, 2, 0, 0, 0, b'n', b'o']])
+    );
+    assert_eq!(done(WireOutcome::Panicked), pinned(&[head, &TENANT, &[2]]));
+    assert_eq!(
+        done(WireOutcome::RefusedDurability {
+            message: "io".into()
+        }),
+        pinned(&[head, &TENANT, &[3, 2, 0, 0, 0, b'i', b'o']])
+    );
+    assert_eq!(
+        done(WireOutcome::Disconnected),
+        pinned(&[head, &TENANT, &[4]])
+    );
 }
 
 #[test]

@@ -44,9 +44,7 @@ pub mod store;
 
 pub use joblog::{JobGroup, JobLog, JobLogOutcome, JobRecord};
 pub use shardsnap::{RuleStampRec, ShardSnapshot, TenantSnapshot};
-pub use store::{
-    DurableStore, InMemoryStore, ShardRecovery, StateStore, StoreCounters, SyncPolicy,
-};
+pub use store::{DurableStore, InMemoryStore, ShardRecovery, StateStore, StoreCounters};
 
 use std::fmt;
 use std::path::Path;
@@ -117,7 +115,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// fsync the directory that holds `path`. A file's own fsync covers its
 /// data, not the directory entry that names it, so a rename or a newly
 /// created file is durable only once its directory has been synced too.
-pub(crate) fn sync_parent(path: &Path) -> Result<()> {
+pub fn sync_parent(path: &Path) -> Result<()> {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
     Ok(())

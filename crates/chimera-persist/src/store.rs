@@ -23,17 +23,6 @@ use crate::shardsnap::{ShardSnapshot, TenantSnapshot};
 use crate::{PersistError, Result};
 use std::path::{Path, PathBuf};
 
-/// When the durable backend fsyncs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// One sync per appended job (each job is its own group). Maximum
-    /// safety granularity, pays the full fsync per job.
-    EveryJob,
-    /// One sync per explicit [`StateStore::commit`] — the group-commit
-    /// mode; every job appended since the last commit shares the fsync.
-    GroupCommit,
-}
-
 /// Monotonic counters a store exposes for the runtime's stats surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
@@ -65,8 +54,8 @@ pub trait StateStore: Send {
     /// Read back durable state and prepare the store for appending. Must
     /// be called exactly once, before any append.
     fn recover(&mut self) -> Result<ShardRecovery>;
-    /// Stage one job intent. Under [`SyncPolicy::EveryJob`] this also
-    /// syncs; under group commit it is an in-memory append.
+    /// Stage one job intent: an in-memory append that the next
+    /// [`StateStore::commit`] makes durable.
     fn append(&mut self, tenant: u64, record: &JobRecord) -> Result<()>;
     /// Make everything appended since the last commit durable (one
     /// fsync). No-op when nothing is staged.
@@ -133,7 +122,6 @@ impl StateStore for InMemoryStore {
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
-    policy: SyncPolicy,
     log: Option<JobLog>,
     snap_seq: u64,
     counters: StoreCounters,
@@ -142,11 +130,10 @@ pub struct DurableStore {
 impl DurableStore {
     /// Open a store rooted at `dir` (created if missing). Appending is
     /// refused until [`StateStore::recover`] has run.
-    pub fn open(dir: &Path, policy: SyncPolicy) -> Result<Self> {
+    pub fn open(dir: &Path) -> Result<Self> {
         std::fs::create_dir_all(dir)?;
         Ok(DurableStore {
             dir: dir.to_path_buf(),
-            policy,
             log: None,
             snap_seq: 0,
             counters: StoreCounters::default(),
@@ -192,16 +179,8 @@ impl StateStore for DurableStore {
     }
 
     fn append(&mut self, tenant: u64, record: &JobRecord) -> Result<()> {
-        let every_job = self.policy == SyncPolicy::EveryJob;
-        let log = self.log_mut()?;
-        log.stage(tenant, record);
+        self.log_mut()?.stage(tenant, record);
         self.counters.appends += 1;
-        if every_job {
-            let started = std::time::Instant::now();
-            self.log_mut()?.sync()?;
-            self.counters.syncs += 1;
-            self.counters.sync_nanos += started.elapsed().as_nanos() as u64;
-        }
         Ok(())
     }
 
@@ -275,7 +254,7 @@ mod tests {
     #[test]
     fn append_before_recover_is_refused() {
         let dir = tmpdir("norec");
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+        let mut s = DurableStore::open(&dir).unwrap();
         assert!(s.append(1, &JobRecord::Begin).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -284,7 +263,7 @@ mod tests {
     fn group_commit_survives_reopen() {
         let dir = tmpdir("reopen");
         {
-            let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+            let mut s = DurableStore::open(&dir).unwrap();
             s.recover().unwrap();
             s.append(1, &JobRecord::Begin).unwrap();
             s.append(2, &JobRecord::Commit).unwrap();
@@ -296,7 +275,7 @@ mod tests {
             assert!(c.sync_nanos > 0, "syncs happened, so sync time accrued");
             assert_eq!(s.groups_since_snapshot(), 2);
         }
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+        let mut s = DurableStore::open(&dir).unwrap();
         let rec = s.recover().unwrap();
         assert!(rec.snapshot.is_none() && rec.torn.is_none());
         assert_eq!(rec.tail.len(), 2);
@@ -309,24 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn every_job_policy_syncs_per_append() {
-        let dir = tmpdir("everyjob");
-        let mut s = DurableStore::open(&dir, SyncPolicy::EveryJob).unwrap();
-        s.recover().unwrap();
-        s.append(1, &JobRecord::Begin).unwrap();
-        s.append(1, &JobRecord::Commit).unwrap();
-        s.commit().unwrap(); // nothing staged: no extra sync
-        let c = s.counters();
-        assert_eq!((c.appends, c.syncs), (2, 2));
-        assert_eq!(s.groups_since_snapshot(), 2);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn snapshot_truncates_and_recovery_resumes() {
         let dir = tmpdir("snap");
         {
-            let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+            let mut s = DurableStore::open(&dir).unwrap();
             s.recover().unwrap();
             s.append(1, &JobRecord::Begin).unwrap();
             s.commit().unwrap();
@@ -336,7 +301,7 @@ mod tests {
             s.commit().unwrap();
             assert_eq!(s.groups_since_snapshot(), 1);
         }
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+        let mut s = DurableStore::open(&dir).unwrap();
         let rec = s.recover().unwrap();
         let snap = rec.snapshot.expect("snapshot present");
         assert_eq!(snap.seq, 1);
@@ -372,7 +337,7 @@ mod tests {
     #[test]
     fn durable_evict_writes_nothing() {
         let dir = tmpdir("evict");
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+        let mut s = DurableStore::open(&dir).unwrap();
         s.recover().unwrap();
         s.append(5, &JobRecord::Begin).unwrap();
         s.commit().unwrap();
@@ -395,7 +360,7 @@ mod tests {
     fn torn_tail_is_repaired_on_recover() {
         let dir = tmpdir("torn");
         {
-            let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+            let mut s = DurableStore::open(&dir).unwrap();
             s.recover().unwrap();
             s.append(1, &JobRecord::Begin).unwrap();
             s.commit().unwrap();
@@ -405,7 +370,7 @@ mod tests {
         let log = dir.join("jobs.wal");
         let full = fs::read(&log).unwrap();
         fs::write(&log, &full[..full.len() - 3]).unwrap(); // tear group 2
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+        let mut s = DurableStore::open(&dir).unwrap();
         let rec = s.recover().unwrap();
         assert!(rec.torn.is_some());
         assert_eq!(rec.tail.len(), 1);
@@ -413,7 +378,7 @@ mod tests {
         s.append(2, &JobRecord::Begin).unwrap();
         s.commit().unwrap();
         drop(s);
-        let mut s = DurableStore::open(&dir, SyncPolicy::GroupCommit).unwrap();
+        let mut s = DurableStore::open(&dir).unwrap();
         let rec = s.recover().unwrap();
         assert!(rec.torn.is_none());
         assert_eq!(rec.tail.len(), 2);

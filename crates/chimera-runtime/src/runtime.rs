@@ -11,7 +11,7 @@ use crate::stats::{RuntimeStats, ShardStats};
 use chimera_exec::{EngineConfig, EngineStats, Op};
 use chimera_lifecycle::{LifecycleConfig, ResidencyLru};
 use chimera_model::{ClassId, Oid, Schema};
-use chimera_persist::{DurableStore, InMemoryStore, StateStore, SyncPolicy};
+use chimera_persist::{DurableStore, InMemoryStore, StateStore};
 use chimera_rules::table::RuleError;
 use chimera_rules::{CompiledRule, TriggerDef};
 use chimera_telemetry::{Gauge, Telemetry};
@@ -174,7 +174,8 @@ pub enum Scheduler {
     LoadAware,
 }
 
-/// Durable-storage tuning for [`StorageMode::Durable`].
+/// Durable-storage tuning for [`StorageMode::Durable`]. A durable home
+/// shard always group-commits: one fsync per claimed batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Root directory for the runtime's durable state. Each home shard
@@ -182,10 +183,6 @@ pub struct DurabilityConfig {
     /// at the root pinning the shard count (tenant→home placement is a
     /// hash, so reopening with a different count would scatter tenants).
     pub dir: PathBuf,
-    /// `true` → one fsync per claimed batch (**group commit**);
-    /// `false` → one fsync per job (maximum granularity, pays the full
-    /// sync cost on every job).
-    pub group_commit: bool,
     /// Write a shard snapshot and truncate the job log after this many
     /// durable groups (`0` = never compact).
     pub snapshot_every: u64,
@@ -197,7 +194,6 @@ impl DurabilityConfig {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
-            group_commit: true,
             snapshot_every: 1024,
         }
     }
@@ -871,12 +867,7 @@ fn make_store(
             if index == 0 {
                 check_meta(&cfg.dir, shards)?;
             }
-            let policy = if cfg.group_commit {
-                SyncPolicy::GroupCommit
-            } else {
-                SyncPolicy::EveryJob
-            };
-            let store = DurableStore::open(&cfg.dir.join(format!("shard-{index}")), policy)
+            let store = DurableStore::open(&cfg.dir.join(format!("shard-{index}")))
                 .map_err(|e| RuntimeError::Persist(e.to_string()))?;
             (Box::new(store), cfg.snapshot_every)
         }
@@ -914,11 +905,28 @@ fn check_meta(dir: &std::path::Path, shards: usize) -> Result<(), RuntimeError> 
             }
             Ok(())
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::write(&meta, format!("shards {shards}\n")).map_err(io)
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => write_meta(&meta, shards),
         Err(e) => Err(io(e)),
     }
+}
+
+/// Create `meta.chi` durably before any shard store opens: temp file,
+/// fsync, rename, then fsync the directory, and the directory's own
+/// entry (it may just have been created). A lost file would be
+/// re-created with whatever count the next open passes, and an empty one
+/// would fail recovery, while the shard logs beside it survive.
+fn write_meta(meta: &std::path::Path, shards: usize) -> Result<(), RuntimeError> {
+    use std::io::Write;
+    let io = |e: std::io::Error| RuntimeError::Persist(format!("meta file: {e}"));
+    let tmp = meta.with_extension("tmp");
+    let mut f = std::fs::File::create(&tmp).map_err(io)?;
+    f.write_all(format!("shards {shards}\n").as_bytes()).map_err(io)?;
+    f.sync_all().map_err(io)?;
+    std::fs::rename(&tmp, meta).map_err(io)?;
+    let dir = meta.parent().expect("meta.chi lives in the durable directory");
+    chimera_persist::sync_parent(meta)
+        .and_then(|()| chimera_persist::sync_parent(dir))
+        .map_err(|e| RuntimeError::Persist(format!("meta file: {e}")))
 }
 
 impl Drop for Runtime {

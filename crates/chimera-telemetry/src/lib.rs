@@ -27,8 +27,8 @@
 //! [`MetricsSnapshot`] is the read side: the full registry (histogram
 //! buckets included) plus the drained trace tail, as plain data —
 //! the runtime exposes it in-process via `Runtime::telemetry()`, the
-//! net layer ships it over the wire (protocol v5 `MetricsSnapshot`
-//! request), and [`MetricsSnapshot::render_text`] renders the
+//! net layer ships it over the wire (the `MetricsSnapshot` request),
+//! and [`MetricsSnapshot::render_text`] renders the
 //! Prometheus-style text exposition.
 
 mod hist;

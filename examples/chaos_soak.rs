@@ -200,7 +200,6 @@ fn storage_soak() {
             shards,
             storage: StorageMode::Durable(DurabilityConfig {
                 dir: dir.clone(),
-                group_commit: true,
                 snapshot_every: 8,
             }),
             engine: EngineConfig {
@@ -394,7 +393,6 @@ fn lifecycle_soak() {
             shards: 2,
             storage: StorageMode::Durable(DurabilityConfig {
                 dir: dir.clone(),
-                group_commit: true,
                 snapshot_every: 0, // no full snapshot: recovery replays the whole log
             }),
             engine: EngineConfig {

@@ -77,7 +77,6 @@ fn open(schema: &Schema, dir: &Path, snapshot_every: u64) -> (Runtime, RecoveryR
             shards: 1,
             storage: StorageMode::Durable(DurabilityConfig {
                 dir: dir.to_path_buf(),
-                group_commit: true,
                 snapshot_every,
             }),
             ..Default::default()

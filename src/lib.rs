@@ -163,7 +163,7 @@
 //! with the typed `JobOutcome::RefusedDurability` while every other
 //! shard proceeds untouched, until `Runtime::reopen_shard_store`
 //! swaps in a fresh store and re-snapshots the live tenants. On the
-//! wire, [`net`]'s version-4 server enforces handshake/read/write
+//! wire, [`net`]'s server enforces handshake/read/write
 //! deadlines (reaped connections counted in `net_conns_reaped`) and
 //! its client heals a lost connection by resolving every in-flight
 //! submission as a typed `Disconnected` completion — at-most-once,
@@ -185,7 +185,7 @@
 //! notable events (jobs claimed, homes poisoned, stores reopened,
 //! connections accepted/reaped/cut) for postmortems. The runtime times
 //! every pipeline stage — queue wait, WAL append, execution, the group
-//! commit fsync, reply delivery — and [`net`]'s version-5 server adds
+//! commit fsync, reply delivery — and [`net`]'s server adds
 //! frame decode, handler and per-connection round-trip histograms.
 //! Recording is off by default (`RuntimeConfig::telemetry`; the off
 //! mode is a `None` branch, ≤ 1% on the hot path) and the overhead
@@ -280,7 +280,7 @@ pub mod prelude {
         WireOp,
     };
     pub use crate::lifecycle::LifecycleConfig;
-    pub use crate::persist::{StateStore, SyncPolicy};
+    pub use crate::persist::StateStore;
     pub use crate::telemetry::{MetricsSnapshot, Stage, Telemetry};
     pub use crate::runtime::{
         Backpressure, DurabilityConfig, Job, JobId, JobOutcome, JobReply, RecoveryReport,

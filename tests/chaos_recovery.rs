@@ -333,7 +333,6 @@ proptest! {
         let dir = tmpdir("transient");
         let storage = DurabilityConfig {
             dir: dir.clone(),
-            group_commit: true,
             snapshot_every: snapshot_choice * 2,
         };
         // aggressive but strictly retryable rates (units of 1/10000)
@@ -432,7 +431,6 @@ fn refused_eviction_retains_the_tenant_and_retries() {
     let dir = tmpdir("evict-refused");
     let storage = DurabilityConfig {
         dir: dir.clone(),
-        group_commit: true,
         snapshot_every: 0, // no full snapshot: the restart replays the whole log
     };
     let counters = Arc::new(ChaosCounters::default());
@@ -547,7 +545,6 @@ fn permanent_fault_poisons_one_home_and_reopen_repairs() {
     let dir = tmpdir("poison");
     let storage = DurabilityConfig {
         dir: dir.clone(),
-        group_commit: true,
         snapshot_every: 0,
     };
     // shard 0's third group commit breaks for good — but only while the
@@ -692,7 +689,6 @@ fn rollback_escapes_a_poisoned_home_and_unblocks_reopen() {
     let dir = tmpdir("poison-midtxn");
     let storage = DurabilityConfig {
         dir: dir.clone(),
-        group_commit: true,
         snapshot_every: 0,
     };
     let armed = Arc::new(AtomicBool::new(true));
@@ -820,7 +816,6 @@ fn poisoned_home_answers_everything_and_flush_returns() {
             shards: 1,
             storage: StorageMode::Durable(DurabilityConfig {
                 dir: dir.clone(),
-                group_commit: true,
                 snapshot_every: 0,
             }),
             store_wrap: Some(wrap),

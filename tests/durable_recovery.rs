@@ -322,7 +322,10 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 /// Run one interleaved multi-tenant script against a durable runtime,
-/// then shut it down cleanly. Returns the per-tenant job lists.
+/// then shut it down cleanly. Returns the per-tenant job lists. With
+/// `wait_each`, every job's reply is awaited before the next submit; a
+/// reply is released only after its group's fsync, so every group in
+/// the log then holds exactly one job.
 #[allow(clippy::too_many_arguments)]
 fn run_live(
     dir: &Path,
@@ -330,7 +333,7 @@ fn run_live(
     triggers: &[TriggerDef],
     engine_cfg: &EngineConfig,
     shards: usize,
-    group_commit: bool,
+    wait_each: bool,
     snapshot_every: u64,
     script_seed: u64,
     tenants: u64,
@@ -344,7 +347,6 @@ fn run_live(
             shards,
             storage: StorageMode::Durable(DurabilityConfig {
                 dir: dir.to_path_buf(),
-                group_commit,
                 snapshot_every,
             }),
             engine: engine_cfg.clone(),
@@ -364,12 +366,20 @@ fn run_live(
             _ => {}
         }
         per_tenant[t].push(job.clone());
-        rt.submit(TenantId(t as u64), job).unwrap();
+        if wait_each {
+            let (_, reply) = rt.submit_with_reply(TenantId(t as u64), job).unwrap();
+            reply.recv().unwrap();
+        } else {
+            rt.submit(TenantId(t as u64), job).unwrap();
+        }
     }
     rt.flush().unwrap();
     let stats = rt.stats();
     assert_eq!(stats.jobs_processed, stats.jobs_submitted);
     assert!(stats.wal_syncs >= 1, "durable run must have synced");
+    if wait_each {
+        assert_eq!(stats.wal_syncs, stats.wal_appends, "one job per group");
+    }
     per_tenant
 }
 
@@ -479,7 +489,6 @@ fn every_byte_cut_recovers_the_surviving_prefix() {
         std::fs::write(case_dir.join("shard-0").join("jobs.wal"), &full[..cut]).unwrap();
         let cfg = DurabilityConfig {
             dir: case_dir.clone(),
-            group_commit: true,
             snapshot_every: 0,
         };
         check_recovery(&cfg, &s, &triggers, &engine_cfg, 1, &per_tenant)
@@ -504,7 +513,6 @@ fn snapshot_restore_meets_deletions_and_continues_the_oid_counter() {
     let dir = tmpdir("snap-deletes");
     let storage = DurabilityConfig {
         dir: dir.clone(),
-        group_commit: true,
         snapshot_every: 1,
     };
     let config = || RuntimeConfig {
@@ -582,7 +590,6 @@ fn corrupt_snapshot_fails_recovery_with_typed_error() {
             shards: 1,
             storage: StorageMode::Durable(DurabilityConfig {
                 dir: dir.clone(),
-                group_commit: true,
                 snapshot_every: 1,
             }),
             engine: engine_cfg.clone(),
@@ -612,7 +619,6 @@ fn corrupt_snapshot_fails_recovery_with_typed_error() {
         shards: 1,
         storage: StorageMode::Durable(DurabilityConfig {
             dir: dir.clone(),
-            group_commit: true,
             snapshot_every: 1,
         }),
         engine: engine_cfg.clone(),
@@ -662,10 +668,11 @@ fn corrupt_snapshot_fails_recovery_with_typed_error() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole property: random scripts × shard counts × sync
-    /// policies × snapshot cadences × an arbitrary byte cut in one
-    /// shard's log ⇒ recovery ≡ sequential replay of the surviving
-    /// prefix, for every tenant.
+    /// The tentpole property: random scripts × shard counts × group
+    /// shapes (one job per group, or whatever batches the workers drain)
+    /// × snapshot cadences × an arbitrary byte cut in one shard's log ⇒
+    /// recovery ≡ sequential replay of the surviving prefix, for every
+    /// tenant.
     #[test]
     fn crashed_runtime_recovers_acknowledged_prefix(
         rule_seed in any::<u64>(),
@@ -673,7 +680,7 @@ proptest! {
         tenants in 1u64..4,
         steps in 4usize..28,
         shards in 1usize..3,
-        group_commit in any::<bool>(),
+        wait_each in any::<bool>(),
         snapshot_choice in 0u64..2,
         cut_shard in 0usize..2,
         cut_frac in 0.0f64..1.0,
@@ -685,7 +692,7 @@ proptest! {
         let dir = tmpdir("prop");
         let per_tenant = run_live(
             &dir, &s, &triggers, &engine_cfg,
-            shards, group_commit, snapshot_every, script_seed, tenants, steps,
+            shards, wait_each, snapshot_every, script_seed, tenants, steps,
         );
         // the crash: truncate one shard's log at an arbitrary byte
         let wal = dir.join(format!("shard-{}", cut_shard % shards)).join("jobs.wal");
@@ -695,7 +702,6 @@ proptest! {
         }
         let cfg = DurabilityConfig {
             dir: dir.clone(),
-            group_commit,
             snapshot_every,
         };
         check_recovery(&cfg, &s, &triggers, &engine_cfg, shards, &per_tenant)?;
@@ -716,7 +722,6 @@ proptest! {
         tenants in 2u64..6,
         steps in 8usize..32,
         shards in 2usize..4,
-        group_commit in any::<bool>(),
         snapshot_choice in 0u64..2,
         cut_frac in 0.0f64..1.0,
     ) {
@@ -736,7 +741,6 @@ proptest! {
                     scheduler: Scheduler::LoadAware,
                     storage: StorageMode::Durable(DurabilityConfig {
                         dir: dir.clone(),
-                        group_commit,
                         snapshot_every,
                     }),
                     engine: engine_cfg.clone(),
@@ -779,7 +783,6 @@ proptest! {
         }
         let cfg = DurabilityConfig {
             dir: dir.clone(),
-            group_commit,
             snapshot_every,
         };
         check_recovery(&cfg, &s, &triggers, &engine_cfg, shards, &per_tenant)?;

@@ -460,7 +460,6 @@ proptest! {
                 scheduler: if load_aware { Scheduler::LoadAware } else { Scheduler::Pinned },
                 storage: StorageMode::Durable(DurabilityConfig {
                     dir: dir.clone(),
-                    group_commit: true,
                     snapshot_every: 0,
                 }),
                 engine: engine_cfg.clone(),
@@ -514,7 +513,6 @@ proptest! {
             shards,
             storage: StorageMode::Durable(DurabilityConfig {
                 dir: d,
-                group_commit: true,
                 snapshot_every,
             }),
             engine: engine_cfg.clone(),
@@ -569,7 +567,6 @@ fn thousand_tenants_through_a_cap_of_64() {
         scheduler: Scheduler::LoadAware,
         storage: StorageMode::Durable(DurabilityConfig {
             dir: dir.clone(),
-            group_commit: true,
             snapshot_every: 0,
         }),
         engine: engine_cfg.clone(),
@@ -688,7 +685,6 @@ fn recovery_with_full_snapshots_ends_within_the_cap() {
         shards: 2,
         storage: StorageMode::Durable(DurabilityConfig {
             dir: dir.clone(),
-            group_commit: true,
             snapshot_every: 8,
         }),
         engine: engine_cfg.clone(),
@@ -789,7 +785,6 @@ fn full_snapshots_racing_rehydration_lose_no_tenant() {
         scheduler: Scheduler::LoadAware,
         storage: StorageMode::Durable(DurabilityConfig {
             dir: dir.clone(),
-            group_commit: true,
             snapshot_every: 1,
         }),
         lifecycle: LifecycleConfig::with_max_resident(CAP),
