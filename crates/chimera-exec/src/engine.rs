@@ -120,13 +120,6 @@ pub struct EngineConfig {
     pub emit_select_events: bool,
     /// Use the §5.1 static optimization in the Trigger Support.
     pub use_static_optimization: bool,
-    /// Worker threads for the probe phase of each trigger check round.
-    /// `1` (the default) runs the classic sequential round; `n > 1`
-    /// splits the rule table's probe work across `n` scoped threads over
-    /// the block's shared arrival delta — observationally identical to
-    /// the sequential round (the parallel path is the same per-rule code
-    /// run in chunks; see `chimera_rules::TriggerSupport::check_workers`).
-    pub check_workers: usize,
 }
 
 impl Default for EngineConfig {
@@ -135,7 +128,6 @@ impl Default for EngineConfig {
             max_rule_steps: 10_000,
             emit_select_events: true,
             use_static_optimization: true,
-            check_workers: 1,
         }
     }
 }
@@ -184,8 +176,7 @@ impl Engine {
             TriggerSupport::optimized()
         } else {
             TriggerSupport::unoptimized()
-        }
-        .with_workers(config.check_workers);
+        };
         Engine {
             schema,
             store: ObjectStore::new(),
@@ -285,14 +276,6 @@ impl Engine {
     /// Trigger-support counters (ts probes, filter skips).
     pub fn support_stats(&self) -> chimera_rules::table::SupportStats {
         self.support.stats
-    }
-    /// Share a probe worker pool with other engines. The multi-tenant
-    /// runtime installs one pool per *shard* on every tenant engine the
-    /// shard owns, so parked probe threads scale with shards ×
-    /// (`check_workers` − 1), not with tenants. Purely a resource-sharing
-    /// knob: check-round results are identical either way.
-    pub fn use_shared_probe_pool(&mut self, pool: chimera_rules::SharedProbePool) {
-        self.support.use_shared_pool(pool);
     }
     /// Is a transaction active?
     pub fn in_transaction(&self) -> bool {

@@ -27,13 +27,11 @@
 pub mod action;
 pub mod condition;
 pub mod modes;
-mod pool;
 pub mod table;
 pub mod trigger;
 
 pub use action::ActionStmt;
 pub use condition::{CmpOp, Condition, Formula, Term, VarDecl};
 pub use modes::{ConsumptionMode, CouplingMode};
-pub use pool::SharedProbePool;
 pub use table::{RuleTable, TriggerSupport};
 pub use trigger::{is_triggered, probe_instants, CompiledRule, RuleState, TriggerDef};

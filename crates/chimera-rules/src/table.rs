@@ -25,23 +25,16 @@
 //! delta, and probe results are additionally memoized across rules
 //! sharing an expression (see [`SupportStats`] for the counters).
 //!
-//! The round is **partitionable**: it runs in three phases — *classify*
-//! (sequential: relevance-filter every untriggered rule over the shared
-//! arrival scan and collect the rules that must probe), *probe* (each
-//! candidate rule evaluates its own compiled plan at its own change
-//! points; with [`TriggerSupport::check_workers`] `> 1` the candidates
-//! are split across a persistent parked worker pool
-//! ([`crate::SharedProbePool`] — shareable across the engines of a
-//! runtime shard), the sequential round being the same code path run as
-//! a single chunk), and *commit* (sequential: apply the §4.4 predicate in
-//! definition order).
-//! Per-rule state — the plan scratchpad, the sticky witness, the
-//! consumption stamps — is owned by the rule's own table slot, so workers
-//! touch disjoint state and share only the event base, the round's
-//! arrival scan, the immutable compiled rules, and a read-only snapshot
-//! of the cross-rule probe memo;
-//! parallel and sequential rounds are observationally identical
-//! (`tests/runtime_equivalence.rs` proves it property-by-property).
+//! The round is **one pass over the table in definition order**. For
+//! each untriggered rule it applies the relevance filter over the shared
+//! arrival scan, probes a surviving rule's own compiled plan at its own
+//! change points, and applies the §4.4 commit predicate, before moving
+//! on to the next rule. A rule's decision reads only its own state (the
+//! plan scratchpad, the sticky witness, the consumption stamps, all
+//! owned by its table slot), the immutable event base, the round's
+//! arrival scans and the cross-rule probe memo, whose values are
+//! deterministic; so the order in which rules are visited changes no
+//! outcome, and visiting them in slot order fixes every counter too.
 
 use crate::modes::CouplingMode;
 use crate::trigger::{change_points_into, CompiledRule, RuleState, TriggerDef};
@@ -93,13 +86,12 @@ impl std::error::Error for RuleError {}
 struct Slot {
     rule: Arc<CompiledRule>,
     state: RuleState,
-    /// Definition sequence number (priority tie-break).
-    seq: usize,
 }
 
 /// The §5 Rule Table: name-indexed compiled rules plus runtime state.
-/// Slots are numbered in definition order; [`RuleTable::select_next`]
-/// hands out those indices.
+/// Slots are numbered in definition order ([`RuleTable::drop_rule`]
+/// keeps the order of the rest); [`RuleTable::select_next`] hands out
+/// those indices.
 #[derive(Debug, Default)]
 pub struct RuleTable {
     slots: Vec<Slot>,
@@ -136,9 +128,8 @@ impl RuleTable {
             return Err(RuleError::DuplicateRule(rule.def.name.clone()));
         }
         let state = RuleState::installed(&rule, now);
-        let seq = self.slots.len();
-        self.by_name.insert(rule.def.name.clone(), seq);
-        self.slots.push(Slot { rule, state, seq });
+        self.by_name.insert(rule.def.name.clone(), self.slots.len());
+        self.slots.push(Slot { rule, state });
         Ok(())
     }
 
@@ -219,7 +210,7 @@ impl RuleTable {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.state.triggered && s.rule.def.coupling == coupling)
-            .max_by_key(|(_, s)| (s.rule.def.priority, std::cmp::Reverse(s.seq)))
+            .max_by_key(|(i, s)| (s.rule.def.priority, std::cmp::Reverse(*i)))
             .map(|(i, _)| i)
     }
 
@@ -281,54 +272,26 @@ struct RoundScratch {
     prev: Vec<Option<Timestamp>>,
 }
 
-/// One probe worker's private state: the memo entries it discovered this
-/// round (merged back into the support's epoch memo afterwards), its
-/// share of the probe counters, and the change-point buffer its rules
-/// reuse. Workers read the pre-round memo snapshot and their own fresh
-/// entries; values are deterministic, so duplicated evaluation across
-/// workers can change counters but never outcomes.
-#[derive(Debug, Default)]
-struct ProbeScratch {
-    memo: ProbeMemo,
-    stats: SupportStats,
-    probes: Vec<Timestamp>,
-}
-
-/// Below this many candidate rules a parallel round is not worth waking
-/// the worker pool; the probe phase runs inline instead.
-const MIN_PARALLEL_CANDIDATES: usize = 4;
-
 /// The §5 Trigger Support: determines newly activated rules after a block.
 #[derive(Debug, Clone, Default)]
 pub struct TriggerSupport {
     /// Apply the §5.1 `V(E)` relevance filter (the static optimization).
     pub use_relevance_filter: bool,
-    /// Worker threads for the probe phase of a check round. `0` or `1`
-    /// runs the round sequentially; `n > 1` splits the candidate rules
-    /// across `n` scoped threads (same per-rule code path either way).
-    pub check_workers: usize,
     /// Work counters (monotonic; reset with [`TriggerSupport::reset_stats`]).
     pub stats: SupportStats,
     /// Cross-rule `ts`-probe memo, valid for one EB epoch. Rules sharing
     /// an expression and a consideration point (the common case after a
-    /// batch arrival) evaluate each probe once; the outer key is cloned
-    /// once per expression per epoch, lookups borrow.
+    /// batch arrival) evaluate each probe once; lookups borrow the
+    /// expression key.
     probe_memo: ProbeMemo,
-    /// [`EventBase::memo_key`] the memos belong to.
+    /// [`EventBase::memo_key`] the memo belongs to.
     memo_key: Option<(u64, u64, u64)>,
     /// Reusable per-bound round entries; `rounds_live` are in use this
     /// round, the rest are spare capacity kept for their buffers.
     rounds: Vec<RoundScratch>,
     rounds_live: usize,
-    /// Reusable probe plan: `(slot index, round index)` of the rules the
-    /// classify phase selected for probing.
-    probe_plan: Vec<(usize, usize)>,
-    /// Persistent parked worker pool for the parallel probe phase;
-    /// spawns `check_workers - 1` threads lazily on the first parallel
-    /// round (never any while running sequentially) and parks them
-    /// between rounds. Private by default; a multi-tenant shard shares
-    /// one pool across its engines ([`TriggerSupport::use_shared_pool`]).
-    pool: crate::pool::SharedProbePool,
+    /// Reusable change-point buffer of the rule being probed.
+    probes: Vec<Timestamp>,
 }
 
 impl TriggerSupport {
@@ -343,19 +306,6 @@ impl TriggerSupport {
     /// Without the optimization (every untriggered rule re-probed).
     pub fn unoptimized() -> Self {
         TriggerSupport::default()
-    }
-
-    /// Set the probe-phase worker count (builder style).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.check_workers = workers;
-        self
-    }
-
-    /// Replace the private probe pool with a shared one, so several
-    /// engines (the tenants of one runtime shard) park a single set of
-    /// worker threads instead of one set each.
-    pub fn use_shared_pool(&mut self, pool: crate::pool::SharedProbePool) {
-        self.pool = pool;
     }
 
     /// Zero the work counters.
@@ -374,125 +324,43 @@ impl TriggerSupport {
         }
         self.stats.check_rounds += 1;
         self.rounds_live = 0;
-        self.probe_plan.clear();
-
-        // Phase 1 — classify (sequential): relevance-filter every
-        // untriggered rule over the shared per-bound arrival scan and
-        // collect the rules that must probe.
-        for (idx, slot) in table.slots.iter_mut().enumerate() {
-            let st = &mut slot.state;
-            if st.triggered {
-                continue;
-            }
-            self.stats.rules_checked += 1;
-            let ri = self.round_index(st.checked_upto);
-            if self.use_relevance_filter && !st.witness {
-                let r = &mut self.rounds[ri];
-                if !r.types_built {
-                    r.types_built = true;
-                    for e in eb.slice(Window::new(r.from, now)) {
-                        if !r.types.contains(&e.ty) {
-                            r.types.push(e.ty);
-                        }
-                    }
-                }
-                let any_arrivals = !r.types.is_empty();
-                let was_empty = !eb.any_in(Window::new(st.last_consideration, st.checked_upto));
-                if !slot.rule.filter.needs_recheck(&r.types, was_empty) {
-                    // the skipped range cannot contain a fresh positive
-                    // witness; do not advance checked_upto past instants
-                    // we never probed unless nothing arrived at all.
-                    self.stats.skipped_by_filter += 1;
-                    if any_arrivals {
-                        st.checked_upto = now;
-                    }
-                    continue;
-                }
-            }
-            if !st.witness && !Window::new(st.checked_upto, now).is_degenerate() {
-                self.probe_plan.push((idx, ri));
-            }
-        }
-
-        // Phase 2 — probe: record the previous-occurrence stamps widened
-        // candidates read (reused buffers), then evaluate each candidate's
-        // own compiled plan at its change points — inline, or fanned out
-        // across a scoped worker pool when configured and worthwhile.
-        for &(idx, ri) in &self.probe_plan {
-            let r = &mut self.rounds[ri];
-            if table.slots[idx].rule.widened && !r.prev_built {
-                r.prev_built = true;
-                for e in eb.slice(Window::new(r.from, now)) {
-                    let before = Window::new(Timestamp::ZERO, Timestamp(e.ts.raw() - 1));
-                    r.prev.push(eb.last_of_obj_in(e.oid, before));
-                }
-            }
-        }
-        let workers = self.check_workers.max(1).min(self.probe_plan.len());
-        if workers > 1 && self.probe_plan.len() >= MIN_PARALLEL_CANDIDATES {
-            let rounds = &self.rounds;
-            let base_memo = &self.probe_memo;
-            let plan = &self.probe_plan;
-            // disjoint &mut borrows of exactly the candidate slots, in
-            // slot order (probe_plan is built in increasing slot index)
-            let mut cands: Vec<(&CompiledRule, &mut RuleState, usize)> =
-                Vec::with_capacity(plan.len());
-            let mut pi = 0;
-            for (idx, slot) in table.slots.iter_mut().enumerate() {
-                if pi < plan.len() && plan[pi].0 == idx {
-                    cands.push((&slot.rule, &mut slot.state, plan[pi].1));
-                    pi += 1;
-                }
-            }
-            let chunk = cands.len().div_ceil(workers);
-            // one output slot per chunk, filled by whichever pool thread
-            // (or the calling thread) runs the chunk; merged in chunk
-            // order below, exactly as the scoped-spawn join used to
-            let mut locals: Vec<Option<ProbeScratch>> = Vec::new();
-            locals.resize_with(cands.len().div_ceil(chunk), || None);
-            let tasks: Vec<crate::pool::Task<'_>> = cands
-                .chunks_mut(chunk)
-                .zip(locals.iter_mut())
-                .map(|(part, out)| -> crate::pool::Task<'_> {
-                    Box::new(move || {
-                        let mut local = ProbeScratch::default();
-                        for (rule, st, ri) in part.iter_mut() {
-                            probe_slot(rule, st, eb, now, &rounds[*ri].prev, base_memo, &mut local);
-                        }
-                        *out = Some(local);
-                    })
-                })
-                .collect();
-            self.pool.run(workers, tasks);
-            for local in locals.into_iter().flatten() {
-                self.absorb(local);
-            }
-        } else if !self.probe_plan.is_empty() {
-            let mut local = ProbeScratch::default();
-            for &(idx, ri) in &self.probe_plan {
-                let slot = &mut table.slots[idx];
-                probe_slot(
-                    &slot.rule,
-                    &mut slot.state,
-                    eb,
-                    now,
-                    &self.rounds[ri].prev,
-                    &self.probe_memo,
-                    &mut local,
-                );
-            }
-            self.absorb(local);
-        }
-
-        // Phase 3 — commit (sequential): the §4.4 predicate, in
-        // definition order. Nothing before this phase sets `triggered`,
-        // so a slot that is already triggered here was triggered at entry.
         let mut newly = Vec::new();
         for slot in &mut table.slots {
             let st = &mut slot.state;
             if st.triggered {
                 continue;
             }
+            self.stats.rules_checked += 1;
+            if !st.witness {
+                let ri = self.round_index(st.checked_upto);
+                if self.use_relevance_filter {
+                    let r = &mut self.rounds[ri];
+                    if !r.types_built {
+                        r.types_built = true;
+                        for e in eb.slice(Window::new(r.from, now)) {
+                            if !r.types.contains(&e.ty) {
+                                r.types.push(e.ty);
+                            }
+                        }
+                    }
+                    let any_arrivals = !r.types.is_empty();
+                    let was_empty = !eb.any_in(Window::new(st.last_consideration, st.checked_upto));
+                    if !slot.rule.filter.needs_recheck(&r.types, was_empty) {
+                        // the skipped range cannot contain a fresh positive
+                        // witness; do not advance checked_upto past instants
+                        // we never probed unless nothing arrived at all.
+                        self.stats.skipped_by_filter += 1;
+                        if any_arrivals {
+                            st.checked_upto = now;
+                        }
+                        continue;
+                    }
+                }
+                if !Window::new(st.checked_upto, now).is_degenerate() {
+                    self.probe_slot(&slot.rule, st, eb, now, ri);
+                }
+            }
+            // the §4.4 predicate
             if st.witness && eb.any_in(st.trigger_window(now)) {
                 st.triggered = true;
                 newly.push(slot.rule.def.name.clone());
@@ -522,72 +390,56 @@ impl TriggerSupport {
         self.rounds_live - 1
     }
 
-    /// Merge one probe worker's fresh memo entries and counters back into
-    /// the support. Values are deterministic, so entry collisions between
-    /// workers always agree.
-    fn absorb(&mut self, local: ProbeScratch) {
-        for (expr, entries) in local.memo {
-            self.probe_memo.entry(expr).or_default().extend(entries);
-        }
-        self.stats.ts_probes += local.stats.ts_probes;
-        self.stats.probe_memo_hits += local.stats.probe_memo_hits;
-    }
-}
-
-/// Probe one candidate rule at its change points: the §4.4 existential
-/// for the newly covered range, through the rule's own compiled plan.
-/// `prev` is the round's previous-occurrence stamps for the rule's
-/// `checked_upto` bound (see [`RoundScratch`]). Consults the worker's
-/// fresh entries first, then the pre-round memo snapshot; records fresh
-/// results in the worker's memo. This is the per-rule unit of work both
-/// the sequential and the parallel probe phase run.
-fn probe_slot(
-    rule: &CompiledRule,
-    st: &mut RuleState,
-    eb: &EventBase,
-    now: Timestamp,
-    prev: &[Option<Timestamp>],
-    base_memo: &ProbeMemo,
-    local: &mut ProbeScratch,
-) {
-    let window = st.trigger_window(now);
-    let arrivals = eb.slice(Window::new(st.checked_upto, now));
-    let mut probes = std::mem::take(&mut local.probes);
-    change_points_into(rule, st, arrivals, prev, now, &mut probes);
-    let events = &rule.def.events;
-    let mut found = false;
-    for &t in &probes {
-        let key = (window.after, t);
-        let cached = local
-            .memo
-            .get(events)
-            .and_then(|m| m.get(&key))
-            .or_else(|| base_memo.get(events).and_then(|m| m.get(&key)))
-            .copied();
-        let active = match cached {
-            Some(hit) => {
-                local.stats.probe_memo_hits += 1;
-                hit
+    /// Probe one rule at its change points: the §4.4 existential for the
+    /// newly covered range, through the rule's own compiled plan. `ri` is
+    /// the round entry of the rule's `checked_upto` bound; its
+    /// previous-occurrence stamps are built on the first probe of a
+    /// widened rule (see [`RoundScratch`]). Each probe is answered from
+    /// the cross-rule memo when it can be, and recorded in it otherwise.
+    fn probe_slot(
+        &mut self,
+        rule: &CompiledRule,
+        st: &mut RuleState,
+        eb: &EventBase,
+        now: Timestamp,
+        ri: usize,
+    ) {
+        let r = &mut self.rounds[ri];
+        if rule.widened && !r.prev_built {
+            r.prev_built = true;
+            for e in eb.slice(Window::new(r.from, now)) {
+                let before = Window::new(Timestamp::ZERO, Timestamp(e.ts.raw() - 1));
+                r.prev.push(eb.last_of_obj_in(e.oid, before));
             }
-            None => {
-                local.stats.ts_probes += 1;
-                let active = st.plan.eval(eb, window, t).is_active();
-                local
-                    .memo
-                    .entry(events.clone())
-                    .or_default()
-                    .insert(key, active);
-                active
-            }
-        };
-        if active {
-            found = true;
-            break;
         }
+        let window = st.trigger_window(now);
+        let arrivals = eb.slice(Window::new(st.checked_upto, now));
+        change_points_into(rule, st, arrivals, &r.prev, now, &mut self.probes);
+        let events = &rule.def.events;
+        for &t in &self.probes {
+            let key = (window.after, t);
+            let active = match self.probe_memo.get(events).and_then(|m| m.get(&key)) {
+                Some(&hit) => {
+                    self.stats.probe_memo_hits += 1;
+                    hit
+                }
+                None => {
+                    self.stats.ts_probes += 1;
+                    let active = st.plan.eval(eb, window, t).is_active();
+                    self.probe_memo
+                        .entry(events.clone())
+                        .or_default()
+                        .insert(key, active);
+                    active
+                }
+            };
+            if active {
+                st.witness = true;
+                break;
+            }
+        }
+        st.checked_upto = now;
     }
-    local.probes = probes;
-    st.witness = found || st.witness;
-    st.checked_upto = now;
 }
 
 #[cfg(test)]
@@ -733,6 +585,26 @@ mod tests {
         eb.append(et(0), Oid(1));
         TriggerSupport::optimized().check(&mut rt, &eb, eb.now());
         assert_eq!(next_name(&rt, CouplingMode::Immediate), Some("first"));
+    }
+
+    #[test]
+    fn priority_tie_after_a_drop_breaks_by_definition_order() {
+        // `d` takes the slot count `c` had when it was defined; the tie
+        // must still go to the earlier definition, `c`
+        let mut rt = RuleTable::new();
+        for name in ["a", "b", "c"] {
+            let def = TriggerDef::new(name, p(0));
+            rt.define(def, Timestamp::ZERO).unwrap();
+        }
+        rt.drop_rule("a").unwrap();
+        let def = TriggerDef::new("d", p(0));
+        rt.define(def, Timestamp::ZERO).unwrap();
+        let mut eb = EventBase::new();
+        eb.append(et(0), Oid(1));
+        TriggerSupport::optimized().check(&mut rt, &eb, eb.now());
+        rt.mark_considered(rt.index_of("b").unwrap(), eb.now());
+        assert_eq!(rt.triggered(), ["c", "d"]);
+        assert_eq!(next_name(&rt, CouplingMode::Immediate), Some("c"));
     }
 
     #[test]
@@ -906,74 +778,6 @@ mod tests {
         eb.append(et(0), Oid(2));
         eb.append(et(1), Oid(2));
         assert_eq!(sup.check(&mut rt, &eb, eb.now()), vec!["r".to_string()]);
-    }
-
-    #[test]
-    fn parallel_round_matches_sequential() {
-        // the same scripted run through 1 and 4 probe workers must leave
-        // identical rule state after every block (the fan-out is the same
-        // per-rule code path run in chunks)
-        let exprs = [
-            p(0),
-            p(0).and(p(1)),
-            p(1).and(p(0).not()),
-            p(0).prec(p(1)),
-            p(0).iand(p(1)),
-            p(0).iprec(p(1)),
-            p(0).iand(p(1)).inot(),
-            p(2).or(p(0)).prec(p(1)),
-        ];
-        let blocks: Vec<Vec<(u32, u64)>> = vec![
-            vec![(0, 1), (1, 2)],
-            vec![],
-            vec![(1, 1)],
-            vec![(2, 3), (0, 3)],
-            vec![(1, 3), (0, 2), (1, 2)],
-        ];
-        let mut rt_seq = RuleTable::new();
-        let mut rt_par = RuleTable::new();
-        for (i, e) in exprs.iter().enumerate() {
-            rt_seq
-                .define(TriggerDef::new(format!("r{i}"), e.clone()), Timestamp::ZERO)
-                .unwrap();
-            rt_par
-                .define(TriggerDef::new(format!("r{i}"), e.clone()), Timestamp::ZERO)
-                .unwrap();
-        }
-        let mut seq = TriggerSupport::optimized();
-        let mut par = TriggerSupport::optimized().with_workers(4);
-        let mut eb_seq = EventBase::new();
-        let mut eb_par = EventBase::new();
-        for block in &blocks {
-            for &(ty, oid) in block {
-                eb_seq.append(et(ty), Oid(oid));
-                eb_par.append(et(ty), Oid(oid));
-            }
-            eb_seq.tick();
-            eb_par.tick();
-            let newly_seq = seq.check(&mut rt_seq, &eb_seq, eb_seq.now());
-            let newly_par = par.check(&mut rt_par, &eb_par, eb_par.now());
-            assert_eq!(newly_seq, newly_par);
-            for i in 0..exprs.len() {
-                let name = format!("r{i}");
-                let a = rt_seq.state(&name).unwrap();
-                let b = rt_par.state(&name).unwrap();
-                assert_eq!(
-                    (a.triggered, a.witness, a.checked_upto, a.last_consideration),
-                    (b.triggered, b.witness, b.checked_upto, b.last_consideration),
-                    "rule {name} diverged"
-                );
-                if a.triggered {
-                    rt_seq.mark_considered(rt_seq.index_of(&name).unwrap(), eb_seq.now());
-                    rt_par.mark_considered(rt_par.index_of(&name).unwrap(), eb_par.now());
-                }
-            }
-        }
-        // every probe decision was made on both sides, memoized or not
-        assert_eq!(
-            seq.stats.ts_probes + seq.stats.probe_memo_hits,
-            par.stats.ts_probes + par.stats.probe_memo_hits,
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The paper's §5 execution architecture assumes one transaction's Event
 //! Base per detector: a [`chimera_exec::Engine`] is deliberately a
 //! single-threaded reactive machine. This crate serves *many concurrent
-//! sessions* with that machine by composing three layers of parallelism,
+//! sessions* with that machine by composing two layers of parallelism,
 //! none of which changes the per-tenant semantics:
 //!
 //! 1. **Tenant homes + exclusive claims** — every tenant ([`TenantId`])
@@ -30,12 +30,9 @@
 //!    staged jobs; a full home either *blocks* the submitter or *sheds*
 //!    the job per the configured [`Backpressure`], with counters for
 //!    both (plus `steals` and per-shard breakdowns) in [`RuntimeStats`].
-//! 3. **Intra-shard check parallelism** — inside an engine, the per-block
-//!    trigger check round itself can fan the rule table's probe work out
-//!    across a scoped worker pool over the block's shared EB epoch delta
-//!    (`EngineConfig::check_workers`); the sequential round is the same
-//!    code path run as a single chunk, so `parallel == sequential` is a
-//!    testable property, not an aspiration.
+//!
+//! Inside an engine the per-block trigger check round is one sequential
+//! pass over the rule table: a single hot tenant uses one core.
 //!
 //! The equivalence oracle is the plain sequential [`chimera_exec::Engine`]:
 //! `tests/runtime_equivalence.rs` (facade-level) proves that interleaved

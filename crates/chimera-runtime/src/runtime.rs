@@ -254,8 +254,7 @@ pub struct RuntimeConfig {
     /// How workers pick tenants: load-aware stealing (default) or
     /// strict home pinning.
     pub scheduler: Scheduler,
-    /// Configuration of every tenant engine, including
-    /// `check_workers` for the intra-shard parallel check round.
+    /// Configuration of every tenant engine.
     pub engine: EngineConfig,
     /// Where tenant state lives (in RAM, or on disk behind the
     /// group-commit job log).

@@ -35,7 +35,7 @@ use chimera_exec::{Engine, EngineConfig, EngineStats};
 use chimera_lifecycle::{LifecycleConfig, ResidencyLru};
 use chimera_model::{ObjectStore, Schema};
 use chimera_persist::{JobRecord, RuleStampRec, StateStore, TenantSnapshot};
-use chimera_rules::{CompiledRule, SharedProbePool};
+use chimera_rules::CompiledRule;
 use chimera_telemetry::{Counter as TelCounter, Gauge as TelGauge, Stage, Telemetry, TraceKind};
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
@@ -303,16 +303,11 @@ pub(crate) struct ShardRecoveryStats {
 pub(crate) type RuleSet = Arc<[Arc<CompiledRule>]>;
 
 /// Everything a worker (or startup recovery) needs to build and run
-/// tenant engines. Each carries its *own* [`SharedProbePool`]: every
-/// engine the worker touches parks the same `check_workers - 1` probe
-/// threads, installed per job at claim time (a cheap handle swap), so
-/// pool threads scale with workers — not tenants — and a stolen tenant
-/// uses its claimer's pool.
+/// tenant engines.
 pub(crate) struct WorkerCtx {
     schema: Schema,
     rules: RuleSet,
     engine_cfg: EngineConfig,
-    probe_pool: SharedProbePool,
     /// The runtime's telemetry handle ([`Telemetry::off`] when disabled
     /// and during startup recovery).
     tel: Telemetry,
@@ -332,7 +327,6 @@ impl WorkerCtx {
             schema,
             rules,
             engine_cfg,
-            probe_pool: SharedProbePool::default(),
             tel,
             worker,
         }
@@ -922,9 +916,6 @@ fn run_job(
     if counted && job_record(&job).is_some() {
         slot.jobs_applied += 1;
     }
-    // probe threads belong to the claiming worker, not the tenant: a
-    // cheap handle swap re-homes the engine's pool every job
-    slot.engine.use_shared_probe_pool(ctx.probe_pool.clone());
     let before = slot.engine.stats();
     let schema = &ctx.schema;
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| apply(&mut slot, schema, job)));
@@ -963,11 +954,9 @@ fn answer(reply: Option<(JobId, SyncSender<JobReply>)>, tenant: TenantId, outcom
 
 /// A fresh tenant slot: an engine with the runtime's compiled rule set
 /// installed (shared, not recompiled: the tenant owns only the rules'
-/// stamps and plan scratchpads) and the creating worker's probe pool
-/// wired in.
+/// stamps and plan scratchpads).
 fn fresh_slot(ctx: &WorkerCtx) -> TenantSlot {
     let mut engine = Engine::with_config(ctx.schema.clone(), ctx.engine_cfg.clone());
-    engine.use_shared_probe_pool(ctx.probe_pool.clone());
     install_rules(&mut engine, &ctx.rules);
     TenantSlot {
         engine,
@@ -1160,7 +1149,6 @@ pub(crate) fn restore_tenant(ts: &TenantSnapshot, ctx: &WorkerCtx) -> Result<Ten
     let os = ObjectStore::restore(objects, ts.next_oid)
         .map_err(|e| format!("tenant {}: {e}", ts.tenant))?;
     let mut engine = Engine::with_restored_store(ctx.schema.clone(), os, ctx.engine_cfg.clone());
-    engine.use_shared_probe_pool(ctx.probe_pool.clone());
     install_rules(&mut engine, &ctx.rules);
     for src in &ts.trigger_sources {
         apply_trigger_source(&mut engine, &ctx.schema, src)

@@ -1,6 +1,5 @@
 //! Scheduling-stress suite: many feeder threads racing into small queues
-//! under both backpressure policies, with intra-shard check parallelism
-//! on. Run repeatedly in CI (`for i in $(seq 1 10)`) to shake out
+//! under both backpressure policies. Run repeatedly in CI (`for i in $(seq 1 10)`) to shake out
 //! scheduling-dependent flakiness — every assertion here must hold for
 //! *any* interleaving.
 
@@ -49,10 +48,6 @@ fn blocking_feeders_lose_nothing() {
             shards: 4,
             queue_capacity: 2, // tiny: force constant backpressure
             backpressure: Backpressure::Block,
-            engine: EngineConfig {
-                check_workers: 2,
-                ..EngineConfig::default()
-            },
             ..RuntimeConfig::default()
         },
     )

@@ -14,7 +14,6 @@
 
 use chimera::calculus::EventExpr;
 use chimera::events::EventType;
-use chimera::exec::EngineConfig;
 use chimera::model::{AttrDef, AttrType, Oid, SchemaBuilder};
 use chimera::rules::{ActionStmt, TriggerDef};
 use chimera::runtime::{Backpressure, Runtime, RuntimeConfig, TenantId};
@@ -50,10 +49,6 @@ fn main() {
             shards: 4,
             queue_capacity: 16,
             backpressure: Backpressure::Block,
-            engine: EngineConfig {
-                check_workers: 2, // intra-shard parallel check rounds
-                ..EngineConfig::default()
-            },
             ..RuntimeConfig::default()
         },
     )

@@ -108,12 +108,7 @@
 //!   ride the same path; `RuntimeStats` reports `steals`,
 //!   `ready_queue_depth` and a per-shard `ShardStats` breakdown
 //!   (`benches/skew.rs` measures pinned vs load-aware on a colliding
-//!   hot-tenant mix);
-//! * **parallel check rounds** — inside a claim, the per-block trigger
-//!   check round itself can split the rule table's probe work across a
-//!   scoped worker pool over one shared EB epoch delta
-//!   (`EngineConfig::check_workers`); the sequential round is the same
-//!   code path run as a single chunk.
+//!   hot-tenant mix).
 //!
 //! All layers are observationally identical to the sequential engine,
 //! tenant by tenant; `tests/runtime_equivalence.rs` enforces it,

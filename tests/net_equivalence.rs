@@ -201,13 +201,7 @@ fn replay_sequential(
     script: &[Step],
     item: ClassId,
 ) -> (Snapshot, u64, usize) {
-    let mut engine = Engine::with_config(
-        s.clone(),
-        EngineConfig {
-            check_workers: 1,
-            ..engine_cfg.clone()
-        },
-    );
+    let mut engine = Engine::with_config(s.clone(), engine_cfg.clone());
     for def in rules {
         engine.define_trigger(def.clone()).unwrap();
     }

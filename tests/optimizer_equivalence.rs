@@ -5,9 +5,10 @@
 //! formal predicate probes every instant of the window, so this suite is
 //! also the oracle for the change-point sets.
 
-use chimera::calculus::EventExpr;
+use chimera::calculus::{EventExpr, Plan};
 use chimera::events::{EventBase, EventType, Timestamp};
 use chimera::model::{ClassId, Oid};
+use chimera::rules::table::SupportStats;
 use chimera::rules::{is_triggered, RuleState, RuleTable, TriggerDef, TriggerSupport};
 use chimera::workload::{ExprGenConfig, RandomExprGen};
 use proptest::prelude::*;
@@ -118,8 +119,7 @@ proptest! {
     }
 
     /// Many rules at once: the sets of triggered rules coincide across
-    /// the optimized, unoptimized and pooled supports and the formal
-    /// predicate, so the inline and pooled probe paths see one set.
+    /// the optimized and unoptimized supports and the formal predicate.
     #[test]
     fn rule_sets_coincide(
         expr_seed in any::<u64>(),
@@ -140,27 +140,22 @@ proptest! {
             .collect();
         let mut rt_opt = RuleTable::new();
         let mut rt_raw = RuleTable::new();
-        let mut rt_par = RuleTable::new();
         for def in &defs {
             rt_opt.define(def.clone(), Timestamp::ZERO).unwrap();
             rt_raw.define(def.clone(), Timestamp::ZERO).unwrap();
-            rt_par.define(def.clone(), Timestamp::ZERO).unwrap();
         }
         let mut ref_states: Vec<RuleState> =
             defs.iter().map(|d| RuleState::new(d, Timestamp::ZERO)).collect();
         let mut sup_opt = TriggerSupport::optimized();
         let mut sup_raw = TriggerSupport::unoptimized();
-        let mut sup_par = TriggerSupport::optimized().with_workers(3);
         let mut eb = EventBase::new();
         for block in blocks(stream_seed, 6) {
             play(&mut eb, &block);
             let now = eb.now();
             sup_opt.check(&mut rt_opt, &eb, now);
             sup_raw.check(&mut rt_raw, &eb, now);
-            sup_par.check(&mut rt_par, &eb, now);
             let opt: Vec<String> = rt_opt.triggered().iter().map(|s| s.to_string()).collect();
             let raw: Vec<String> = rt_raw.triggered().iter().map(|s| s.to_string()).collect();
-            let par: Vec<String> = rt_par.triggered().iter().map(|s| s.to_string()).collect();
             let formal: Vec<String> = defs
                 .iter()
                 .zip(&ref_states)
@@ -169,11 +164,9 @@ proptest! {
                 .collect();
             prop_assert_eq!(&opt, &formal, "optimized vs formal at {}", now);
             prop_assert_eq!(&raw, &formal, "unoptimized vs formal at {}", now);
-            prop_assert_eq!(&par, &formal, "pooled vs formal at {}", now);
             for name in formal {
                 rt_opt.mark_considered(rt_opt.index_of(&name).unwrap(), now);
                 rt_raw.mark_considered(rt_raw.index_of(&name).unwrap(), now);
-                rt_par.mark_considered(rt_par.index_of(&name).unwrap(), now);
                 let i = defs.iter().position(|d| d.name == name).unwrap();
                 ref_states[i].considered(&defs[i], now);
             }
@@ -543,25 +536,21 @@ fn object_seen_before_consideration_reenters_the_window() {
     );
 }
 
-/// The pooled probe path builds the same change points as the inline
-/// one: enough widened rules to fan out across workers fire exactly on
-/// the foreign-channel entry the inline support sees.
+/// Many widened rules in one round fire exactly on the foreign-channel
+/// entry the formal predicate sees, each probing in both blocks.
 #[test]
-fn pooled_support_sees_widened_entries_like_the_inline_one() {
+fn many_widened_rules_see_a_foreign_channel_entry_in_one_round() {
     let defs: Vec<TriggerDef> = (0..8u32)
         .map(|i| {
             let a = EventExpr::prim(et(0));
             TriggerDef::new(format!("r{i}"), a.inot().ior(EventExpr::prim(et(4 + i))))
         })
         .collect();
-    let mut rt_inline = RuleTable::new();
-    let mut rt_pooled = RuleTable::new();
+    let mut rt = RuleTable::new();
     for def in &defs {
-        rt_inline.define(def.clone(), Timestamp::ZERO).unwrap();
-        rt_pooled.define(def.clone(), Timestamp::ZERO).unwrap();
+        rt.define(def.clone(), Timestamp::ZERO).unwrap();
     }
-    let mut sup_inline = TriggerSupport::optimized();
-    let mut sup_pooled = TriggerSupport::optimized().with_workers(3);
+    let mut sup = TriggerSupport::optimized();
     let mut eb = EventBase::new();
     // channels 20 and 21 are no leaf of any rule
     let blocks: [&[Option<(u32, u64)>]; 2] = [
@@ -571,20 +560,94 @@ fn pooled_support_sees_widened_entries_like_the_inline_one() {
     for block in blocks {
         play(&mut eb, block);
         let now = eb.now();
-        sup_inline.check(&mut rt_inline, &eb, now);
-        sup_pooled.check(&mut rt_pooled, &eb, now);
+        sup.check(&mut rt, &eb, now);
         let formal: Vec<String> = defs
             .iter()
             .filter(|d| is_triggered(d, &RuleState::new(d, Timestamp::ZERO), &eb, now))
             .map(|d| d.name.clone())
             .collect();
-        let inline: Vec<String> = rt_inline.triggered().iter().map(|s| s.to_string()).collect();
-        let pooled: Vec<String> = rt_pooled.triggered().iter().map(|s| s.to_string()).collect();
-        assert_eq!(inline, formal, "inline at {now}");
-        assert_eq!(pooled, formal, "pooled at {now}");
+        let got: Vec<String> = rt.triggered().iter().map(|s| s.to_string()).collect();
+        assert_eq!(got, formal, "support vs formal at {now}");
     }
-    assert_eq!(rt_pooled.triggered().len(), defs.len(), "o2 entered every window");
-    // every rule probed in both blocks, so the pool had work to split
-    assert_eq!(sup_pooled.stats.rules_checked, 16);
-    assert_eq!(sup_pooled.stats.skipped_by_filter, 0);
+    assert_eq!(rt.triggered().len(), defs.len(), "o2 entered every window");
+    // every rule probed in both blocks
+    assert_eq!(sup.stats.rules_checked, 16);
+    assert_eq!(sup.stats.skipped_by_filter, 0);
+}
+
+/// The exact counters of one fixed-seed round sequence: 16 random
+/// expressions, each defined as two rules so the cross-rule probe memo
+/// answers the second rule's probes, checked over 10 random blocks with
+/// every newly triggered rule considered. Three of the expressions hold a
+/// widened instance negation, so the change points of an object's entry
+/// into the window are probed too. The values pin the round's work, not
+/// only its outcomes: any restructuring of the check round must leave
+/// them unmoved.
+#[test]
+fn fixed_seed_round_counters_are_pinned() {
+    const SEED: u64 = 2;
+    let mut g = RandomExprGen::new(ExprGenConfig {
+        event_types: 5,
+        max_depth: 3,
+        instance_prob: 0.4,
+        negation_prob: 0.35,
+        seed: SEED,
+    });
+    let exprs = g.batch(16);
+    let widened = exprs
+        .iter()
+        .filter(|e| {
+            let plan = Plan::compile(e).unwrap();
+            plan.boundaries().iter().any(|b| b.widens())
+        })
+        .count();
+    assert_eq!(widened, 3);
+    let mut rt = RuleTable::new();
+    for (i, e) in exprs.iter().enumerate() {
+        for copy in ["a", "b"] {
+            let def = TriggerDef::new(format!("r{i}{copy}"), e.clone());
+            rt.define(def, Timestamp::ZERO).unwrap();
+        }
+    }
+    let mut sup = TriggerSupport::optimized();
+    let mut eb = EventBase::new();
+    let mut fired = Vec::new();
+    for block in blocks(SEED, 10) {
+        play(&mut eb, &block);
+        let now = eb.now();
+        let newly = sup.check(&mut rt, &eb, now);
+        for name in &newly {
+            rt.mark_considered(rt.index_of(name).unwrap(), now);
+        }
+        fired.push(newly);
+    }
+    // both rules of a pair fire together, adjacent in definition order
+    let expected: [&[usize]; 10] = [
+        &[2, 3, 5, 6, 7, 10, 11, 12, 14],
+        &[0, 4, 6, 7, 8, 11, 12, 13],
+        &[0, 6, 7, 8, 11, 12, 13],
+        &[0, 1, 6, 7, 11, 12],
+        &[0, 1, 6, 7, 11],
+        &[0, 1, 6, 7, 11],
+        &[0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 14],
+        &[2, 3, 5, 6, 7, 10, 11, 14],
+        &[0, 2, 3, 4, 5, 6, 7, 8, 10, 11, 13, 14],
+        &[1, 6, 7, 11],
+    ];
+    let pair = |i: &usize| [format!("r{i}a"), format!("r{i}b")];
+    let expected: Vec<Vec<String>> = expected
+        .iter()
+        .map(|round| round.iter().flat_map(pair).collect())
+        .collect();
+    assert_eq!(fired, expected);
+    assert_eq!(
+        sup.stats,
+        SupportStats {
+            rules_checked: 320,
+            skipped_by_filter: 128,
+            ts_probes: 182,
+            probe_memo_hits: 228,
+            check_rounds: 10,
+        }
+    );
 }
