@@ -257,7 +257,7 @@ fn report_cold_claims(c: &mut Criterion) {
         if measure_mode() { (1024u64, 64usize, 2usize, 96usize) } else { (16, 4, 2, 4) };
     let rt = runtime(&schema, &defs, shards, Some(cap));
     // populate: every tenant runs a few blocks, so each engine carries
-    // objects, an event log, and rule stamps into its snapshot
+    // objects into its snapshot
     for t in 0..tenants {
         for j in 0..3u64 {
             submit_block(&rt, &schema, t, j, 8);

@@ -61,7 +61,7 @@
 //! folds only the rows already in the domain at `t`. The scratch is
 //! built cold when the window's lower bound moves (rule
 //! consideration/consumption), it belongs to another event base, or the
-//! base has been cut since it was built (a transaction start).
+//! base has been cut since it was built (a transaction end).
 //! Otherwise, when the epoch advances, it is **advanced,
 //! not rebuilt**: the epoch's new occurrences are read through the EB's
 //! per-type delta columns ([`EventBase::type_occurrences_since`]), new

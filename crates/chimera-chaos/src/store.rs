@@ -243,9 +243,7 @@ mod tests {
             objects: vec![],
             next_oid: 0,
             cut: 0,
-            events: vec![],
             trigger_sources: vec![],
-            rules: vec![],
             stats: [0; 6],
         };
         let files = || std::fs::read_dir(&dir).unwrap().count();

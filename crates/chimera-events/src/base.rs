@@ -25,8 +25,9 @@
 //! ## The cut: one transaction's extent
 //!
 //! The paper's Event Base is a per-transaction log, so the engine drops
-//! every occurrence at each transaction start with
-//! [`EventBase::truncate`]. The occurrences before the cut are gone from
+//! every occurrence at each transaction end (commit or rollback) with
+//! [`EventBase::truncate`]; [`EventBase::resume_at`] positions a restored
+//! base at such a cut. The occurrences before the cut are gone from
 //! the log, the columns, the indexes and the domain cache, but the base
 //! stays *logically* dense: [`EventBase::len`], [`EventBase::epoch`], eids
 //! and the clock continue past [`EventBase::cut`] exactly as if nothing

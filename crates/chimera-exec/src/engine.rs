@@ -45,12 +45,15 @@
 //! (`EventBase::occurrences_since` / `type_occurrences_since`) instead of
 //! rebuilding it from the window.
 //! Rule considerations move a rule's window lower bound, which is the
-//! one case where its plan falls back to a cold rebuild. Transaction
-//! resets ([`Engine::begin`], [`Engine::rollback`]) keep every rule's
-//! plan scratchpads — only the runtime trigger state is cleared. `begin`
-//! also cuts the Event Base to the paper's per-transaction extent
-//! ([`EventBase::truncate`]); the scratchpads, keyed on the base's
-//! `(uid, cut, epoch)`, go cold by themselves.
+//! one case where its plan falls back to a cold rebuild.
+//!
+//! Every transaction ends in the same **rest state**: [`Engine::commit`]
+//! and [`Engine::rollback`] cut the Event Base to the paper's
+//! per-transaction extent ([`EventBase::truncate`]) and reset every
+//! rule's stamps to the end instant, keeping its plan scratchpads (keyed
+//! on the base's `(uid, cut, epoch)`, they go cold by themselves).
+//! Between transactions an engine is therefore its object store, its
+//! clock and its rule set, which is all a snapshot needs to carry.
 
 use crate::action_exec::execute_actions;
 use crate::error::ExecError;
@@ -159,7 +162,6 @@ pub struct Engine {
     support: TriggerSupport,
     config: EngineConfig,
     in_txn: bool,
-    txn_start: Timestamp,
     steps_this_txn: usize,
     stats: EngineStats,
 }
@@ -185,38 +187,28 @@ impl Engine {
             support,
             config,
             in_txn: false,
-            txn_start: Timestamp::ZERO,
             steps_this_txn: 0,
             stats: EngineStats::default(),
         }
     }
 
-    /// Engine over a previously recovered store, with an empty event base
-    /// and fresh rule state. The runtime's snapshot restore and
-    /// rehydration then reposition the event base and replay its live
-    /// tail with [`Engine::restore_event_log`], and overlay the rule
-    /// stamps with [`Engine::restore_rule_state`].
-    pub fn with_restored_store(schema: Schema, store: ObjectStore, config: EngineConfig) -> Self {
+    /// Engine over a previously recovered store, at rest with its clock
+    /// at `cut`: the empty Event Base resumes at that logical length
+    /// ([`EventBase::resume_at`]). The engine never ticks its clock
+    /// without an occurrence, so eids and timestamps are both dense per
+    /// append and the clock at a transaction end is stamp `cut`. Rules
+    /// installed afterwards are stamped at that instant, which is the
+    /// state [`Engine::commit`] and [`Engine::rollback`] leave them in.
+    pub fn with_restored_store(
+        schema: Schema,
+        store: ObjectStore,
+        cut: u64,
+        config: EngineConfig,
+    ) -> Self {
         let mut engine = Engine::with_config(schema, config);
         engine.store = store;
+        engine.eb.resume_at(cut, Timestamp(cut));
         engine
-    }
-
-    /// Rebuild a snapshotted event base without running reactions or
-    /// touching the work counters: position the empty base at logical
-    /// length `cut` (its [`EventBase::cut`]), then replay the live
-    /// `tail`. The engine never ticks its clock without an occurrence, so
-    /// eids and timestamps are both dense per append: the clock at the
-    /// cut is stamp `cut`, and replaying the `(type, oid)` pairs
-    /// reproduces the live log bit-identically. Recovery calls this on a
-    /// freshly restored engine *before* re-applying any logged jobs; the
-    /// restored rule stamps are overlaid afterwards with
-    /// [`Engine::restore_rule_state`].
-    pub fn restore_event_log(&mut self, cut: u64, tail: &[(EventType, Oid)]) {
-        self.eb.resume_at(cut, Timestamp(cut));
-        for &(ty, oid) in tail {
-            self.eb.append(ty, oid);
-        }
     }
 
     /// Overwrite the work counters with recovered values (they are not
@@ -224,29 +216,6 @@ impl Engine {
     /// no trace).
     pub fn restore_stats(&mut self, stats: EngineStats) {
         self.stats = stats;
-    }
-
-    /// Overwrite one rule's processing stamps with recovered values.
-    /// Used after re-installing the rule (installation stamps the state
-    /// with the *current* instant, which is wrong after an event-log
-    /// restore). The compiled rule is shared and untouched here, and the
-    /// plan scratchpads stay as installation left them: empty.
-    pub fn restore_rule_state(
-        &mut self,
-        name: &str,
-        triggered: bool,
-        last_consideration: Timestamp,
-        last_consumption: Timestamp,
-        checked_upto: Timestamp,
-        witness: bool,
-    ) -> Result<()> {
-        let state = self.rules.state_mut(name)?;
-        state.triggered = triggered;
-        state.last_consideration = last_consideration;
-        state.last_consumption = last_consumption;
-        state.checked_upto = checked_upto;
-        state.witness = witness;
-        Ok(())
     }
 
     /// The schema.
@@ -301,22 +270,18 @@ impl Engine {
         Ok(())
     }
 
-    /// Begin a transaction. The Event Base is per-transaction, so this
-    /// first truncates it: no rule window, `ts` probe or `V(E)`
-    /// check of the new transaction reaches an older occurrence, and the
-    /// base holds at most the last transaction's occurrences in between.
-    /// Only `begin` cuts: after `commit` or `rollback` the finished
-    /// transaction's occurrences stay readable until the next one starts.
+    /// Begin a transaction. The engine is at rest (see
+    /// [`Engine::commit`]): the Event Base holds no occurrence and every
+    /// rule's window opens at the current instant, so no rule window,
+    /// `ts` probe or `V(E)` check of the new transaction reaches an
+    /// older occurrence.
     pub fn begin(&mut self) -> Result<()> {
         if self.in_txn {
             return Err(ExecError::TransactionActive);
         }
         self.store.begin()?;
-        self.eb.truncate();
         self.in_txn = true;
         self.steps_this_txn = 0;
-        self.txn_start = self.eb.now();
-        self.rules.reset_all(self.txn_start);
         Ok(())
     }
 
@@ -387,28 +352,41 @@ impl Engine {
     }
 
     /// Commit: drain deferred rules (§2 — "if the rule is deferred it is
-    /// suspended until the commit command"), then commit the store.
+    /// suspended until the commit command"), commit the store, then end
+    /// in the rest state: the Event Base cut, every rule reset at the
+    /// current instant.
     pub fn commit(&mut self) -> Result<()> {
         if !self.in_txn {
             return Err(ExecError::NoActiveTransaction);
         }
         self.react(CouplingMode::Deferred)?;
         self.store.commit()?;
-        self.in_txn = false;
+        self.come_to_rest();
         self.stats.commits += 1;
         Ok(())
     }
 
-    /// Rollback: undo every store change, reset rule state.
+    /// Rollback: undo every store change, then end in the rest state as
+    /// [`Engine::commit`] does.
     pub fn rollback(&mut self) -> Result<()> {
         if !self.in_txn {
             return Err(ExecError::NoActiveTransaction);
         }
         self.store.rollback()?;
-        self.rules.reset_all(self.eb.now());
-        self.in_txn = false;
+        self.come_to_rest();
         self.stats.rollbacks += 1;
         Ok(())
+    }
+
+    /// End the transaction in the rest state: the Event Base is cut
+    /// ([`EventBase::truncate`]; eids, stamps and the logical length stay
+    /// dense), every rule is reset at the current instant and no
+    /// transaction is active. Nothing the finished transaction detected
+    /// is read after it ends.
+    fn come_to_rest(&mut self) {
+        self.eb.truncate();
+        self.rules.reset_all(self.eb.now());
+        self.in_txn = false;
     }
 
     /// Read-only object access (valid inside or outside transactions).
@@ -877,34 +855,71 @@ mod tests {
         engine.commit().unwrap();
     }
 
+    /// Every rule's state is its reset at the current instant.
+    fn assert_rules_at_rest(engine: &Engine) {
+        let now = engine.event_base().now();
+        for (rule, st) in engine.rules().iter() {
+            assert_eq!(
+                (st.triggered, st.witness),
+                (false, false),
+                "rule `{}` is not at rest",
+                rule.def.name
+            );
+            assert_eq!(
+                (st.last_consideration, st.last_consumption, st.checked_upto),
+                (now, now, now),
+                "rule `{}` is not at rest",
+                rule.def.name
+            );
+        }
+    }
+
     #[test]
-    fn begin_cuts_the_event_base_and_restore_rebuilds_it() {
+    fn commit_and_rollback_cut_the_event_base_and_restore_resumes_it() {
         let schema = stock_schema();
         let stock = schema.class_by_name("stock").unwrap();
         let create = Op::Create {
             class: stock,
             inits: vec![],
         };
+        // a deferred rule stays triggered until commit, so it is the one
+        // rule whose state a transaction end has to reset
+        let mut def = TriggerDef::new("d", EventExpr::prim(EventType::create(stock)));
+        def.coupling = CouplingMode::Deferred;
         let mut engine = Engine::new(schema.clone());
+        engine.define_trigger(def).unwrap();
         engine.begin().unwrap();
         engine.exec_block(&[create.clone(), create.clone()]).unwrap();
         engine.commit().unwrap();
-        // commit keeps the finished transaction readable
-        assert_eq!((engine.event_base().len(), engine.event_base().live_len()), (2, 2));
-        engine.begin().unwrap();
+        // commit cuts the finished transaction and resets every rule
         let eb = engine.event_base();
         assert_eq!((eb.len(), eb.live_len(), eb.cut(), eb.now()), (2, 0, 2, Timestamp(2)));
-        let occ = engine.exec_block(&[create]).unwrap()[0];
+        assert_rules_at_rest(&engine);
+        engine.begin().unwrap();
+        let occ = engine.exec_block(std::slice::from_ref(&create)).unwrap()[0];
         assert_eq!((occ.eid.0, occ.ts), (3, Timestamp(3)), "eids and stamps stay dense");
+        assert!(engine.rules().state("d").unwrap().triggered);
         engine.rollback().unwrap();
-        assert_eq!(engine.event_base().live_len(), 1, "rollback does not cut either");
+        let eb = engine.event_base();
+        assert_eq!((eb.len(), eb.live_len(), eb.cut()), (3, 0, 3), "rollback cuts too");
+        assert_rules_at_rest(&engine);
 
-        let tail: Vec<_> = engine.event_base().iter().map(|o| (o.ty, o.oid)).collect();
-        let mut restored = Engine::new(schema);
-        restored.restore_event_log(engine.event_base().cut(), &tail);
+        // a restored engine resumes the clock at the cut, and its next
+        // transaction numbers its occurrences exactly as this one does
+        let mut restored = Engine::with_restored_store(
+            schema,
+            ObjectStore::new(),
+            engine.event_base().cut(),
+            EngineConfig::default(),
+        );
         let (a, b) = (restored.event_base(), engine.event_base());
-        assert_eq!((a.len(), a.cut(), a.now()), (b.len(), b.cut(), b.now()));
-        assert!(a.iter().eq(b.iter()));
+        assert_eq!((a.len(), a.live_len(), a.cut(), a.now()), (b.len(), 0, b.cut(), b.now()));
+        for e in [&mut engine, &mut restored] {
+            e.begin().unwrap();
+            let occ = e.exec_block(std::slice::from_ref(&create)).unwrap()[0];
+            assert_eq!((occ.eid.0, occ.ts), (4, Timestamp(4)));
+            e.commit().unwrap();
+        }
     }
 
     #[test]

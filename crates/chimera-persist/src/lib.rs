@@ -10,9 +10,9 @@
 //!   shard worker is about to run is one binary record, and a whole
 //!   drained queue batch becomes durable with one fsync (**group
 //!   commit**);
-//! * the [`shardsnap`] module writes full-fidelity tenant snapshots
-//!   (objects, the Event Base's cut and live tail, trigger sources, rule
-//!   stamps, stats) so the job log can be truncated;
+//! * the [`shardsnap`] module writes tenant snapshots between
+//!   transactions (objects, the Event Base's cut, trigger sources,
+//!   stats), so the job log can be truncated;
 //! * the [`store`] module ties the two together behind the
 //!   [`StateStore`] trait, with an [`InMemoryStore`] (no-op) and a
 //!   [`DurableStore`] (log + snapshot) backend.
@@ -43,7 +43,7 @@ pub mod shardsnap;
 pub mod store;
 
 pub use joblog::{JobGroup, JobLog, JobLogOutcome, JobRecord};
-pub use shardsnap::{RuleStampRec, ShardSnapshot, TenantSnapshot};
+pub use shardsnap::{ShardSnapshot, TenantSnapshot};
 pub use store::{DurableStore, InMemoryStore, ShardRecovery, StateStore, StoreCounters};
 
 use std::fmt;

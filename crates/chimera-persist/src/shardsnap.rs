@@ -1,62 +1,36 @@
-//! Full-fidelity per-shard tenant snapshots (job-log compaction).
+//! Per-shard tenant snapshots (job-log compaction).
 //!
-//! Recovery must reproduce each tenant bit-identically, so a shard
-//! snapshot carries more than the object store: the event base, trigger
-//! sources, per-rule processing stamps, engine statistics and the
-//! shard's error bookkeeping. With all of that captured, the job log
-//! ([`crate::joblog`]) can be truncated at the snapshot's sequence and
-//! replay continues from there.
-//!
-//! The event base is per-transaction: the engine cuts it at every
-//! transaction start, so a tenant snapshot carries only the cut (the
-//! logical length at the last transaction start) and the live tail after
-//! it — O(one transaction), however long the tenant has lived.
+//! Recovery must reproduce each tenant bit-identically. Snapshots are
+//! only taken at *safe points*, with no tenant in an open transaction,
+//! and the engine ends every transaction at rest: its Event Base cut and
+//! every rule reset at the end instant. So a tenant between transactions
+//! is its committed objects, its clock (the cut: the logical length of
+//! its event base, which is also the stamp of its last occurrence), its
+//! tenant-local trigger sources, its engine statistics and the shard's
+//! error bookkeeping, and that is all a snapshot carries. With it
+//! captured, the job log ([`crate::joblog`]) can be truncated at the
+//! snapshot's sequence and replay continues from there; a transaction
+//! still open at the crash is reproduced by replaying its logged jobs.
 //!
 //! Format (line-oriented text, FNV-1a 64 checksummed, like every other
 //! durable file in this crate):
 //!
 //! ```text
 //! V <seq> <tenant-count>
-//! T <tenant> <jobs-applied> <job-errors> <next-oid> <nobj> <cut> <nev> <nsrc> <nrule>
-//! L <escaped-last-error|->
+//! T <tenant> <jobs-applied> <job-errors> <next-oid> <nobj> <cut> <nsrc>
+//! L -  |  L +<escaped-last-error>
 //! S <blocks> <events> <considerations> <executions> <commits> <rollbacks>
 //! P <oid> <class> <attrs>          × nobj
-//! E <class>:<kind> <oid>           × nev (the live tail)
 //! D <escaped-trigger-source>       × nsrc
-//! R <escaped-name> <t> <lc> <lcons> <cu> <w>   × nrule
 //! C <seq> <fnv1a-of-body>
 //! ```
-//!
-//! Snapshots are only taken at *safe points* (no tenant in an open
-//! transaction): the object store snapshot reflects committed state, and
-//! any in-flight transaction is instead reproduced by replaying the job
-//! log tail.
 
 use crate::codec::{decode_object, encode_object, escape, unescape};
 use crate::{fnv1a, PersistError, Result};
-use chimera_events::{EventKind, EventType};
-use chimera_model::{AttrId, ClassId, Object, Oid};
+use chimera_model::Object;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
-
-/// One rule's processing stamps — mirrors `chimera_rules::RuleState`
-/// field-for-field (timestamps as raw `u64`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuleStampRec {
-    /// Trigger name (the rule-table key).
-    pub name: String,
-    /// `RuleState::triggered`.
-    pub triggered: bool,
-    /// `RuleState::last_consideration` (raw timestamp).
-    pub last_consideration: u64,
-    /// `RuleState::last_consumption` (raw timestamp).
-    pub last_consumption: u64,
-    /// `RuleState::checked_upto` (raw timestamp).
-    pub checked_upto: u64,
-    /// `RuleState::witness`.
-    pub witness: bool,
-}
 
 /// Everything needed to rebuild one tenant bit-identically (given the
 /// shared schema and runtime-wide trigger set, which live in config).
@@ -75,20 +49,12 @@ pub struct TenantSnapshot {
     pub objects: Vec<Object>,
     /// OID allocation counter.
     pub next_oid: u64,
-    /// The event base's cut: its logical length at the last transaction
-    /// start, where the engine dropped every earlier occurrence.
+    /// The event base's cut: its logical length and clock at the last
+    /// transaction end, where the engine dropped every occurrence.
     pub cut: u64,
-    /// The live tail of the event base, the occurrences after `cut`, as
-    /// `(type, oid)` pairs in log order. Positioning a fresh event base
-    /// at `cut` and replaying them reproduces eids and timestamps exactly
-    /// (both are assigned densely per append).
-    pub events: Vec<(EventType, Oid)>,
     /// Tenant-local trigger definitions, in definition order, as source
     /// text (re-parsed deterministically at restore).
     pub trigger_sources: Vec<String>,
-    /// Per-rule processing stamps, restored *after* triggers are
-    /// (re)defined.
-    pub rules: Vec<RuleStampRec>,
     /// `EngineStats` as the fixed-order array
     /// `[blocks, events, considerations, executions, commits, rollbacks]`.
     pub stats: [u64; 6],
@@ -104,64 +70,23 @@ pub struct ShardSnapshot {
     pub tenants: Vec<TenantSnapshot>,
 }
 
-fn encode_event_type(ty: &EventType) -> String {
-    let kind = match ty.kind {
-        EventKind::Create => "c".to_string(),
-        EventKind::Delete => "d".to_string(),
-        EventKind::Modify(attr) => format!("m{}", attr.0),
-        EventKind::Generalize => "g".to_string(),
-        EventKind::Specialize => "s".to_string(),
-        EventKind::Select => "q".to_string(),
-        EventKind::External(chan) => format!("x{chan}"),
-    };
-    format!("{}:{kind}", ty.class.0)
-}
-
-fn decode_event_type(tok: &str) -> Result<EventType> {
-    let bad = || PersistError::Corrupt(format!("event type token `{tok}`"));
-    let (class, kind) = tok.split_once(':').ok_or_else(bad)?;
-    let class: u32 = class.parse().map_err(|_| bad())?;
-    let kind = match kind {
-        "c" => EventKind::Create,
-        "d" => EventKind::Delete,
-        "g" => EventKind::Generalize,
-        "s" => EventKind::Specialize,
-        "q" => EventKind::Select,
-        _ => {
-            if let Some(n) = kind.strip_prefix('m') {
-                EventKind::Modify(AttrId(n.parse().map_err(|_| bad())?))
-            } else if let Some(n) = kind.strip_prefix('x') {
-                EventKind::External(n.parse().map_err(|_| bad())?)
-            } else {
-                return Err(bad());
-            }
-        }
-    };
-    Ok(EventType {
-        class: ClassId(class),
-        kind,
-    })
-}
-
 impl ShardSnapshot {
     fn render(&self) -> String {
         let mut body = String::new();
         body.push_str(&format!("V {} {}\n", self.seq, self.tenants.len()));
         for t in &self.tenants {
             body.push_str(&format!(
-                "T {} {} {} {} {} {} {} {} {}\n",
+                "T {} {} {} {} {} {} {}\n",
                 t.tenant,
                 t.jobs_applied,
                 t.job_errors,
                 t.next_oid,
                 t.objects.len(),
                 t.cut,
-                t.events.len(),
                 t.trigger_sources.len(),
-                t.rules.len(),
             ));
             match &t.last_error {
-                Some(e) => body.push_str(&format!("L {}\n", escape(e))),
+                Some(e) => body.push_str(&format!("L +{}\n", escape(e))),
                 None => body.push_str("L -\n"),
             }
             body.push_str(&format!(
@@ -171,22 +96,8 @@ impl ShardSnapshot {
             for obj in &t.objects {
                 body.push_str(&format!("P {}\n", encode_object(obj)));
             }
-            for (ty, oid) in &t.events {
-                body.push_str(&format!("E {} {}\n", encode_event_type(ty), oid.0));
-            }
             for src in &t.trigger_sources {
                 body.push_str(&format!("D {}\n", escape(src)));
-            }
-            for r in &t.rules {
-                body.push_str(&format!(
-                    "R {} {} {} {} {} {}\n",
-                    escape(&r.name),
-                    u8::from(r.triggered),
-                    r.last_consideration,
-                    r.last_consumption,
-                    r.checked_upto,
-                    u8::from(r.witness),
-                ));
             }
         }
         let crc = fnv1a(body.as_bytes());
@@ -273,9 +184,7 @@ fn read_tenant<'a>(
     let next_oid = next()?;
     let nobj = next()? as usize;
     let cut = next()?;
-    let nev = next()? as usize;
     let nsrc = next()? as usize;
-    let nrule = next()? as usize;
     if nums.next().is_some() {
         return Err(corrupt("bad tenant header"));
     }
@@ -286,7 +195,10 @@ fn read_tenant<'a>(
         .ok_or_else(|| corrupt("expected error line"))?
     {
         "-" => None,
-        esc => Some(unescape(esc)?),
+        some => Some(unescape(
+            some.strip_prefix('+')
+                .ok_or_else(|| corrupt("bad error line"))?,
+        )?),
     };
 
     let stats_line = lines.next().ok_or_else(|| corrupt("missing stats line"))?;
@@ -310,16 +222,6 @@ fn read_tenant<'a>(
             .ok_or_else(|| corrupt("expected object record"))?;
         objects.push(decode_object(payload)?);
     }
-    let mut events = Vec::with_capacity(cap(nev));
-    for _ in 0..nev {
-        let line = lines.next().ok_or_else(|| corrupt("truncated events"))?;
-        let (ty, oid) = line
-            .strip_prefix("E ")
-            .and_then(|s| s.split_once(' '))
-            .ok_or_else(|| corrupt("expected event record"))?;
-        let oid: u64 = oid.parse().map_err(|_| corrupt("bad event oid"))?;
-        events.push((decode_event_type(ty)?, Oid(oid)));
-    }
     let mut trigger_sources = Vec::with_capacity(cap(nsrc));
     for _ in 0..nsrc {
         let line = lines.next().ok_or_else(|| corrupt("truncated sources"))?;
@@ -327,34 +229,6 @@ fn read_tenant<'a>(
             .strip_prefix("D ")
             .ok_or_else(|| corrupt("expected source record"))?;
         trigger_sources.push(unescape(esc)?);
-    }
-    let mut rules = Vec::with_capacity(cap(nrule));
-    for _ in 0..nrule {
-        let line = lines.next().ok_or_else(|| corrupt("truncated rules"))?;
-        let toks: Vec<&str> = line
-            .strip_prefix("R ")
-            .ok_or_else(|| corrupt("expected rule record"))?
-            .split(' ')
-            .collect();
-        let [name, t, lc, lcons, cu, w] = toks[..] else {
-            return Err(corrupt("bad rule arity"));
-        };
-        let flag = |s: &str| -> Result<bool> {
-            match s {
-                "0" => Ok(false),
-                "1" => Ok(true),
-                _ => Err(corrupt("bad rule flag")),
-            }
-        };
-        let ts = |s: &str| -> Result<u64> { s.parse().map_err(|_| corrupt("bad rule stamp")) };
-        rules.push(RuleStampRec {
-            name: unescape(name)?,
-            triggered: flag(t)?,
-            last_consideration: ts(lc)?,
-            last_consumption: ts(lcons)?,
-            checked_upto: ts(cu)?,
-            witness: flag(w)?,
-        });
     }
     Ok(TenantSnapshot {
         tenant,
@@ -364,9 +238,7 @@ fn read_tenant<'a>(
         objects,
         next_oid,
         cut,
-        events,
         trigger_sources,
-        rules,
         stats,
     })
 }
@@ -374,7 +246,7 @@ fn read_tenant<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_model::Value;
+    use chimera_model::{ClassId, Oid, Value};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -401,32 +273,7 @@ mod tests {
                     }],
                     next_oid: 2,
                     cut: 40,
-                    events: vec![
-                        (EventType::create(ClassId(0)), Oid(1)),
-                        (
-                            EventType {
-                                class: ClassId(0),
-                                kind: EventKind::Modify(AttrId(1)),
-                            },
-                            Oid(1),
-                        ),
-                        (
-                            EventType {
-                                class: ClassId(2),
-                                kind: EventKind::External(7),
-                            },
-                            Oid(0),
-                        ),
-                    ],
                     trigger_sources: vec!["define trigger t\n  …\nend".into()],
-                    rules: vec![RuleStampRec {
-                        name: "watch low".into(),
-                        triggered: true,
-                        last_consideration: 4,
-                        last_consumption: 2,
-                        checked_upto: 5,
-                        witness: false,
-                    }],
                     stats: [1, 2, 3, 4, 5, 6],
                 },
                 TenantSnapshot {
@@ -437,49 +284,10 @@ mod tests {
                     objects: vec![],
                     next_oid: 0,
                     cut: 0,
-                    events: vec![],
                     trigger_sources: vec![],
-                    rules: vec![],
                     stats: [0; 6],
                 },
             ],
-        }
-    }
-
-    #[test]
-    fn event_type_round_trips() {
-        for ty in [
-            EventType::create(ClassId(0)),
-            EventType {
-                class: ClassId(1),
-                kind: EventKind::Delete,
-            },
-            EventType {
-                class: ClassId(2),
-                kind: EventKind::Modify(AttrId(13)),
-            },
-            EventType {
-                class: ClassId(3),
-                kind: EventKind::Generalize,
-            },
-            EventType {
-                class: ClassId(4),
-                kind: EventKind::Specialize,
-            },
-            EventType {
-                class: ClassId(5),
-                kind: EventKind::Select,
-            },
-            EventType {
-                class: ClassId(6),
-                kind: EventKind::External(42),
-            },
-        ] {
-            let tok = encode_event_type(&ty);
-            assert_eq!(decode_event_type(&tok).unwrap(), ty, "`{tok}`");
-        }
-        for tok in ["", "1", "1:z", "x:c", "1:m", "1:mx", "1:x"] {
-            assert!(decode_event_type(tok).is_err(), "`{tok}` must fail");
         }
     }
 

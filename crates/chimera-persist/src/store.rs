@@ -320,9 +320,7 @@ mod tests {
             objects: vec![],
             next_oid: 0,
             cut: 0,
-            events: vec![],
             trigger_sources: vec![],
-            rules: vec![],
             stats: [0; 6],
         }
     }

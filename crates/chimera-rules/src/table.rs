@@ -159,12 +159,6 @@ impl RuleTable {
         self.index_of(name).map(|i| &self.slots[i].state)
     }
 
-    /// Mutable rule state by name.
-    pub fn state_mut(&mut self, name: &str) -> Result<&mut RuleState, RuleError> {
-        let i = self.index_of(name)?;
-        Ok(&mut self.slots[i].state)
-    }
-
     /// Slot index of a rule by name.
     pub fn index_of(&self, name: &str) -> Result<usize, RuleError> {
         self.by_name
@@ -221,13 +215,14 @@ impl RuleTable {
         s.state.considered(&s.rule.def, now);
     }
 
-    /// Reset all rule state for a new transaction starting at `start`:
-    /// the stamps only. The compiled rules are shared and immutable, and
-    /// each plan scratchpad is kept (it goes cold by itself once the
-    /// engine cuts the event base at the transaction start).
-    pub fn reset_all(&mut self, start: Timestamp) {
+    /// Reset all rule state at a transaction end `now`, so the next
+    /// transaction's windows open there: the stamps only. The compiled
+    /// rules are shared and immutable, and each plan scratchpad is kept
+    /// (it goes cold by itself once the engine cuts the event base at the
+    /// same transaction end).
+    pub fn reset_all(&mut self, now: Timestamp) {
         for s in &mut self.slots {
-            s.state.reset(start);
+            s.state.reset(now);
         }
     }
 }

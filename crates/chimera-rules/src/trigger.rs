@@ -198,8 +198,8 @@ impl RuleState {
         Window::new(self.last_consumption, now)
     }
 
-    /// Reset in place for a new transaction starting at `start`: only
-    /// the stamps change. The plan scratchpads are kept — each
+    /// Reset in place at a transaction end `start`, where the next
+    /// transaction's windows open: only the stamps change. The plan scratchpads are kept — each
     /// revalidates itself against the event base's `(uid, cut, epoch)`
     /// key — and the rule's compiled half is never touched.
     pub fn reset(&mut self, start: Timestamp) {

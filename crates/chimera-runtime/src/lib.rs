@@ -54,8 +54,10 @@
 //! (claims are exclusive, appends precede execution within a claim).
 //! [`Runtime::recover`] rebuilds every tenant bit-identically from the
 //! shard snapshot + job-log replay (event logs, consumption windows,
-//! rule stamps, error bookkeeping and open transactions included);
-//! periodic snapshots truncate the log. The crash oracle is
+//! error bookkeeping and open transactions included); periodic snapshots
+//! truncate the log. A snapshot is taken between transactions, where
+//! every engine is at rest (its Event Base cut, its rules reset), so it
+//! carries a tenant's objects, clock, trigger sources and counters only. The crash oracle is
 //! `tests/durable_recovery.rs`: kill the process at any byte of the log
 //! — including a torn final record — and recovery equals a sequential
 //! replay of exactly the surviving prefix.

@@ -121,15 +121,11 @@ pub enum Job {
     Commit,
     /// `Engine::rollback`.
     Rollback,
-    /// `Engine::define_trigger` — a tenant-local rule on top of the
-    /// runtime-wide set installed at engine creation. Only valid on
-    /// in-memory runtimes: a pre-lowered definition has no durable form,
-    /// so durable shards refuse it (use [`Job::DefineTriggerSource`]).
-    DefineTrigger(Box<TriggerDef>),
-    /// Tenant-local trigger definitions as concrete source text, parsed
-    /// and lowered on the shard worker. All of the job's declarations are
-    /// defined or none. This is the durable form of trigger definition —
-    /// the source line is what the job log records, and recovery re-parses
+    /// Tenant-local trigger definitions, on top of the runtime-wide set
+    /// installed at engine creation, as concrete source text parsed and
+    /// lowered on the shard worker. All of the job's declarations are
+    /// defined or none. The source line is what the job log records and
+    /// a tenant snapshot carries, and recovery and rehydration re-parse
     /// it deterministically.
     DefineTriggerSource(String),
     /// Test instrumentation: the worker waits on `entered` (proving it
@@ -640,16 +636,15 @@ impl Runtime {
     ///
     /// An *evicted* tenant is inspectable too: `f` runs over a throwaway
     /// engine rebuilt from the tenant's parked snapshot — a read-only
-    /// peek that does **not** rehydrate (only a claimed job does), so
-    /// mutations made through it are discarded.
+    /// peek that does **not** rehydrate (only a claimed job does).
     pub fn with_tenant<R>(
         &self,
         tenant: TenantId,
-        f: impl FnOnce(&mut chimera_exec::Engine) -> R,
+        f: impl FnOnce(&chimera_exec::Engine) -> R,
     ) -> Option<R> {
         if let Some(slot) = self.fabric.tenants.get(tenant.0) {
-            let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            return Some(f(&mut slot.engine));
+            let slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            return Some(f(&slot.engine));
         }
         let home = &self.fabric.homes[self.shard_of(tenant)];
         let snap = home.evicted_lock().get(&tenant.0).cloned()?;
@@ -660,8 +655,8 @@ impl Runtime {
             Telemetry::off(),
             0,
         );
-        let mut slot = restore_tenant(&snap, &ctx).ok()?;
-        Some(f(&mut slot.engine))
+        let slot = restore_tenant(&snap, &ctx).ok()?;
+        Some(f(&slot.engine))
     }
 
     /// A tenant's job-error bookkeeping: `(errors, last error message)`.
@@ -1301,10 +1296,10 @@ mod tests {
         for i in 0..jobs {
             rt.raise_external(busy, vec![(stock, 1, Oid(i))]).unwrap();
         }
-        rt.commit(busy).unwrap();
-        // `busy` drains while the gate is still parked (can't flush: the
-        // gate job itself is unfinished)
-        while rt.stats().jobs_processed < jobs + 2 {
+        // no commit: the read below needs the open transaction's Event
+        // Base. `busy` drains while the gate is still parked (can't
+        // flush: the gate job itself is unfinished)
+        while rt.stats().jobs_processed < jobs + 1 {
             std::thread::yield_now();
         }
         release.wait();
@@ -1469,7 +1464,7 @@ mod tests {
             for (t, e) in oracle.iter().enumerate() {
                 let tenant = TenantId(t as u64);
                 assert_eq!(shares_rules(rt, tenant), Some(true), "tenant {t}");
-                let got = rt.with_tenant(tenant, |got| stamps(got));
+                let got = rt.with_tenant(tenant, stamps);
                 assert_eq!(got, Some(stamps(e)), "tenant {t}");
             }
         };

@@ -34,7 +34,7 @@ use crate::runtime::{Job, JobId, JobOutcome, JobReply, JobSummary, TenantId};
 use chimera_exec::{Engine, EngineConfig, EngineStats};
 use chimera_lifecycle::{LifecycleConfig, ResidencyLru};
 use chimera_model::{ObjectStore, Schema};
-use chimera_persist::{JobRecord, RuleStampRec, StateStore, TenantSnapshot};
+use chimera_persist::{JobRecord, StateStore, TenantSnapshot};
 use chimera_rules::CompiledRule;
 use chimera_telemetry::{Counter as TelCounter, Gauge as TelGauge, Stage, Telemetry, TraceKind};
 use std::collections::{HashMap, HashSet};
@@ -433,6 +433,7 @@ fn rehydrate_if_evicted(fabric: &Fabric, ctx: &WorkerCtx, tenant: u64, home_idx:
     let started = ctx.tel.start();
     match restore_tenant(&snap, ctx) {
         Ok(slot) => {
+            let bytes = approx_slot_bytes(&slot);
             // Publish the evicted→resident transition while holding the
             // home store lock. [`maybe_snapshot`] (and [`reopen_home`])
             // collect the resident set via `tenants.arcs()` and fold the
@@ -453,7 +454,7 @@ fn rehydrate_if_evicted(fabric: &Fabric, ctx: &WorkerCtx, tenant: u64, home_idx:
             }
             home.rehydrations.fetch_add(1, Ordering::Relaxed);
             if fabric.lifecycle.is_bounded() {
-                lru_lock(fabric).touch(tenant, home_idx, approx_tenant_bytes(&snap));
+                lru_lock(fabric).touch(tenant, home_idx, bytes);
             }
             ctx.tel.record_since(ctx.worker, Stage::Rehydrate, started);
             ctx.tel.count(ctx.worker, TelCounter::Rehydrations, 1);
@@ -478,15 +479,10 @@ fn rehydrate_if_evicted(fabric: &Fabric, ctx: &WorkerCtx, tenant: u64, home_idx:
     false
 }
 
-/// Approximate resident footprint of a tenant, from its snapshot shape:
-/// relative pressure for the bytes budget, not accounting. Only the live
-/// event tail is resident; the dropped prefix costs nothing.
-fn approx_tenant_bytes(snap: &TenantSnapshot) -> u64 {
-    let sources: u64 = snap.trigger_sources.iter().map(|s| s.len() as u64).sum();
-    1024 + snap.objects.len() as u64 * 256 + snap.events.len() as u64 * 64 + sources
-}
-
-/// Same estimate from a live slot, without snapshotting it.
+/// Approximate resident footprint of a tenant: relative pressure for
+/// the bytes budget, not accounting. Only the live event tail is
+/// resident (the dropped prefix costs nothing), and a tenant at rest has
+/// none.
 pub(crate) fn approx_slot_bytes(slot: &TenantSlot) -> u64 {
     let sources: u64 = slot.trigger_sources.iter().map(|s| s.len() as u64).sum();
     1024 + slot.engine.store().len() as u64 * 256
@@ -632,12 +628,10 @@ struct Pending {
 enum Disposition {
     /// Test gate: park the worker, outside every lock.
     Gate,
-    /// Refused before execution. `durability: true` marks a
-    /// store-unavailability refusal (poisoned home / failed append) that
-    /// surfaces as the typed [`JobOutcome::RefusedDurability`];
-    /// `false` is a usage refusal (a durable `DefineTrigger`) and stays
-    /// a plain [`JobOutcome::Error`].
-    Refuse { msg: String, durability: bool },
+    /// Refused before execution: the home's store is unavailable
+    /// (poisoned home / failed append), answered with the typed
+    /// [`JobOutcome::RefusedDurability`].
+    Refuse(String),
     /// Execute; `logged` records whether its intent was appended.
     Run { logged: bool },
 }
@@ -688,21 +682,7 @@ fn run_batch(
                     if matches!(env.job, Job::Rollback) && tenants.get(env.tenant.0).is_some() {
                         return Disposition::Run { logged: false };
                     }
-                    return Disposition::Refuse {
-                        msg: msg.clone(),
-                        durability: true,
-                    };
-                }
-                if matches!(env.job, Job::DefineTrigger(_)) {
-                    // lowered definitions have no logged form; durable
-                    // tenants must define triggers from source so replay
-                    // can re-parse
-                    return Disposition::Refuse {
-                        msg: "durable storage requires DefineTriggerSource (trigger source \
-                              text), not a pre-lowered DefineTrigger"
-                            .into(),
-                        durability: false,
-                    };
+                    return Disposition::Refuse(msg.clone());
                 }
                 match job_record(&env.job) {
                     Some(record) => {
@@ -721,10 +701,7 @@ fn run_batch(
                                     home.index as u64,
                                     0,
                                 );
-                                Disposition::Refuse {
-                                    msg,
-                                    durability: true,
-                                }
+                                Disposition::Refuse(msg)
                             }
                         }
                     }
@@ -765,8 +742,8 @@ fn run_batch(
                 }
                 (JobOutcome::Done(JobSummary::default()), false)
             }
-            Disposition::Refuse { msg, durability } => (
-                refuse(home, tenants, counters, ctx, env.tenant.0, msg, durability),
+            Disposition::Refuse(msg) => (
+                refuse(home, tenants, counters, ctx, env.tenant.0, msg),
                 false,
             ),
             Disposition::Run { logged } => {
@@ -827,7 +804,7 @@ fn run_batch(
     if let Some(msg) = demote {
         for p in &mut pending {
             if p.logged && p.outcome.is_done() {
-                p.outcome = refuse(home, tenants, counters, ctx, p.tenant.0, msg.clone(), true);
+                p.outcome = refuse(home, tenants, counters, ctx, p.tenant.0, msg.clone());
                 tel.count(ctx.worker, TelCounter::Demotions, 1);
                 tel.trace(
                     home.index,
@@ -847,9 +824,9 @@ fn run_batch(
 }
 
 /// Record a store-refusal against the tenant's bookkeeping (the slot is
-/// created if this is the tenant's first job, mirroring engine errors).
-/// `durability: true` yields the typed [`JobOutcome::RefusedDurability`]
-/// a client can distinguish from an engine error.
+/// created if this is the tenant's first job, mirroring engine errors)
+/// and answer it with the typed [`JobOutcome::RefusedDurability`] a
+/// client can distinguish from an engine error.
 fn refuse(
     home: &Home,
     tenants: &Tenants,
@@ -857,7 +834,6 @@ fn refuse(
     ctx: &WorkerCtx,
     tenant: u64,
     msg: String,
-    durability: bool,
 ) -> JobOutcome {
     if tenants.get(tenant).is_none() {
         // An *evicted* tenant reaches here when its home is poisoned
@@ -880,11 +856,7 @@ fn refuse(
             snap.job_errors += 1;
             snap.last_error = Some(msg.clone());
             counters.errors.fetch_add(1, Ordering::Relaxed);
-            return if durability {
-                JobOutcome::RefusedDurability(msg)
-            } else {
-                JobOutcome::Error(msg)
-            };
+            return JobOutcome::RefusedDurability(msg);
         }
     }
     let arc = tenants.get_or_create(tenant, ctx);
@@ -892,11 +864,7 @@ fn refuse(
     slot.job_errors += 1;
     slot.last_error = Some(msg.clone());
     counters.errors.fetch_add(1, Ordering::Relaxed);
-    if durability {
-        JobOutcome::RefusedDurability(msg)
-    } else {
-        JobOutcome::Error(msg)
-    }
+    JobOutcome::RefusedDurability(msg)
 }
 
 /// Run one (non-gate) job against its tenant engine, taking the
@@ -995,7 +963,6 @@ fn apply(slot: &mut TenantSlot, schema: &Schema, job: Job) -> Result<(), String>
             .map_err(|e| e.to_string()),
         Job::Commit => slot.engine.commit().map_err(|e| e.to_string()),
         Job::Rollback => slot.engine.rollback().map_err(|e| e.to_string()),
-        Job::DefineTrigger(def) => slot.engine.define_trigger(*def).map_err(|e| e.to_string()),
         Job::DefineTriggerSource(src) => {
             apply_trigger_source(&mut slot.engine, schema, &src)?;
             slot.trigger_sources.push(src);
@@ -1034,8 +1001,8 @@ fn apply_trigger_source(engine: &mut Engine, schema: &Schema, src: &str) -> Resu
     Ok(())
 }
 
-/// The durable form of a job, or `None` for jobs that are never logged
-/// (gates; pre-lowered `DefineTrigger`, which durable homes refuse).
+/// The durable form of a job, or `None` for the one job that is never
+/// logged (a test gate).
 fn job_record(job: &Job) -> Option<JobRecord> {
     match job {
         Job::Begin => Some(JobRecord::Begin),
@@ -1044,7 +1011,7 @@ fn job_record(job: &Job) -> Option<JobRecord> {
         Job::Commit => Some(JobRecord::Commit),
         Job::Rollback => Some(JobRecord::Rollback),
         Job::DefineTriggerSource(src) => Some(JobRecord::DefineTriggerSource(src.clone())),
-        Job::DefineTrigger(_) | Job::Gate { .. } => None,
+        Job::Gate { .. } => None,
     }
 }
 
@@ -1138,34 +1105,22 @@ pub(crate) fn recover_home(
     Ok(stats)
 }
 
-/// Rebuild one tenant from its snapshot: restored store → fresh engine →
-/// the runtime's compiled rules (installed, not recompiled) → tenant
-/// trigger sources (parsed and compiled for this tenant) → event log →
-/// rule stamps → engine stats. Order matters: installation stamps rule
-/// state with the *current* instant, so the recorded stamps are overlaid
-/// last.
+/// Rebuild one tenant from its snapshot: restored store → engine at rest
+/// with its clock at the cut → the runtime's compiled rules (installed,
+/// not recompiled) → tenant trigger sources (parsed and compiled for this
+/// tenant) → engine stats. Installation stamps each rule at the cut,
+/// which is exactly the state the snapshotted tenant's last transaction
+/// end reset it to.
 pub(crate) fn restore_tenant(ts: &TenantSnapshot, ctx: &WorkerCtx) -> Result<TenantSlot, String> {
     let objects = ts.objects.clone();
     let os = ObjectStore::restore(objects, ts.next_oid)
         .map_err(|e| format!("tenant {}: {e}", ts.tenant))?;
-    let mut engine = Engine::with_restored_store(ctx.schema.clone(), os, ctx.engine_cfg.clone());
+    let mut engine =
+        Engine::with_restored_store(ctx.schema.clone(), os, ts.cut, ctx.engine_cfg.clone());
     install_rules(&mut engine, &ctx.rules);
     for src in &ts.trigger_sources {
         apply_trigger_source(&mut engine, &ctx.schema, src)
             .map_err(|e| format!("tenant {}: snapshotted trigger source failed: {e}", ts.tenant))?;
-    }
-    engine.restore_event_log(ts.cut, &ts.events);
-    for r in &ts.rules {
-        engine
-            .restore_rule_state(
-                &r.name,
-                r.triggered,
-                chimera_events::Timestamp(r.last_consideration),
-                chimera_events::Timestamp(r.last_consumption),
-                chimera_events::Timestamp(r.checked_upto),
-                r.witness,
-            )
-            .map_err(|e| format!("tenant {}: rule `{}`: {e}", ts.tenant, r.name))?;
     }
     engine.restore_stats(EngineStats {
         blocks: ts.stats[0],
@@ -1184,9 +1139,25 @@ pub(crate) fn restore_tenant(ts: &TenantSnapshot, ctx: &WorkerCtx) -> Result<Ten
     })
 }
 
-/// Capture one tenant's full state for the home snapshot.
+/// Capture one tenant's state for the home snapshot or an eviction.
+/// Every caller passes a tenant outside a transaction, which the engine
+/// leaves at rest: no live occurrence, every rule reset at `now`. That is
+/// what makes the cut, the objects and the trigger sources the whole of
+/// its detection state.
 fn snapshot_tenant(tenant: u64, slot: &TenantSlot) -> TenantSnapshot {
     let engine = &slot.engine;
+    let eb = engine.event_base();
+    let now = eb.now();
+    debug_assert!(
+        !engine.in_transaction()
+            && eb.live_len() == 0
+            && engine.rules().iter().all(|(_, st)| {
+                !st.triggered
+                    && !st.witness
+                    && [st.last_consideration, st.last_consumption, st.checked_upto] == [now; 3]
+            }),
+        "tenant {tenant} snapshotted outside its rest state"
+    );
     let store = engine.store();
     let stats = engine.stats();
     TenantSnapshot {
@@ -1196,21 +1167,8 @@ fn snapshot_tenant(tenant: u64, slot: &TenantSlot) -> TenantSnapshot {
         last_error: slot.last_error.clone(),
         objects: store.snapshot_objects().into_iter().cloned().collect(),
         next_oid: store.next_oid_counter(),
-        cut: engine.event_base().cut(),
-        events: engine.event_base().iter().map(|o| (o.ty, o.oid)).collect(),
+        cut: eb.cut(),
         trigger_sources: slot.trigger_sources.clone(),
-        rules: engine
-            .rules()
-            .iter()
-            .map(|(rule, rs)| RuleStampRec {
-                name: rule.def.name.clone(),
-                triggered: rs.triggered,
-                last_consideration: rs.last_consideration.0,
-                last_consumption: rs.last_consumption.0,
-                checked_upto: rs.checked_upto.0,
-                witness: rs.witness,
-            })
-            .collect(),
         stats: [
             stats.blocks,
             stats.events,

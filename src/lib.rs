@@ -88,10 +88,11 @@
 //! A single [`exec::Engine`] is deliberately a single-threaded reactive
 //! machine (the paper's §5 architecture assumes one transaction's Event
 //! Base per detector, and the engine keeps exactly that much:
-//! [`exec::Engine::begin`] truncates the Event Base while its eids,
-//! stamps and logical length stay dense, so a tenant's RAM, snapshot and
-//! rehydration cost one transaction's occurrences however long it
-//! lives). [`runtime`] scales it out without changing its semantics:
+//! [`exec::Engine::commit`] and [`exec::Engine::rollback`] truncate the
+//! Event Base while its eids, stamps and logical length stay dense, so a
+//! tenant holds at most its open transaction's occurrences however long
+//! it lives, and none between transactions, when its snapshot and
+//! rehydration carry only its objects and its clock). [`runtime`] scales it out without changing its semantics:
 //!
 //! * **tenant homes** — every tenant owns a private engine behind an
 //!   exclusive-claim handle, and hashes (SplitMix64) onto a *home shard*

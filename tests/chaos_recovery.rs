@@ -153,8 +153,8 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
 struct Observed {
     stats: chimera::exec::EngineStats,
     in_txn: bool,
-    /// The event base: logical length, clock and live tail (the
-    /// occurrences since the last transaction start).
+    /// The event base: logical length, clock and live tail (the open
+    /// transaction's occurrences; none between transactions).
     eb_len: usize,
     eb_now: Timestamp,
     eb_log: Vec<(EventType, Oid, Timestamp)>,
@@ -162,7 +162,7 @@ struct Observed {
     extent: Vec<Oid>,
 }
 
-fn observe(engine: &mut Engine, item: ClassId) -> Observed {
+fn observe(engine: &Engine, item: ClassId) -> Observed {
     let mut extent = engine.extent(item);
     extent.sort_unstable();
     Observed {
@@ -236,7 +236,7 @@ fn oracle_replay(
         engine.event_base().live_len() <= longest_txn,
         "the event base kept more than its longest transaction"
     );
-    (observe(&mut engine, item), errors, last_error)
+    (observe(&engine, item), errors, last_error)
 }
 
 /// Mirror of the shard worker's all-or-nothing trigger-source job.

@@ -8,7 +8,7 @@
 //! the directory and compares every tenant against a plain sequential
 //! [`Engine`] replaying the first `survived(t)` of that tenant's jobs:
 //! objects and extents, the event base (logical length, clock and the
-//! live tail since the last transaction start, with timestamps), rule
+//! open transaction's live tail, with timestamps), rule
 //! consumption windows (`last_consideration` / `last_consumption` /
 //! `checked_upto`), engine counters, open-transaction state, and the
 //! error bookkeeping.
@@ -160,8 +160,8 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
 struct Observed {
     stats: chimera::exec::EngineStats,
     in_txn: bool,
-    /// The event base: logical length, clock and live tail (the
-    /// occurrences since the last transaction start).
+    /// The event base: logical length, clock and live tail (the open
+    /// transaction's occurrences; none between transactions).
     eb_len: usize,
     eb_now: Timestamp,
     eb_log: Vec<(EventType, Oid, Timestamp)>,
@@ -169,7 +169,7 @@ struct Observed {
     extent: Vec<Oid>,
 }
 
-fn observe(engine: &mut Engine, item: ClassId) -> Observed {
+fn observe(engine: &Engine, item: ClassId) -> Observed {
     let mut extent = engine.extent(item);
     extent.sort_unstable();
     Observed {
@@ -197,6 +197,24 @@ fn observe(engine: &mut Engine, item: ClassId) -> Observed {
             })
             .collect(),
         extent,
+    }
+}
+
+/// The state every transaction end leaves an engine in, which is what
+/// lets a tenant snapshot carry no event tail and no rule stamp: an empty
+/// live event base and every rule reset at the current instant.
+fn assert_at_rest(engine: &Engine) {
+    let now = engine.event_base().now();
+    assert_eq!(engine.event_base().live_len(), 0, "a live tail outside a transaction");
+    for (rule, st) in engine.rules().iter() {
+        let state = (
+            st.triggered,
+            st.witness,
+            st.last_consideration,
+            st.last_consumption,
+            st.checked_upto,
+        );
+        assert_eq!(state, (false, false, now, now, now), "rule `{}`", rule.def.name);
     }
 }
 
@@ -240,13 +258,16 @@ fn oracle_replay(
             Ok(()) => {}
         }
         longest_txn = longest_txn.max(engine.event_base().len() - started);
+        if !engine.in_transaction() {
+            assert_at_rest(&engine);
+        }
     }
     // the live tail the suite compares holds at most one transaction
     assert!(
         engine.event_base().live_len() <= longest_txn,
         "the event base kept more than its longest transaction"
     );
-    (observe(&mut engine, item), errors, last_error)
+    (observe(&engine, item), errors, last_error)
 }
 
 /// Mirror of the shard worker's trigger-source application: every
@@ -570,8 +591,10 @@ fn snapshot_restore_meets_deletions_and_continues_the_oid_counter() {
 /// the snapshot is the replay base, so silently dropping it would
 /// resurrect a stale prefix as if it were current. Recovery must
 /// refuse with a typed error instead, for a flipped bit, for a
-/// truncation and for a rewritten event-base cut in a tenant header, and
-/// succeed again once the snapshot is restored.
+/// truncation, for a rewritten event-base cut in a tenant header and for
+/// a checksummed tenant header in the older ten-field layout (which also
+/// carried the live event tail and the rule stamps), and succeed again
+/// once the snapshot is restored.
 #[test]
 fn corrupt_snapshot_fails_recovery_with_typed_error() {
     use chimera::runtime::RuntimeError;
@@ -598,7 +621,7 @@ fn corrupt_snapshot_fails_recovery_with_typed_error() {
     )
     .unwrap();
     let item = s.class_by_name("item").unwrap();
-    // two transactions: the second start cuts the first one's event
+    // two transactions: each commit cuts its own event
     for _ in 0..2 {
         for job in [
             Job::Begin,
@@ -643,14 +666,31 @@ fn corrupt_snapshot_fails_recovery_with_typed_error() {
     std::fs::write(&snap, &pristine[..pristine.len() / 2]).unwrap();
     expect_refusal("truncation");
     // a well-formed header whose event-base cut was rewritten: the tenant
-    // line is `T <tenant> <jobs> <errors> <next-oid> <nobj> <cut> <nev> ..`
+    // line is `T <tenant> <jobs> <errors> <next-oid> <nobj> <cut> <nsrc>`
     let text = String::from_utf8(pristine.clone()).unwrap();
     let header = text.lines().find(|l| l.starts_with("T ")).unwrap();
     let mut fields: Vec<&str> = header.split(' ').collect();
-    assert_eq!(fields[6], "1", "the second start cut the first event");
+    assert_eq!(fields.len(), 8);
+    assert_eq!(fields[6], "2", "each commit cut its own event");
     fields[6] = "7";
     std::fs::write(&snap, text.replacen(header, &fields.join(" "), 1)).unwrap();
     expect_refusal("rewritten cut");
+    // the older layout `.. <cut> <nev> <nsrc> <nrule>`, with no event or
+    // rule record and a valid checksum: only the header's arity is wrong
+    let mut fields: Vec<&str> = header.split(' ').collect();
+    fields.insert(7, "0");
+    fields.push("0");
+    let body = text[..text.rfind("C ").unwrap()].replacen(header, &fields.join(" "), 1);
+    let seq = text[text.rfind("C ").unwrap()..].split(' ').nth(1).unwrap();
+    let crc = chimera::persist::fnv1a(body.as_bytes());
+    std::fs::write(&snap, format!("{body}C {seq} {crc:016x}\n")).unwrap();
+    match chimera::persist::ShardSnapshot::read(&snap) {
+        Err(chimera::persist::PersistError::Corrupt(m)) => {
+            assert!(m.contains("bad tenant header"), "refused for another reason: {m}")
+        }
+        other => panic!("ten-field tenant header: {other:?}"),
+    }
+    expect_refusal("ten-field tenant header");
     // restoring the pristine bytes recovers cleanly
     std::fs::write(&snap, &pristine).unwrap();
     let (rt, _) = Runtime::recover(s.clone(), triggers.clone(), cfg()).unwrap();
@@ -660,7 +700,7 @@ fn corrupt_snapshot_fails_recovery_with_typed_error() {
             (e.extent(item).len(), eb.len(), eb.cut(), eb.live_len())
         })
         .unwrap();
-    assert_eq!((extent, len, cut, tail), (2, 2, 1, 1));
+    assert_eq!((extent, len, cut, tail), (2, 2, 2, 0));
     drop(rt);
     let _ = std::fs::remove_dir_all(&dir);
 }

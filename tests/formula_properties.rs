@@ -57,7 +57,7 @@ proptest! {
 
     /// One kept evaluator per window kind, driven like a rule's condition
     /// scratch: blocks arrive, considerations move the consuming window's
-    /// lower bound, and each transaction start cuts the event base
+    /// lower bound, and each transaction boundary cuts the event base
     /// ([`EventBase::truncate`]) and moves the preserving one. The third
     /// window stays at the origin, so it reaches below every cut: a
     /// scratch keyed without the cut would answer it from dropped

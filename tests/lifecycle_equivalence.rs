@@ -31,7 +31,9 @@
 //!   are never evicted;
 //! * the stock triggers, whose conditions hold three `occurred`
 //!   formulas, through a cap of 4: rule conditions evaluate through
-//!   per-engine scratch that eviction drops and rehydration rebuilds.
+//!   per-engine scratch that eviction drops and rehydration rebuilds,
+//!   and a tenant-local rule defined from source keeps firing after its
+//!   tenant was evicted and rehydrated.
 
 use chimera::events::Timestamp;
 use chimera::exec::{Engine, EngineConfig, Op};
@@ -155,8 +157,8 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
 struct Observed {
     stats: chimera::exec::EngineStats,
     in_txn: bool,
-    /// The event base: logical length, clock and live tail (the
-    /// occurrences since the last transaction start).
+    /// The event base: logical length, clock and live tail (the open
+    /// transaction's occurrences; none between transactions).
     eb_len: usize,
     eb_now: Timestamp,
     eb_log: Vec<(EventType, Oid, Timestamp)>,
@@ -164,7 +166,7 @@ struct Observed {
     extent: Vec<Oid>,
 }
 
-fn observe(engine: &mut Engine, item: ClassId) -> Observed {
+fn observe(engine: &Engine, item: ClassId) -> Observed {
     let mut extent = engine.extent(item);
     extent.sort_unstable();
     Observed {
@@ -240,7 +242,7 @@ fn oracle_replay(
         engine.event_base().live_len() <= longest_txn,
         "the event base kept more than its longest transaction"
     );
-    (observe(&mut engine, item), errors, last_error)
+    (observe(&engine, item), errors, last_error)
 }
 
 /// Mirror of the shard worker's trigger-source application: every
@@ -859,10 +861,11 @@ fn full_snapshots_racing_rehydration_lose_no_tenant() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The bytes budget charges live state. A tenant's event base holds one
-/// transaction however many it has run, so a cap that fits every tenant's
-/// one-transaction size never evicts; charging the logical length, which
-/// grows by three per transaction here, would evict within a few rounds.
+/// The bytes budget charges live state. A tenant's event base holds at
+/// most its open transaction however many it has run, and nothing at
+/// rest, so a cap that fits every tenant's one-transaction size never
+/// evicts; charging the logical length, which grows by three per
+/// transaction here, would evict within a few rounds.
 #[test]
 fn bytes_cap_fitting_one_transaction_per_tenant_never_evicts() {
     const TENANTS: u64 = 4;
@@ -871,7 +874,8 @@ fn bytes_cap_fitting_one_transaction_per_tenant_never_evicts() {
     let s = schema();
     let item = s.class_by_name("item").unwrap();
     // the runtime's estimate of an object-less tenant: 1 KiB plus 64 B per
-    // live occurrence; one occurrence of slack each
+    // live occurrence (a batch may end mid-transaction); one occurrence
+    // of slack each
     let cap = TENANTS * (1024 + (EVENTS as u64 + 1) * 64);
     let rt = Runtime::new(
         s.clone(),
@@ -905,7 +909,7 @@ fn bytes_cap_fitting_one_transaction_per_tenant_never_evicts() {
         let (len, live) = rt
             .with_tenant(TenantId(t), |e| (e.event_base().len(), e.event_base().live_len()))
             .unwrap();
-        assert_eq!((len, live), (EVENTS * TXNS, EVENTS), "tenant {t}");
+        assert_eq!((len, live), (EVENTS * TXNS, 0), "tenant {t}");
     }
 }
 
@@ -914,7 +918,7 @@ fn bytes_cap_fitting_one_transaction_per_tenant_never_evicts() {
 /// `del_quantity` of every stock order.
 type StockView = (Observed, Vec<(Oid, Value, Value)>, Vec<Value>);
 
-fn stock_view(engine: &mut Engine, schema: &Schema) -> StockView {
+fn stock_view(engine: &Engine, schema: &Schema) -> StockView {
     let stock = schema.class_by_name("stock").unwrap();
     let order = schema.class_by_name("stockOrder").unwrap();
     let observed = observe(engine, stock);
@@ -939,8 +943,9 @@ fn stock_view(engine: &mut Engine, schema: &Schema) -> StockView {
 /// `restockWatch`, one `occurred` formula each — evaluated through
 /// eviction churn: 16 tenants share the compiled rules through 2 workers
 /// under a residency cap of 4, so most claims rebuild a tenant's
-/// condition scratch from empty. Every tenant must end identical to a
-/// sequential engine that ran its script.
+/// condition scratch from empty. Each tenant also defines one rule of its
+/// own from source, which rehydration re-parses. Every tenant must end
+/// identical to a sequential engine that ran its script.
 #[test]
 fn stock_occurred_conditions_through_a_cap_of_4() {
     const TENANTS: u64 = 16;
@@ -977,6 +982,25 @@ fn stock_occurred_conditions_through_a_cap_of_4() {
             e
         })
         .collect();
+    // every tenant also defines a rule of its own, from source, before
+    // its first transaction; an order it places has `del_quantity` 0,
+    // which `reorder` never computes
+    let local = "define immediate trigger localOrder for show\n\
+                   events create\n\
+                   condition show(W), occurred(create, W)\n\
+                   actions create(stockOrder, del_quantity: 0)\n\
+                 end";
+    for (t, engine) in oracles.iter_mut().enumerate() {
+        apply_trigger_source(engine, &s, local).unwrap();
+        rt.submit(TenantId(t as u64), Job::DefineTriggerSource(local.into()))
+            .unwrap();
+    }
+    let local_orders = |oracles: &[Engine]| -> usize {
+        let view = oracles.iter().map(|e| stock_view(e, &s));
+        view.map(|(_, _, orders)| orders.iter().filter(|q| **q == Value::Int(0)).count())
+            .sum()
+    };
+    let mut after_first_txn = None;
     let mut rng = StdRng::seed_from_u64(0x570C);
     let mut order: Vec<u64> = (0..TENANTS).collect();
     for _ in 0..TXNS {
@@ -1033,6 +1057,10 @@ fn stock_occurred_conditions_through_a_cap_of_4() {
         // this barrier only keeps the churn checked below from depending
         // on whether they kept pace.
         rt.flush().unwrap();
+        after_first_txn.get_or_insert_with(|| {
+            assert!(rt.stats().evictions > 0, "the first round must evict");
+            local_orders(&oracles)
+        });
     }
     let stats = rt.stats();
     assert_eq!(stats.jobs_processed, stats.jobs_submitted);
@@ -1049,15 +1077,23 @@ fn stock_occurred_conditions_through_a_cap_of_4() {
         stats.tenants as u64 - stats.tenants_resident,
         "evictions must balance rehydrations plus the tenants parked now"
     );
+    // the tenant-local rule kept firing in the transactions after its
+    // tenants were evicted and rehydrated (each of which matches its
+    // oracle below, rule table included)
+    let after_first_txn = after_first_txn.unwrap();
+    assert!(
+        local_orders(&oracles) > after_first_txn,
+        "no tenant-local rule fired after the first eviction round"
+    );
     let (mut orders, mut raised, mut clamped) = (0, 0, 0);
-    for (t, oracle) in oracles.iter_mut().enumerate() {
+    for (t, oracle) in oracles.iter().enumerate() {
         let want = stock_view(oracle, &s);
         let got = rt
             .with_tenant(TenantId(t as u64), |e| stock_view(e, &s))
             .expect("every tenant is observable");
         assert_eq!(got, want, "tenant {t} diverged through eviction churn");
         assert_eq!(rt.tenant_errors(TenantId(t as u64)), Some((0, None)));
-        orders += want.2.len();
+        orders += want.2.iter().filter(|q| **q != Value::Int(0)).count();
         raised += want.1.iter().filter(|(_, _, m)| *m != Value::Int(10)).count();
         for (oid, qty, _) in &want.1 {
             let Value::Int(qty) = *qty else { continue };

@@ -148,7 +148,7 @@ fn tenant_script(seed: u64, tenant: u64, steps: usize) -> Vec<Step> {
 /// Everything observable about one tenant engine (the PR-4 snapshot,
 /// minus the probe counters that legitimately vary with batching). The
 /// event base is compared as its logical length, its clock and its live
-/// tail (the occurrences since the last transaction start).
+/// tail (the open transaction's occurrences; none between transactions).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Snapshot {
     stats: chimera::exec::EngineStats,
@@ -160,7 +160,7 @@ struct Snapshot {
     extent: Vec<Oid>,
 }
 
-fn snapshot(engine: &mut Engine, item: ClassId) -> Snapshot {
+fn snapshot(engine: &Engine, item: ClassId) -> Snapshot {
     let mut extent = engine.extent(item);
     extent.sort_unstable();
     Snapshot {
@@ -246,7 +246,7 @@ fn replay_sequential(
         }
         longest_txn = longest_txn.max(engine.event_base().len() - started);
     }
-    (snapshot(&mut engine, item), errors, longest_txn)
+    (snapshot(&engine, item), errors, longest_txn)
 }
 
 proptest! {

@@ -242,7 +242,9 @@ impl<'a> TxnRun<'a> {
         }
     }
 
-    /// `Engine::begin`: cut the live base, restart every rule's windows.
+    /// A transaction boundary, the rest state `Engine::commit` and
+    /// `Engine::rollback` end in: cut the live base, restart every rule's
+    /// windows.
     fn begin(&mut self) {
         self.live.truncate();
         let start = self.live.now();

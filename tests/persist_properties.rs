@@ -5,12 +5,17 @@
 //! * job-log fuzzing: arbitrary byte tails appended to a valid log never
 //!   panic the reader, read back exactly the valid groups and are cut;
 //! * random cut points (a denser version of the exhaustive unit test, over
-//!   randomized groups) read back exactly the groups wholly before the cut.
+//!   randomized groups) read back exactly the groups wholly before the cut;
+//! * shard snapshots: arbitrary tenants (objects, free-text trigger sources
+//!   and error messages full of separators) round-trip through a file, and
+//!   every sampled strict prefix of that file is refused as corrupt.
 
 use chimera::exec::Op;
 use chimera::model::{AttrId, ClassId, Object, Oid, Value};
 use chimera::persist::codec::{decode_object, decode_value, encode_object, encode_value};
-use chimera::persist::{JobGroup, JobLog, JobRecord};
+use chimera::persist::{
+    JobGroup, JobLog, JobRecord, PersistError, ShardSnapshot, TenantSnapshot,
+};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -188,6 +193,72 @@ proptest! {
         let boundary = if whole == 0 { 0 } else { ends[whole - 1] };
         prop_assert_eq!(out.valid_len as usize, boundary);
         prop_assert_eq!(out.torn.is_some(), cut != boundary);
+        let _ = fs::remove_file(&path);
+    }
+}
+
+/// Free text with the characters the snapshot format must escape or tell
+/// apart: spaces, newlines, backslashes, `%` and the `-` of an absent
+/// error, between arbitrary runs.
+fn arb_text() -> impl Strategy<Value = String> {
+    let seps = [" ", "\n", "\\", "%", "-", "\r\n", ""];
+    prop::collection::vec((".{0,12}", 0..seps.len()), 0..4)
+        .prop_map(move |parts| parts.into_iter().map(|(run, sep)| run + seps[sep]).collect())
+}
+
+fn arb_tenant() -> impl Strategy<Value = TenantSnapshot> {
+    (
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        prop::option::of(arb_text()),
+        prop::collection::vec(arb_object(), 0..4),
+        prop::collection::vec(arb_text(), 0..3),
+        prop::collection::vec(any::<u64>(), 6),
+    )
+        .prop_map(
+            |((tenant, jobs_applied, job_errors, next_oid, cut), last_error, objects, sources, stats)| {
+                TenantSnapshot {
+                    tenant,
+                    jobs_applied,
+                    job_errors,
+                    last_error,
+                    objects,
+                    next_oid,
+                    cut,
+                    trigger_sources: sources,
+                    stats: stats.try_into().unwrap(),
+                }
+            },
+        )
+}
+
+proptest! {
+    /// A snapshot file reads back exactly what was written, and no strict
+    /// prefix of it reads at all: every cut of a small file, 64 evenly
+    /// spaced cuts (the last one dropping only the final newline) of a
+    /// larger one.
+    #[test]
+    fn shard_snapshot_round_trips_and_refuses_every_prefix(
+        seq in any::<u64>(),
+        tenants in prop::collection::vec(arb_tenant(), 0..5),
+    ) {
+        let path = tmpfile("snap");
+        let snap = ShardSnapshot { seq, tenants };
+        snap.write(&path).unwrap();
+        prop_assert_eq!(ShardSnapshot::read(&path).unwrap(), Some(snap));
+        let full = fs::read(&path).unwrap();
+        let len = full.len();
+        let cuts: Vec<usize> = if len <= 64 {
+            (0..len).collect()
+        } else {
+            (1..=64).map(|i| i * len / 64 - 1).collect()
+        };
+        for cut in cuts {
+            fs::write(&path, &full[..cut]).unwrap();
+            match ShardSnapshot::read(&path) {
+                Err(PersistError::Corrupt(_)) => {}
+                other => prop_assert!(false, "prefix of {} of {} bytes: {:?}", cut, len, other),
+            }
+        }
         let _ = fs::remove_file(&path);
     }
 }

@@ -103,7 +103,7 @@ fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
 
 /// Everything observable about one tenant engine. The event base is
 /// compared as its logical length, its clock and its live tail (the
-/// occurrences since the last transaction start).
+/// open transaction's occurrences; none between transactions).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Snapshot {
     stats: chimera::exec::EngineStats,
@@ -127,7 +127,7 @@ struct Snapshot {
     check_rounds: u64,
 }
 
-fn snapshot(engine: &mut Engine, item: ClassId) -> Snapshot {
+fn snapshot(engine: &Engine, item: ClassId) -> Snapshot {
     let mut extent = engine.extent(item);
     extent.sort_unstable();
     let s = engine.support_stats();
@@ -194,7 +194,7 @@ fn replay(
         }
         longest_txn = longest_txn.max(engine.event_base().len() - started);
     }
-    (snapshot(&mut engine, item), errors, longest_txn)
+    (snapshot(&engine, item), errors, longest_txn)
 }
 
 proptest! {

@@ -82,7 +82,7 @@ use chimera::temporal::{
 // chimera-persist
 use chimera::persist::{
     DurableStore, InMemoryStore, JobGroup, JobLog, JobLogOutcome, JobRecord, PersistError,
-    RuleStampRec, ShardRecovery, ShardSnapshot, StateStore, StoreCounters, TenantSnapshot,
+    ShardRecovery, ShardSnapshot, StateStore, StoreCounters, TenantSnapshot,
 };
 
 // facade-local interpreter module
