@@ -57,8 +57,8 @@
 //! refuses a `Hello` of any other version, so no decoder carries an
 //! earlier layout.
 //! * **[`client`]** — a blocking client with submission pipelining,
-//!   used by the examples, the loopback bench (`benches/net.rs`) and
-//!   the network equivalence suite.
+//!   used by the examples, stackbench (`bench/`) and the network
+//!   equivalence suite.
 //!
 //! The correctness bar is the house style: traffic through the server
 //! is **observationally identical** to the same blocks replayed on an

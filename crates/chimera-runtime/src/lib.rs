@@ -95,8 +95,9 @@
 //! and postmortem trace events (jobs claimed, homes poisoned, stores
 //! reopened) in a fixed-capacity ring. Recording is one `Instant` read
 //! plus one relaxed `fetch_add` into a per-worker shard; the default
-//! off mode is a `None` branch (`benches/telemetry.rs` bounds on-mode
-//! within 5% of off on the house block workload). `chimera-net`
+//! off mode is a `None` branch (`examples/telemetry_overhead.rs` checks
+//! on-mode against a 5% bound over off on the house block workload, by
+//! the median of thirty alternating off/on pairs). `chimera-net`
 //! exposes the whole registry over the wire as `MetricsSnapshot`.
 //!
 //! ## Quick tour

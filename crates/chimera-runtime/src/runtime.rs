@@ -156,10 +156,11 @@ pub enum Backpressure {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scheduler {
     /// Each worker only claims tenants homed on its own shard — the
-    /// static hash placement of the pre-pool design, kept as the
-    /// measurable baseline (`benches/skew.rs`) and for strict
-    /// cache-affinity setups. One hot (or hash-colliding) home
-    /// saturates one worker while others idle.
+    /// static hash placement of the pre-pool design. Nothing measures
+    /// it now; it stays for strict placement (cache-affinity setups)
+    /// and as one of the schedulers the equivalence suites draw. One
+    /// hot (or hash-colliding) home saturates one worker while others
+    /// idle.
     Pinned,
     /// Workers claim their own home's ready tenants first and *steal*
     /// whole ready tenants from other homes' deques when their own is

@@ -14,7 +14,8 @@
 //!   generator that drives a full [`chimera_exec::Engine`];
 //! * [`trace`] — recordable/replayable operation traces;
 //! * [`zipf`] — Zipf-skewed tenant populations (1 hot + N cold) for the
-//!   multi-tenant scheduling soaks and `benches/skew.rs`.
+//!   multi-tenant scheduling soaks and stackbench's `tenant_churn`
+//!   workload.
 
 pub mod exprgen;
 pub mod stock;

@@ -5,9 +5,10 @@
 //! magnitude hotter than the median. This module draws *tenant ranks*
 //! from a parameterized Zipf law — rank 0 is the hottest — with an
 //! optional extra boost on rank 0 for the "1 blazing tenant + N cold"
-//! soak shape the scheduling benchmarks use (`benches/skew.rs`). The
-//! caller maps ranks to actual tenant ids (dense, colliding, whatever
-//! the experiment needs); this type only owns the draw.
+//! soak shape that `tests/runtime_equivalence.rs`'s steal-heavy draw and
+//! `examples/chaos_soak.rs` use. The caller maps ranks to actual tenant
+//! ids (dense, colliding, whatever the experiment needs); this type only
+//! owns the draw.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

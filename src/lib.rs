@@ -104,12 +104,10 @@
 //!   `Scheduler::LoadAware`, steal ready tenants from any home instead
 //!   of idling while one hot shard backs up — the PR-7 answer to
 //!   Zipf-skewed tenant traffic, with `Scheduler::Pinned` keeping the
-//!   strict hash-pinned placement as the baseline. Block-or-shed
-//!   backpressure, flush barriers, panic isolation and per-job replies
-//!   ride the same path; `RuntimeStats` reports `steals`,
-//!   `ready_queue_depth` and a per-shard `ShardStats` breakdown
-//!   (`benches/skew.rs` measures pinned vs load-aware on a colliding
-//!   hot-tenant mix).
+//!   strict hash-pinned placement. Block-or-shed backpressure, flush
+//!   barriers, panic isolation and per-job replies ride the same path;
+//!   `RuntimeStats` reports `steals`, `ready_queue_depth` and a
+//!   per-shard `ShardStats` breakdown.
 //!
 //! All layers are observationally identical to the sequential engine,
 //! tenant by tenant; `tests/runtime_equivalence.rs` enforces it,
@@ -132,9 +130,9 @@
 //! (`StateStore`): `InMemory` (the zero-cost default) or `Durable`,
 //! which logs every job as a binary record in a per-shard job log and
 //! makes a whole drained queue batch durable with **one** fsync — group
-//! commit, the policy that closes most of the fsync gap (within ~3–4×
-//! of in-memory at 256-event blocks on this host vs ~50–100× for
-//! per-commit syncing; `benches/durability.rs`). Job replies are only
+//! commit, so a batch pays one sync however many jobs it holds
+//! (stackbench's `durable_commit` workload measures it end to end,
+//! `persist.jobs_per_sync` among its counters). Job replies are only
 //! delivered after their group's sync, so an acknowledged job is always
 //! durable. `Runtime::recover` rebuilds every tenant engine from the
 //! latest shard snapshot plus job-log replay (engines are deterministic
@@ -184,9 +182,9 @@
 //! commit fsync, reply delivery — and [`net`]'s server adds
 //! frame decode, handler and per-connection round-trip histograms.
 //! Recording is off by default (`RuntimeConfig::telemetry`; the off
-//! mode is a `None` branch, ≤ 1% on the hot path) and the overhead
-//! when *on* is bounded by `benches/telemetry.rs` at ≤ 5% on a
-//! 256-arrival block workload.
+//! mode is a `None` branch). `examples/telemetry_overhead.rs` checks
+//! the overhead when *on* against a 5% bound on a 256-arrival block
+//! workload, judged by the median of thirty alternating off/on pairs.
 //!
 //! One wire request pulls the whole registry off a live server:
 //!
@@ -232,9 +230,10 @@
 //! the budget before the first job. `tests/lifecycle_equivalence.rs` is
 //! the oracle: a
 //! cap small enough to force constant churn must be bit-identical to a
-//! sequential replay, across crashes included; `benches/lifecycle.rs`
-//! prices the cold-claim rehydration and the capped-residency
-//! throughput at 1024 tenants.
+//! sequential replay, across crashes included. stackbench's
+//! `tenant_churn` workload prices the cold-claim rehydration
+//! (`lifecycle.rehydrate_p50_us`) and the capped-residency throughput
+//! at 1024 tenants.
 
 pub use chimera_analysis as analysis;
 pub use chimera_baselines as baselines;

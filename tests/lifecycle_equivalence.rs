@@ -605,6 +605,7 @@ fn thousand_tenants_through_a_cap_of_64() {
     rt.flush().unwrap();
     let stats = rt.stats();
     assert_eq!(stats.jobs_processed, stats.jobs_submitted);
+    assert_eq!(stats.job_errors + stats.job_panics, 0);
     assert_eq!(stats.tenants as u64, TENANTS);
     let resident = await_residency(&rt, CAP);
     assert!(resident <= CAP, "quiesced residency {resident} exceeds cap {CAP}");
