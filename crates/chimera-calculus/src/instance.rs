@@ -28,7 +28,6 @@ use crate::expr::EventExpr;
 use crate::ts::{u, TsVal};
 use chimera_events::{EventBase, EventType, Timestamp, Window};
 use chimera_model::Oid;
-use std::sync::Arc;
 
 /// `ots` of a primitive for one object.
 fn ots_prim(eb: &EventBase, w: Window, t: Timestamp, ty: EventType, oid: Oid) -> TsVal {
@@ -116,14 +115,14 @@ pub fn ots_algebraic(expr: &EventExpr, eb: &EventBase, w: Window, t: Timestamp, 
 }
 
 /// Quantification domain for the boundary: the objects that could make the
-/// instance expression active inside `w` up to `t` (a shared slice out of
-/// the event base's domain cache).
+/// instance expression active inside `w` up to `t`, scanned afresh from
+/// the event base on every call.
 pub(crate) fn boundary_domain(
     expr: &EventExpr,
     eb: &EventBase,
     w: Window,
     t: Timestamp,
-) -> Arc<[Oid]> {
+) -> Vec<Oid> {
     let clipped = w.clip_upto(t);
     if expr.contains_negation() {
         // inner -= can make the expression active for objects that have no

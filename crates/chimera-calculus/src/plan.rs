@@ -28,9 +28,10 @@
 //! [`PlanEval`] pairs a plan with a reusable scratchpad. Evaluating a
 //! boundary at `(w, t)`:
 //!
-//! 1. the object domain comes from the event base's epoch-versioned
-//!    domain cache ([`EventBase::objects_of_types_in`]) — a shared
-//!    `Arc<[Oid]>` slice, no per-evaluation sort;
+//! 1. the object domain is the scratchpad's own sorted `Vec<Oid>`: a cold
+//!    build scans the clip into it ([`EventBase::objects_into`]), and an
+//!    advance merges in only the objects of the arrival delta — no
+//!    per-evaluation sort and no cache shared with other plans;
 //! 2. each leaf slot is resolved for *all* domain objects at once with
 //!    one reverse index sweep ([`EventBase::last_of_type_objs_in`]) into a
 //!    column of the scratchpad — instead of `objects × leaves` separate
@@ -42,7 +43,9 @@
 //! 4. the boundary result is memoized per `(clip, t)` and the whole
 //!    scratchpad is keyed on the event base's `(uid, cut, epoch)`
 //!    ([`EventBase::memo_key`]), so re-evaluations between arrivals are
-//!    O(1).
+//!    O(1) and nothing built before a cut answers after it. This is the
+//!    only probe-result cache: each rule probes its own plan, and no
+//!    result is shared across rules.
 //!
 //! ## One production path, one reference
 //!
@@ -65,7 +68,7 @@
 //! Otherwise, when the epoch advances, it is **advanced,
 //! not rebuilt**: the epoch's new occurrences are read through the EB's
 //! per-type delta columns ([`EventBase::type_occurrences_since`]), new
-//! domain rows are spliced in by a single sorted merge, touched
+//! domain rows are merged into the sorted domain in place, touched
 //! `(type, object)` stamp cells are overwritten in place, and the
 //! boundary memo is invalidated selectively by the boundary's variation
 //! types `V(E)` instead of wholesale. Negation-free boundaries
@@ -318,13 +321,14 @@ fn intern(leaves: &mut Vec<EventType>, ty: EventType) -> u32 {
     }
 }
 
-/// Per-boundary reusable evaluation state.
-#[derive(Debug, Clone)]
+/// Per-boundary reusable evaluation state. Every buffer is kept and
+/// reused from one build or advance to the next.
+#[derive(Debug, Clone, Default)]
 struct BoundaryScratch {
     /// The clipped window the domain + stamp matrix were built for.
     clip: Option<Window>,
-    /// Shared quantification domain (sorted OIDs).
-    domain: Arc<[Oid]>,
+    /// Quantification domain (sorted OIDs).
+    domain: Vec<Oid>,
     /// Leaf stamp matrix, column-major: `stamps[leaf * D + obj]` is the
     /// most recent in-window stamp of `leaves[leaf]` on `domain[obj]`.
     stamps: Vec<Option<Timestamp>>,
@@ -355,27 +359,15 @@ struct BoundaryScratch {
     /// invalidated selectively — by the boundary's variation types — when
     /// the event base's epoch advances.
     memo: Vec<(Window, Timestamp, TsVal)>,
+    /// Advance buffer: the delta's objects new to the domain.
+    fresh: Vec<Oid>,
+    /// Advance buffer: the domain rows the delta touched.
+    touched: Vec<usize>,
 }
 
 /// Memoized boundary results kept per epoch (covers the handful of
 /// distinct `(window, instant)` probes a trigger check performs).
 const BOUNDARY_MEMO_CAP: usize = 8;
-
-impl Default for BoundaryScratch {
-    fn default() -> Self {
-        BoundaryScratch {
-            clip: None,
-            domain: Arc::from(Vec::new()),
-            stamps: Vec::new(),
-            first: Vec::new(),
-            built_epoch: 0,
-            max_stamp: None,
-            agg: None,
-            agg_valid: false,
-            memo: Vec::new(),
-        }
-    }
-}
 
 impl BoundaryScratch {
     /// Forget everything (the scratch belongs to a different event base,
@@ -385,6 +377,60 @@ impl BoundaryScratch {
     fn reset(&mut self) {
         self.clip = None;
         self.memo.clear();
+    }
+
+    /// Merge the sorted `fresh` objects, none of them in the domain yet,
+    /// into the domain, moving each old row of the stamp matrix and of
+    /// `first` to its new place. Fresh rows start with no stamp and, in a
+    /// widened boundary, enter at their first occurrence in `clip`.
+    fn splice_fresh(&mut self, bp: &BoundaryPlan, eb: &EventBase, clip: Window) {
+        let old_d = self.domain.len();
+        self.domain.extend_from_slice(&self.fresh);
+        self.domain.sort_unstable();
+        let d = self.domain.len();
+        self.stamps.resize(bp.leaves.len() * d, None);
+        for slot in (0..bp.leaves.len()).rev() {
+            relayout(
+                &mut self.stamps,
+                slot * old_d,
+                slot * d,
+                &self.domain,
+                &self.fresh,
+                |_| None,
+            );
+        }
+        if bp.widen {
+            self.first.resize(d, Timestamp::ZERO);
+            relayout(&mut self.first, 0, 0, &self.domain, &self.fresh, |oid| {
+                first_in(eb, oid, clip)
+            });
+        }
+    }
+}
+
+/// Move one column's rows over the old domain, `col[old_base..]`, to
+/// their rows in the merged `domain`, `col[new_base..]` (`new_base >=
+/// old_base`), and fill the rows of the `fresh` objects with `fill`.
+/// Rows move last first, so each lands at or after its source and past
+/// every row not yet moved: the move is in place, and the columns of a
+/// column-major matrix move in place too when relaid out last first.
+fn relayout<T: Copy>(
+    col: &mut [T],
+    old_base: usize,
+    new_base: usize,
+    domain: &[Oid],
+    fresh: &[Oid],
+    mut fill: impl FnMut(Oid) -> T,
+) {
+    let (mut old, mut k) = (domain.len() - fresh.len(), fresh.len());
+    for j in (0..domain.len()).rev() {
+        col[new_base + j] = if k > 0 && fresh[k - 1] == domain[j] {
+            k -= 1;
+            fill(domain[j])
+        } else {
+            old -= 1;
+            col[old_base + old]
+        };
     }
 }
 
@@ -492,7 +538,7 @@ impl PlanEval {
         self.pad
             .scratch
             .iter()
-            .map(|s| (s.domain.to_vec(), s.stamps.clone(), s.first.clone()))
+            .map(|s| (s.domain.clone(), s.stamps.clone(), s.first.clone()))
             .collect()
     }
 }
@@ -607,11 +653,8 @@ impl Scratchpad {
                     || eb
                         .get(EventId(scr.built_epoch))
                         .is_some_and(|last| last.ts <= old.upto);
-                if clip.extends(old)
-                    && epoch >= scr.built_epoch
-                    && absorbed_all
-                    && self.advance_boundary(bi, bp, eb, clip)
-                {
+                if clip.extends(old) && epoch >= scr.built_epoch && absorbed_all {
+                    self.advance_boundary(bi, bp, eb, clip);
                     return;
                 }
             }
@@ -622,25 +665,19 @@ impl Scratchpad {
     /// Cold build of the domain + stamp matrix for `clip`.
     fn build_boundary(&mut self, bi: usize, bp: &BoundaryPlan, eb: &EventBase, clip: Window) {
         let scr = &mut self.scratch[bi];
-        scr.domain = if bp.widen {
-            eb.objects_in(clip)
-        } else {
-            eb.objects_of_types_in(&bp.leaves, clip)
-        };
+        let types: &[EventType] = if bp.widen { &[] } else { &bp.leaves };
+        eb.objects_into(types, clip, &mut scr.domain);
         let d = scr.domain.len();
         scr.stamps.clear();
         scr.stamps.resize(bp.leaves.len() * d, None);
         for (l, &ty) in bp.leaves.iter().enumerate() {
             eb.last_of_type_objs_in(ty, &scr.domain, clip, &mut scr.stamps[l * d..(l + 1) * d]);
         }
-        scr.first = if bp.widen {
-            scr.domain
-                .iter()
-                .map(|&oid| first_in(eb, oid, clip))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        scr.first.clear();
+        if bp.widen {
+            scr.first
+                .extend(scr.domain.iter().map(|&oid| first_in(eb, oid, clip)));
+        }
         scr.clip = Some(clip);
         scr.built_epoch = eb.epoch();
         scr.max_stamp = bp
@@ -652,74 +689,47 @@ impl Scratchpad {
         scr.agg_valid = false;
     }
 
-    /// Arrival-incremental advance: extend the existing matrix
-    /// from its built epoch to the current one by splicing new domain
-    /// rows in and overwriting the delta-touched stamp cells, instead of
-    /// rescanning the window. Returns `false` (leaving the scratch intact
-    /// for the cold rebuild) if the cached domain turns out not to be a
-    /// subset of the extended one — impossible for an append-only log
-    /// with a fixed lower bound, but checked rather than trusted.
-    fn advance_boundary(&mut self, bi: usize, bp: &BoundaryPlan, eb: &EventBase, clip: Window) -> bool {
+    /// Arrival-incremental advance: extend the existing matrix from its
+    /// built epoch to the current one by merging the delta's new objects
+    /// into the domain and overwriting the delta-touched stamp cells,
+    /// instead of rescanning the window.
+    fn advance_boundary(&mut self, bi: usize, bp: &BoundaryPlan, eb: &EventBase, clip: Window) {
         let scr = &mut self.scratch[bi];
-        let new_domain = if bp.widen {
-            eb.objects_in(clip)
-        } else {
-            eb.objects_of_types_in(&bp.leaves, clip)
-        };
-        let l = bp.leaves.len();
-        if !Arc::ptr_eq(&new_domain, &scr.domain) && *new_domain != *scr.domain {
-            // re-layout: map every old row to its slot in the extended
-            // domain with one merged sweep; fresh rows start all-None.
-            let old_d = scr.domain.len();
-            let nd = new_domain.len();
-            let mut stamps = vec![None; l * nd];
-            let mut j = 0usize;
-            for (i, &oid) in scr.domain.iter().enumerate() {
-                while j < nd && new_domain[j] < oid {
-                    j += 1;
-                }
-                if j >= nd || new_domain[j] != oid {
-                    debug_assert!(false, "domain shrank under a window extension");
-                    return false;
-                }
-                for slot in 0..l {
-                    stamps[slot * nd + j] = scr.stamps[slot * old_d + i];
-                }
-                j += 1;
+        let inside = |ts: Timestamp| ts > clip.after && ts <= clip.upto;
+        // the delta's objects new to the domain: any arrival joins a
+        // widened one, only a leaf's arrival the others
+        scr.fresh.clear();
+        for o in eb.occurrences_since(scr.built_epoch) {
+            if inside(o.ts)
+                && (bp.widen || bp.leaves.contains(&o.ty))
+                && scr.domain.binary_search(&o.oid).is_err()
+            {
+                scr.fresh.push(o.oid);
             }
-            if bp.widen {
-                // old rows keep their entry stamp; fresh rows enter at
-                // their first occurrence, which is in the arrival delta
-                let mut old = scr.domain.iter().zip(&scr.first).peekable();
-                scr.first = new_domain
-                    .iter()
-                    .map(|&oid| match old.next_if(|&(&o, _)| o == oid) {
-                        Some((_, &f)) => f,
-                        None => first_in(eb, oid, clip),
-                    })
-                    .collect();
-            }
-            scr.stamps = stamps;
-            scr.domain = new_domain;
+        }
+        if !scr.fresh.is_empty() {
+            scr.fresh.sort_unstable();
+            scr.fresh.dedup();
+            scr.splice_fresh(bp, eb, clip);
         }
         // apply the per-type arrival deltas in place (timestamp order, so
         // a later stamp simply overwrites an earlier one)
         let d = scr.domain.len();
         let agg_maintained = scr.agg_valid;
-        let mut touched: Vec<usize> = Vec::new();
+        scr.touched.clear();
         for (slot, &ty) in bp.leaves.iter().enumerate() {
             for (ts, oid) in eb.type_occurrences_since(ty, scr.built_epoch).iter() {
-                if ts <= clip.after || ts > clip.upto {
+                if !inside(ts) {
                     continue;
                 }
-                let Ok(j) = scr.domain.binary_search(&oid) else {
-                    debug_assert!(false, "delta object missing from the extended domain");
-                    return false;
-                };
+                let j = scr
+                    .domain
+                    .binary_search(&oid)
+                    .expect("the delta's objects are in the extended domain");
                 scr.stamps[slot * d + j] = Some(ts);
                 scr.max_stamp = Some(scr.max_stamp.map_or(ts, |m| m.max(ts)));
                 if agg_maintained {
-                    touched.push(j);
+                    scr.touched.push(j);
                 }
             }
         }
@@ -728,9 +738,9 @@ impl Scratchpad {
         // fold only the touched objects back into the negation-free
         // aggregate: their roots are monotone under arrivals, so a max
         // merge over the delta is exact.
-        if agg_maintained && !touched.is_empty() {
-            touched.sort_unstable();
-            touched.dedup();
+        if agg_maintained && !scr.touched.is_empty() {
+            scr.touched.sort_unstable();
+            scr.touched.dedup();
             let scr = &self.scratch[bi];
             let ctx = InstCtx {
                 bp,
@@ -740,14 +750,13 @@ impl Scratchpad {
             };
             let root = bp.ops.len() - 1;
             let mut agg = scr.agg;
-            for &j in &touched {
+            for &j in &scr.touched {
                 if let Some(s) = ctx.eval(root, clip.upto, j).activation() {
                     agg = Some(agg.map_or(s, |m| m.max(s)));
                 }
             }
             self.scratch[bi].agg = agg;
         }
-        true
     }
 
     /// §4.3 boundary evaluation over the scratchpad.

@@ -10,17 +10,10 @@
 //!   EB once is strictly more general and lets every rule share it);
 //! * a **per-object index** used to enumerate the objects affected inside
 //!   a window (the `oid ∈ R` quantification of §4.3);
-//! * an **epoch-versioned object-domain cache**: the §4.3 quantification
-//!   domains (`objects_in` / `objects_of_types_in`) are kept as sorted
-//!   snapshots that are *extended* when the window's upper bound or the
-//!   log grows, instead of being rebuilt (collect → sort → dedup) on
-//!   every evaluation. Queries return shared `Arc<[Oid]>` slices, so the
-//!   hot instance-oriented boundary path is allocation-free after the
-//!   first evaluation of a window.
-//!
-//! The cache sits behind a `Mutex` so all read paths keep taking `&self`;
-//! the lock is uncontended in the single-engine case and held only for
-//! the duration of a lookup/extension.
+//! * the §4.3 quantification domains (`oid ∈ R`): [`EventBase::objects_into`]
+//!   scans a window's distinct objects into a caller's buffer; a compiled
+//!   plan keeps its own domains and extends them by each arrival delta
+//!   (`chimera-calculus`'s `plan` module).
 //!
 //! ## The cut: one transaction's extent
 //!
@@ -28,8 +21,8 @@
 //! every occurrence at each transaction end (commit or rollback) with
 //! [`EventBase::truncate`]; [`EventBase::resume_at`] positions a restored
 //! base at such a cut. The occurrences before the cut are gone from
-//! the log, the columns, the indexes and the domain cache, but the base
-//! stays *logically* dense: [`EventBase::len`], [`EventBase::epoch`], eids
+//! the log, the columns and the indexes, but the base stays *logically*
+//! dense: [`EventBase::len`], [`EventBase::epoch`], eids
 //! and the clock continue past [`EventBase::cut`] exactly as if nothing
 //! had been dropped, and [`EventBase::occurrences_since`] /
 //! [`EventBase::type_occurrences_since`] take logical epochs.
@@ -47,7 +40,6 @@ use crate::window::Window;
 use chimera_model::Oid;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// One Occurred-Events leaf: parallel columns of the occurrences of a
 /// single event type, in timestamp (= append) order.
@@ -86,37 +78,6 @@ impl TypeCol {
     }
 }
 
-/// One cached quantification domain: the distinct objects affected inside
-/// `(after, upto]` by the given types (empty type list = any type), kept
-/// sorted and extended in place as `upto` advances with the clock.
-#[derive(Debug)]
-struct DomainEntry {
-    /// Restricting event types; empty means "all types" (`objects_in`).
-    types: Box<[EventType]>,
-    after: Timestamp,
-    /// Upper bound the entry has been scanned up to.
-    upto: Timestamp,
-    /// Sorted distinct OIDs.
-    set: Vec<Oid>,
-    /// Shared snapshot handed to callers (rebuilt only when `set` grows).
-    snapshot: Arc<[Oid]>,
-}
-
-/// The epoch-versioned domain cache. Epochs are implicit: the log is
-/// append-only with strictly increasing stamps, so an entry scanned up to
-/// stamp `upto` is extended by scanning exactly the occurrences in
-/// `(upto, w.upto]` — no generation counters needed for correctness; the
-/// [`EventBase::epoch`] counter exists for *callers* that memoize values
-/// derived from the EB.
-#[derive(Debug, Default)]
-struct DomainCache {
-    entries: Vec<DomainEntry>,
-}
-
-/// Bound on live cached domains (distinct `(types, after)` pairs); each
-/// rule/window contributes one, so this is generous. Oldest-first eviction.
-const DOMAIN_CACHE_CAP: usize = 32;
-
 static EB_UID: AtomicU64 = AtomicU64::new(1);
 
 /// The event base (EB).
@@ -138,8 +99,6 @@ pub struct EventBase {
     type_obj_index: HashMap<(EventType, Oid), Vec<u32>>,
     /// Per-object positions into `log`.
     obj_index: HashMap<Oid, Vec<u32>>,
-    /// §4.3 quantification-domain cache.
-    domains: Mutex<DomainCache>,
 }
 
 impl Default for EventBase {
@@ -152,7 +111,6 @@ impl Default for EventBase {
             type_index: HashMap::new(),
             type_obj_index: HashMap::new(),
             obj_index: HashMap::new(),
-            domains: Mutex::new(DomainCache::default()),
         }
     }
 }
@@ -187,8 +145,8 @@ impl EventBase {
 
     /// Drop every recorded occurrence. The logical length, the epoch, eids
     /// and the clock continue densely past the cut; the uid is kept. The
-    /// log, the type columns, the object indexes and the domain cache are
-    /// cleared in place, so their allocations serve the next transaction.
+    /// log and the type columns are cleared in place, so their allocations
+    /// serve the next transaction; the object indexes are emptied.
     /// See the module docs for what a window reaching below the cut sees.
     pub fn truncate(&mut self) {
         self.cut += self.log.len() as u64;
@@ -198,11 +156,6 @@ impl EventBase {
         }
         self.type_obj_index.clear();
         self.obj_index.clear();
-        self.domains
-            .get_mut()
-            .expect("domain cache poisoned")
-            .entries
-            .clear();
     }
 
     /// Position a base that has never recorded an occurrence as if `cut`
@@ -470,101 +423,42 @@ impl EventBase {
             .map(|&p| &self.log[p as usize])
     }
 
-    /// Distinct objects affected by any occurrence inside `w`, sorted.
-    ///
-    /// Served from the epoch-versioned domain cache: the first query for a
-    /// window scans and sorts; later queries with the same lower bound
-    /// only scan occurrences newer than the previous upper bound and
-    /// otherwise return the shared snapshot unchanged.
-    pub fn objects_in(&self, w: Window) -> Arc<[Oid]> {
-        self.domain_query(&[], w)
+    /// Distinct objects affected by any occurrence inside `w`, sorted: a
+    /// plain scan of the window (see [`EventBase::objects_into`]).
+    pub fn objects_in(&self, w: Window) -> Vec<Oid> {
+        let mut oids = Vec::new();
+        self.objects_into(&[], w, &mut oids);
+        oids
     }
 
     /// Distinct objects affected inside `w` by occurrences of any of the
     /// given types, sorted. This is the `oid ∈ R` domain restricted to the
     /// primitives of one expression — the useful quantification domain for
-    /// instance-oriented evaluation. Cached like [`EventBase::objects_in`].
-    pub fn objects_of_types_in(&self, types: &[EventType], w: Window) -> Arc<[Oid]> {
+    /// instance-oriented evaluation.
+    pub fn objects_of_types_in(&self, types: &[EventType], w: Window) -> Vec<Oid> {
         debug_assert!(!types.is_empty(), "empty type list denotes `objects_in`");
-        self.domain_query(types, w)
-    }
-
-    /// Collect the distinct sorted OIDs for `(types, w)` from scratch.
-    fn domain_scan(&self, types: &[EventType], w: Window) -> Vec<Oid> {
-        let mut oids: Vec<Oid> = if types.is_empty() {
-            self.slice(w).iter().map(|e| e.oid).collect()
-        } else {
-            let mut v = Vec::new();
-            for ty in types {
-                if let Some(col) = self.type_index.get(ty) {
-                    v.extend_from_slice(&col.oid[col.range_in(w)]);
-                }
-            }
-            v
-        };
-        oids.sort_unstable();
-        oids.dedup();
+        let mut oids = Vec::new();
+        self.objects_into(types, w, &mut oids);
         oids
     }
 
-    fn domain_query(&self, types: &[EventType], w: Window) -> Arc<[Oid]> {
-        if w.is_degenerate() {
-            return Arc::from(Vec::new());
-        }
-        // An entry only ever covers stamps that exist: recording a bound
-        // beyond the clock would make occurrences appended later (with
-        // stamps still inside `w`) permanently invisible to the snapshot.
-        // Nor below its own lower bound: a window starting after the
-        // clock has nothing to scan yet, and extending from a bound below
-        // `w.after` would let occurrences outside `w` in.
-        let covered = w.upto.min(self.now()).max(w.after);
-        let mut cache = self.domains.lock().expect("domain cache poisoned");
-        if let Some(entry) = cache
-            .entries
-            .iter_mut()
-            .find(|e| e.after == w.after && *e.types == *types)
-        {
-            if covered >= entry.upto {
-                // extend by the occurrences in (entry.upto, covered] only
-                let fresh = Window::new(entry.upto, covered);
-                let mut grew = false;
-                if !fresh.is_degenerate() {
-                    let mut incoming: Vec<Oid> = if types.is_empty() {
-                        self.slice(fresh).iter().map(|e| e.oid).collect()
-                    } else {
-                        let mut v = Vec::new();
-                        for ty in types {
-                            if let Some(col) = self.type_index.get(ty) {
-                                v.extend_from_slice(&col.oid[col.range_in(fresh)]);
-                            }
-                        }
-                        v
-                    };
-                    grew = merge_into_sorted(&mut entry.set, &mut incoming);
+    /// Replace `out` with the distinct objects affected inside `w` by
+    /// occurrences of any of `types` (of any type if `types` is empty),
+    /// sorted. Reads the type columns, or the log slice for every type;
+    /// `out`'s allocation is reused.
+    pub fn objects_into(&self, types: &[EventType], w: Window, out: &mut Vec<Oid>) {
+        out.clear();
+        if types.is_empty() {
+            out.extend(self.slice(w).iter().map(|e| e.oid));
+        } else {
+            for ty in types {
+                if let Some(col) = self.type_index.get(ty) {
+                    out.extend_from_slice(&col.oid[col.range_in(w)]);
                 }
-                entry.upto = covered;
-                if grew {
-                    entry.snapshot = Arc::from(entry.set.as_slice());
-                }
-                return entry.snapshot.clone();
             }
-            // shrunken upper bound (e.g. a precedence operand evaluated at
-            // an earlier instant): serve uncached, keep the wider entry.
-            return Arc::from(self.domain_scan(types, w));
         }
-        let set = self.domain_scan(types, w);
-        let snapshot: Arc<[Oid]> = Arc::from(set.as_slice());
-        if cache.entries.len() >= DOMAIN_CACHE_CAP {
-            cache.entries.remove(0);
-        }
-        cache.entries.push(DomainEntry {
-            types: types.into(),
-            after: w.after,
-            upto: covered,
-            set,
-            snapshot: snapshot.clone(),
-        });
-        snapshot
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Stamp of the most recent occurrence affecting `oid` inside `w`.
@@ -618,34 +512,6 @@ impl TypeDelta<'_> {
     pub fn iter(&self) -> impl Iterator<Item = (Timestamp, Oid)> + '_ {
         self.ts.iter().copied().zip(self.oids.iter().copied())
     }
-}
-
-/// Merge a batch of (unsorted, possibly duplicated) OIDs into a sorted
-/// vec in one pass, returning whether anything new was added. Replaces a
-/// per-element binary-search-insert loop that degenerated to O(n²) when a
-/// window extension introduced many objects at once.
-fn merge_into_sorted(set: &mut Vec<Oid>, incoming: &mut Vec<Oid>) -> bool {
-    incoming.sort_unstable();
-    incoming.dedup();
-    incoming.retain(|o| set.binary_search(o).is_err());
-    if incoming.is_empty() {
-        return false;
-    }
-    let mut merged = Vec::with_capacity(set.len() + incoming.len());
-    let (mut i, mut j) = (0, 0);
-    while i < set.len() && j < incoming.len() {
-        if set[i] < incoming[j] {
-            merged.push(set[i]);
-            i += 1;
-        } else {
-            merged.push(incoming[j]);
-            j += 1;
-        }
-    }
-    merged.extend_from_slice(&set[i..]);
-    merged.extend_from_slice(&incoming[j..]);
-    *set = merged;
-    true
 }
 
 #[cfg(test)]
@@ -781,40 +647,32 @@ mod tests {
     }
 
     #[test]
-    fn domain_cache_extends_instead_of_rebuilding() {
+    fn objects_in_follows_a_moving_upper_bound() {
         let mut eb = EventBase::new();
         eb.append_at(ty(0), Oid(2), Timestamp(1));
         let w1 = Window::from_origin(Timestamp(1));
-        let first = eb.objects_in(w1);
-        assert_eq!(first.to_vec(), vec![Oid(2)]);
-        // same window again: the very same snapshot allocation is reused
-        let again = eb.objects_in(w1);
-        assert!(Arc::ptr_eq(&first, &again));
-        // new arrivals + advanced upper bound: extended, not rebuilt
+        assert_eq!(eb.objects_in(w1).to_vec(), vec![Oid(2)]);
+        assert_eq!(eb.objects_in(w1).to_vec(), vec![Oid(2)]);
+        // new arrivals + advanced upper bound
         eb.append_at(ty(1), Oid(1), Timestamp(2));
         eb.append_at(ty(0), Oid(2), Timestamp(3));
         let w2 = Window::from_origin(Timestamp(3));
         assert_eq!(eb.objects_in(w2).to_vec(), vec![Oid(1), Oid(2)]);
-        // an advanced bound with no new arrivals keeps the snapshot shared
+        // an upper bound past the clock, asked twice
         let w3 = Window::from_origin(Timestamp(9));
-        let a = eb.objects_in(w3);
-        let b = eb.objects_in(w3);
-        assert!(Arc::ptr_eq(&a, &b));
-        // shrunken upper bound still answers correctly (uncached path)
+        assert_eq!(eb.objects_in(w3), eb.objects_in(w3));
+        // a shrunken upper bound hides the later arrival
         assert_eq!(eb.objects_in(w1).to_vec(), vec![Oid(2)]);
-        // per-type domains are cached independently
+        // per-type domains
         let t_dom = eb.objects_of_types_in(&[ty(1)], w3);
         assert_eq!(t_dom.to_vec(), vec![Oid(1)]);
-        assert!(Arc::ptr_eq(
-            &t_dom,
-            &eb.objects_of_types_in(&[ty(1)], w3)
-        ));
+        assert_eq!(t_dom, eb.objects_of_types_in(&[ty(1)], w3));
     }
 
     #[test]
-    fn domain_cache_sees_appends_after_future_bound_query() {
-        // regression: querying a window whose upper bound is beyond the
-        // clock must not freeze the cached snapshot at that bound.
+    fn objects_in_a_window_closing_past_the_clock_see_later_appends() {
+        // a window whose upper bound is beyond the clock takes in the
+        // occurrences appended later inside it
         let mut eb = EventBase::new();
         eb.append_at(ty(0), Oid(1), Timestamp(1));
         let w = Window::from_origin(Timestamp(9)); // upto > now
@@ -832,9 +690,9 @@ mod tests {
     }
 
     #[test]
-    fn domain_cache_keeps_a_future_window_closed_below() {
-        // regression: a window whose lower bound is beyond the clock must
-        // not, once extended, take in occurrences at or before that bound.
+    fn objects_in_a_window_opening_past_the_clock_stay_closed_below() {
+        // a window whose lower bound is beyond the clock never takes in
+        // occurrences at or before that bound
         let mut eb = EventBase::new();
         let w = Window::new(Timestamp(3), Timestamp(9));
         assert!(eb.objects_in(w).is_empty());
@@ -877,14 +735,12 @@ mod tests {
     }
 
     #[test]
-    fn bulk_domain_extension_merges_in_one_pass() {
-        // a window extension that introduces many objects at once must
-        // land them all (this used to go through per-element inserts)
+    fn objects_in_a_window_of_many_objects_are_sorted_and_distinct() {
         let mut eb = EventBase::new();
         eb.append_at(ty(0), Oid(500), Timestamp(1));
         let w1 = Window::from_origin(Timestamp(1));
         assert_eq!(eb.objects_in(w1).to_vec(), vec![Oid(500)]);
-        // descending + duplicated arrivals stress the merge
+        // descending + duplicated arrivals stress the sort and dedup
         let mut t = 1;
         for oid in (1..=400u64).rev() {
             t += 1;
@@ -952,7 +808,7 @@ mod tests {
         assert_ne!(eb.memo_key(), (uid, 0, 2), "the memo key does not");
         assert!(!eb.is_empty());
         assert_eq!(eb.get(EventId(2)), None, "dropped eids are gone");
-        // the cached domain filled before the cut does not answer after it
+        // the domain asked before the cut sees only the live part after it
         assert!(eb.objects_in(w).is_empty());
         assert_eq!(eb.last_of_type_in(ty(0), w), None);
         let c = eb.append(ty(0), Oid(3));

@@ -10,9 +10,8 @@
 //! * answer every window query whose lower bound is at or above the
 //!   clock at the last cut exactly like the untruncated base;
 //! * answer a window reaching below the cut like the untruncated base on
-//!   the window clipped to the cut (it sees only the live part) — which
-//!   also proves that a domain-cache entry filled before the cut never
-//!   answers after it;
+//!   the window clipped to the cut (it sees only the live part), whatever
+//!   was asked of it before the cut;
 //! * map logical epochs and eids to the live part: `occurrences_since`,
 //!   `type_occurrences_since` and `get` equal the untruncated answers at
 //!   or above the cut, and `get` is `None` below it.
@@ -65,8 +64,8 @@ fn random_window(rng: &mut StdRng, end: u64) -> Window {
     Window::new(Timestamp(a), Timestamp(b))
 }
 
-/// Fill the cut base's domain cache with entries that will reach below
-/// the next cut, and return their windows so the check re-asks them.
+/// Ask the cut base's domain queries over windows that will reach below
+/// the next cut, and return those windows so the check re-asks them.
 fn warm(rng: &mut StdRng, eb: &EventBase) -> Vec<Window> {
     let end = eb.now().raw() + 2;
     let mut ws = vec![Window::from_origin(Timestamp(end))];

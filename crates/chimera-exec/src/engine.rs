@@ -427,9 +427,17 @@ impl Engine {
     /// The reaction loop. For `Immediate`, considers immediate rules until
     /// none is triggered; for `Deferred` (commit time), drains deferred
     /// rules *and* any immediate rules their actions re-trigger.
+    ///
+    /// A round runs again only after a consideration that appended an
+    /// occurrence: on an unchanged Event Base it would change no rule (see
+    /// `chimera_rules::table`'s module docs).
     fn react(&mut self, phase: CouplingMode) -> Result<()> {
+        let mut checked_at = None;
         loop {
-            self.support.check(&mut self.rules, &self.eb, self.eb.now());
+            if checked_at != Some(self.eb.epoch()) {
+                checked_at = Some(self.eb.epoch());
+                self.support.check(&mut self.rules, &self.eb, self.eb.now());
+            }
             let next = match phase {
                 CouplingMode::Immediate => self.rules.select_next(CouplingMode::Immediate),
                 CouplingMode::Deferred => self

@@ -22,8 +22,9 @@
 //! arrival that can change its value (`trigger::change_points_into`) —
 //! rather than every arrival of the block. Each rule's compiled plan
 //! advances its arrival-incremental scratch state once for the whole
-//! delta, and probe results are additionally memoized across rules
-//! sharing an expression (see [`SupportStats`] for the counters).
+//! delta (see [`SupportStats`] for the counters). As in the paper's §5,
+//! no probe result is shared across rules: every probe evaluates the
+//! rule's own plan.
 //!
 //! The round is **one pass over the table in definition order**. For
 //! each untriggered rule it applies the relevance filter over the shared
@@ -31,14 +32,19 @@
 //! change points, and applies the §4.4 commit predicate, before moving
 //! on to the next rule. A rule's decision reads only its own state (the
 //! plan scratchpad, the sticky witness, the consumption stamps, all
-//! owned by its table slot), the immutable event base, the round's
-//! arrival scans and the cross-rule probe memo, whose values are
-//! deterministic; so the order in which rules are visited changes no
+//! owned by its table slot), the immutable event base and the round's
+//! arrival scans; so the order in which rules are visited changes no
 //! outcome, and visiting them in slot order fixes every counter too.
+//!
+//! A round on an unchanged event base at the same instant as the last
+//! one changes no rule's state, however many of the rules that round
+//! triggered were considered in between: a considered rule's window is
+//! the empty `(now, now]`, and every other rule was either probed up to
+//! `now` or skipped by a filter that reads the same arrivals again. The
+//! engine relies on this to skip such rounds.
 
 use crate::modes::CouplingMode;
 use crate::trigger::{change_points_into, CompiledRule, RuleState, TriggerDef};
-use chimera_calculus::EventExpr;
 use chimera_events::{EventBase, EventType, Timestamp, Window};
 use std::collections::HashMap;
 use std::fmt;
@@ -236,17 +242,16 @@ pub struct SupportStats {
     pub skipped_by_filter: u64,
     /// Individual `ts` probe evaluations performed.
     pub ts_probes: u64,
-    /// `ts` probes answered from the per-epoch cross-rule memo instead of
-    /// being evaluated (rules sharing an expression and a window).
+    /// Always 0: every probe evaluates the rule's own plan, and no
+    /// result is shared across rules. Kept only because stackbench still
+    /// reports it (`rules.probe_memo_hit_share`), until ROADMAP 2a
+    /// rewrites its counters.
     pub probe_memo_hits: u64,
-    /// Trigger-support check rounds run (one per non-interruptible block
-    /// plus one per reaction-loop iteration).
+    /// Trigger-support check rounds run: the engine runs one per
+    /// non-interruptible block and per commit, and one more after each
+    /// consideration whose action appended an occurrence.
     pub check_rounds: u64,
 }
-
-/// Cross-rule `ts`-probe memo: witness results keyed by expression, then
-/// `(window.after, instant)`, valid for one EB epoch.
-type ProbeMemo = HashMap<EventExpr, HashMap<(Timestamp, Timestamp), bool>>;
 
 /// Shared arrival state for one `checked_upto` bound within a check
 /// round: the dedup'd types of the block's arrival delta (built on first
@@ -274,13 +279,6 @@ pub struct TriggerSupport {
     pub use_relevance_filter: bool,
     /// Work counters (monotonic; reset with [`TriggerSupport::reset_stats`]).
     pub stats: SupportStats,
-    /// Cross-rule `ts`-probe memo, valid for one EB epoch. Rules sharing
-    /// an expression and a consideration point (the common case after a
-    /// batch arrival) evaluate each probe once; lookups borrow the
-    /// expression key.
-    probe_memo: ProbeMemo,
-    /// [`EventBase::memo_key`] the memo belongs to.
-    memo_key: Option<(u64, u64, u64)>,
     /// Reusable per-bound round entries; `rounds_live` are in use this
     /// round, the rest are spare capacity kept for their buffers.
     rounds: Vec<RoundScratch>,
@@ -309,17 +307,11 @@ impl TriggerSupport {
     }
 
     /// Check all untriggered rules against the EB state at `now` — one
-    /// batched round over the block's whole arrival delta. Returns the
-    /// names of newly triggered rules, in definition order.
-    pub fn check(&mut self, table: &mut RuleTable, eb: &EventBase, now: Timestamp) -> Vec<String> {
-        let key = eb.memo_key();
-        if self.memo_key != Some(key) {
-            self.memo_key = Some(key);
-            self.probe_memo.clear();
-        }
+    /// batched round over the block's whole arrival delta. The rules it
+    /// triggers show in [`RuleTable::triggered`].
+    pub fn check(&mut self, table: &mut RuleTable, eb: &EventBase, now: Timestamp) {
         self.stats.check_rounds += 1;
         self.rounds_live = 0;
-        let mut newly = Vec::new();
         for slot in &mut table.slots {
             let st = &mut slot.state;
             if st.triggered {
@@ -358,10 +350,8 @@ impl TriggerSupport {
             // the §4.4 predicate
             if st.witness && eb.any_in(st.trigger_window(now)) {
                 st.triggered = true;
-                newly.push(slot.rule.def.name.clone());
             }
         }
-        newly
     }
 
     /// The round entry for a `checked_upto` bound, reusing a spare slot
@@ -389,8 +379,7 @@ impl TriggerSupport {
     /// newly covered range, through the rule's own compiled plan. `ri` is
     /// the round entry of the rule's `checked_upto` bound; its
     /// previous-occurrence stamps are built on the first probe of a
-    /// widened rule (see [`RoundScratch`]). Each probe is answered from
-    /// the cross-rule memo when it can be, and recorded in it otherwise.
+    /// widened rule (see [`RoundScratch`]).
     fn probe_slot(
         &mut self,
         rule: &CompiledRule,
@@ -410,25 +399,9 @@ impl TriggerSupport {
         let window = st.trigger_window(now);
         let arrivals = eb.slice(Window::new(st.checked_upto, now));
         change_points_into(rule, st, arrivals, &r.prev, now, &mut self.probes);
-        let events = &rule.def.events;
         for &t in &self.probes {
-            let key = (window.after, t);
-            let active = match self.probe_memo.get(events).and_then(|m| m.get(&key)) {
-                Some(&hit) => {
-                    self.stats.probe_memo_hits += 1;
-                    hit
-                }
-                None => {
-                    self.stats.ts_probes += 1;
-                    let active = st.plan.eval(eb, window, t).is_active();
-                    self.probe_memo
-                        .entry(events.clone())
-                        .or_default()
-                        .insert(key, active);
-                    active
-                }
-            };
-            if active {
+            self.stats.ts_probes += 1;
+            if st.plan.eval(eb, window, t).is_active() {
                 st.witness = true;
                 break;
             }
@@ -565,8 +538,8 @@ mod tests {
         let mut eb = EventBase::new();
         eb.append(et(0), Oid(1));
         let mut sup = TriggerSupport::optimized();
-        let newly = sup.check(&mut rt, &eb, eb.now());
-        assert_eq!(newly, vec!["lo".to_string(), "hi".to_string()]);
+        sup.check(&mut rt, &eb, eb.now());
+        assert_eq!(rt.triggered(), ["lo", "hi"]);
         assert_eq!(next_name(&rt, CouplingMode::Immediate), Some("hi"));
         assert_eq!(next_name(&rt, CouplingMode::Deferred), None);
     }
@@ -614,9 +587,11 @@ mod tests {
         rt.mark_considered(rt.index_of("r").unwrap(), eb.now());
         assert!(!rt.state("r").unwrap().triggered);
         eb.tick();
-        assert!(sup.check(&mut rt, &eb, eb.now()).is_empty());
+        sup.check(&mut rt, &eb, eb.now());
+        assert!(rt.triggered().is_empty());
         eb.append(et(0), Oid(2));
-        assert_eq!(sup.check(&mut rt, &eb, eb.now()), vec!["r".to_string()]);
+        sup.check(&mut rt, &eb, eb.now());
+        assert_eq!(rt.triggered(), ["r"]);
     }
 
     #[test]
@@ -728,7 +703,8 @@ mod tests {
         }
         eb.append(et(0), Oid(1));
         let mut sup = TriggerSupport::optimized();
-        assert_eq!(sup.check(&mut rt, &eb, eb.now()), vec!["r".to_string()]);
+        sup.check(&mut rt, &eb, eb.now());
+        assert_eq!(rt.triggered(), ["r"]);
         assert_eq!(
             crate::trigger::probe_instants(&eb, Timestamp::ZERO, eb.now()).len(),
             9
@@ -747,7 +723,8 @@ mod tests {
         eb.append(et(5), Oid(2)); // t4: o2 enters the domain, -=A holds
         eb.append(et(0), Oid(2)); // t5: leaf type, -=A fails for o2
         let mut sup = TriggerSupport::optimized();
-        assert_eq!(sup.check(&mut rt, &eb, eb.now()), vec!["w".to_string()]);
+        sup.check(&mut rt, &eb, eb.now());
+        assert_eq!(rt.triggered(), ["w"]);
         let st = RuleState::new(&def, Timestamp::ZERO);
         assert!(is_triggered(&def, &st, &eb, eb.now()));
         // t1, then its successor t2, then the witness at t4; t3 never
@@ -772,7 +749,8 @@ mod tests {
         // the rule still evaluates correctly after the in-place reset
         eb.append(et(0), Oid(2));
         eb.append(et(1), Oid(2));
-        assert_eq!(sup.check(&mut rt, &eb, eb.now()), vec!["r".to_string()]);
+        sup.check(&mut rt, &eb, eb.now());
+        assert_eq!(rt.triggered(), ["r"]);
     }
 
     #[test]
@@ -874,8 +852,16 @@ mod tests {
                 }
                 ebs[k].tick();
                 let now = ebs[k].now();
-                let newly = sup_shared[k].check(&mut shared[k], &ebs[k], now);
-                assert_eq!(newly, sup_own[k].check(&mut own[k], &ebs[k], now));
+                sup_shared[k].check(&mut shared[k], &ebs[k], now);
+                sup_own[k].check(&mut own[k], &ebs[k], now);
+                // every rule triggered earlier was considered, so these
+                // are the rules this round triggered
+                let newly: Vec<String> = shared[k]
+                    .triggered()
+                    .iter()
+                    .map(|n| n.to_string())
+                    .collect();
+                assert_eq!(newly, own[k].triggered());
                 assert_eq!(table_state(&shared[k]), table_state(&own[k]), "table {k}, step {step}");
                 for name in &newly {
                     shared[k].mark_considered(shared[k].index_of(name).unwrap(), now);

@@ -102,11 +102,8 @@ fn main() {
         stats.engine.commits
     );
     println!(
-        "trigger support: {} check rounds, {} probes (+{} memo hits), {} filter skips",
-        stats.support.check_rounds,
-        stats.support.ts_probes,
-        stats.support.probe_memo_hits,
-        stats.support.skipped_by_filter
+        "trigger support: {} check rounds, {} probes, {} filter skips",
+        stats.support.check_rounds, stats.support.ts_probes, stats.support.skipped_by_filter
     );
     println!("alerts raised across all tenants: {alerts}");
     assert_eq!(stats.jobs_processed, stats.jobs_submitted);

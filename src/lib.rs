@@ -70,8 +70,8 @@
 //! 1. **interpreted reference** (`ts_logical_interpreted` and the
 //!    recursive `boundary_ts_*` evaluators): re-walks the AST per call;
 //!    the property-tested ground truth, used only by tests and benches;
-//! 2. **planned cold**: compiled op arenas over an object-domain snapshot
-//!    and a batched per-type stamp matrix, rebuilt per window — paid when
+//! 2. **planned cold**: compiled op arenas over the scratchpad's own object
+//!    domain and a batched per-type stamp matrix, rebuilt per window — paid when
 //!    a rule's observation window's *lower* bound moves (consumption) or
 //!    a scratchpad meets a new event base;
 //! 3. **planned incremental**: the default on the engine's hot path —

@@ -5,11 +5,14 @@
 //! formal predicate probes every instant of the window, so this suite is
 //! also the oracle for the change-point sets.
 
+use chimera::calculus::plan::BoundaryScratchView;
 use chimera::calculus::{EventExpr, Plan};
 use chimera::events::{EventBase, EventType, Timestamp};
 use chimera::model::{ClassId, Oid};
 use chimera::rules::table::SupportStats;
-use chimera::rules::{is_triggered, RuleState, RuleTable, TriggerDef, TriggerSupport};
+use chimera::rules::{
+    is_triggered, ConsumptionMode, RuleState, RuleTable, TriggerDef, TriggerSupport,
+};
 use chimera::workload::{ExprGenConfig, RandomExprGen};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -207,6 +210,93 @@ proptest! {
             }
         }
     }
+
+    /// The invariant the engine's reaction loop skips rounds on: after a
+    /// round, considering any subset of the triggered rules (the newly
+    /// triggered among them) and checking again at the same instant on
+    /// the same base triggers nothing, probes nothing, and leaves every
+    /// rule's flags, stamps and plan scratch as they were. The rule sets
+    /// mix random expressions with a vacuously active set negation and a
+    /// widened instance negation, some of them preserving.
+    #[test]
+    fn a_second_round_on_an_unchanged_base_changes_nothing(
+        expr_seed in any::<u64>(),
+        stream_seed in any::<u64>(),
+        nblocks in 1usize..8,
+    ) {
+        let mut g = RandomExprGen::new(ExprGenConfig {
+            event_types: 5,
+            max_depth: 3,
+            instance_prob: 0.4,
+            negation_prob: 0.35,
+            seed: expr_seed,
+        });
+        let mut exprs = g.batch(6);
+        exprs.push(EventExpr::prim(et(0)).not());
+        exprs.push(EventExpr::prim(et(0)).inot().ior(EventExpr::prim(et(1))));
+        let mut rng = StdRng::seed_from_u64(stream_seed);
+        let defs: Vec<TriggerDef> = exprs
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let mut def = TriggerDef::new(format!("r{i}"), e);
+                if rng.random_bool(0.5) {
+                    def.consumption = ConsumptionMode::Preserving;
+                }
+                def
+            })
+            .collect();
+        for mut sup in [TriggerSupport::optimized(), TriggerSupport::unoptimized()] {
+            let mut rt = RuleTable::new();
+            for def in &defs {
+                rt.define(def.clone(), Timestamp::ZERO).unwrap();
+            }
+            let mut eb = EventBase::new();
+            for block in blocks(rng.random_range(0..u64::MAX), nblocks) {
+                play(&mut eb, &block);
+                let now = eb.now();
+                sup.check(&mut rt, &eb, now);
+                let triggered: Vec<String> =
+                    rt.triggered().iter().map(|n| n.to_string()).collect();
+                for name in &triggered {
+                    if rng.random_bool(0.5) {
+                        rt.mark_considered(rt.index_of(name).unwrap(), now);
+                    }
+                }
+                let (before, probes) = (rule_states(&rt), sup.stats.ts_probes);
+                sup.check(&mut rt, &eb, now);
+                prop_assert_eq!(rule_states(&rt), before, "second round at {}", now);
+                prop_assert_eq!(sup.stats.ts_probes, probes, "second round probed at {}", now);
+            }
+        }
+    }
+}
+
+/// One rule's `triggered` and `witness` flags, its three stamps and its
+/// plan scratch.
+type RuleView = (
+    bool,
+    bool,
+    Timestamp,
+    Timestamp,
+    Timestamp,
+    Vec<BoundaryScratchView>,
+);
+
+/// Each rule's [`RuleView`], in definition order.
+fn rule_states(rt: &RuleTable) -> Vec<RuleView> {
+    rt.iter()
+        .map(|(_, st)| {
+            (
+                st.triggered,
+                st.witness,
+                st.last_consideration,
+                st.last_consumption,
+                st.checked_upto,
+                st.plan.boundary_scratch(),
+            )
+        })
+        .collect()
 }
 
 /// The engine's transaction discipline over a base cut at every start
@@ -284,8 +374,8 @@ impl<'a> TxnRun<'a> {
     }
 }
 
-/// Rules whose plans, probe memo and domain entries are built in one
-/// transaction and reused in the next, over every boundary shape: a
+/// Rules whose plans and their scratch are built in one transaction and
+/// reused in the next, over every boundary shape: a
 /// primitive, an instance conjunction, a widened instance negation and a
 /// set negation.
 #[test]
@@ -313,14 +403,13 @@ fn rules_kept_across_transactions_agree_with_the_untruncated_predicate() {
     assert_eq!(run.block(&[Some((1, 2))]), ["conj", "widened", "absent"]);
 }
 
-/// The probe memo filled in one transaction answers no probe after the
+/// A plan scratch filled in one transaction answers no probe after the
 /// cut, even at the epoch it was filled at. `second`'s rule was never
 /// reset, so its window reaches below the cut and sees only the empty
-/// live part; keyed on `(uid, epoch)` alone (which a cut keeps) the
-/// support would reuse `first`'s witness for the dropped `A(o1)` and fire
-/// on the unrelated `X(o2)`.
+/// live part; keyed on `(uid, epoch)` alone (which a cut keeps) a cached
+/// result for the dropped `A(o1)` would fire it on the unrelated `X(o2)`.
 #[test]
-fn probe_memo_built_before_a_cut_answers_no_probe_after_it() {
+fn plan_scratch_built_before_a_cut_answers_no_probe_after_it() {
     let def = TriggerDef::new("r", EventExpr::prim(et(0)));
     for mut sup in [TriggerSupport::optimized(), TriggerSupport::unoptimized()] {
         let (mut first, mut second) = (RuleTable::new(), RuleTable::new());
@@ -578,9 +667,9 @@ fn many_widened_rules_see_a_foreign_channel_entry_in_one_round() {
 }
 
 /// The exact counters of one fixed-seed round sequence: 16 random
-/// expressions, each defined as two rules so the cross-rule probe memo
-/// answers the second rule's probes, checked over 10 random blocks with
-/// every newly triggered rule considered. Three of the expressions hold a
+/// expressions, each defined as two rules that each probe their own plan
+/// (no result is shared across rules), checked over 10 random blocks
+/// with every newly triggered rule considered. Three of the expressions hold a
 /// widened instance negation, so the change points of an object's entry
 /// into the window are probed too. The values pin the round's work, not
 /// only its outcomes: any restructuring of the check round must leave
@@ -617,7 +706,10 @@ fn fixed_seed_round_counters_are_pinned() {
     for block in blocks(SEED, 10) {
         play(&mut eb, &block);
         let now = eb.now();
-        let newly = sup.check(&mut rt, &eb, now);
+        sup.check(&mut rt, &eb, now);
+        // every rule triggered earlier was considered, so these are the
+        // rules this round triggered
+        let newly: Vec<String> = rt.triggered().iter().map(|n| n.to_string()).collect();
         for name in &newly {
             rt.mark_considered(rt.index_of(name).unwrap(), now);
         }
@@ -647,8 +739,8 @@ fn fixed_seed_round_counters_are_pinned() {
         SupportStats {
             rules_checked: 320,
             skipped_by_filter: 128,
-            ts_probes: 182,
-            probe_memo_hits: 228,
+            ts_probes: 410,
+            probe_memo_hits: 0,
             check_rounds: 10,
         }
     );

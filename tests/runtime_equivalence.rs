@@ -117,11 +117,8 @@ struct Snapshot {
     /// Sorted extent of the item class (the net store effect; creations
     /// from both blocks and rule actions land here).
     extent: Vec<Oid>,
-    /// Probe decisions: fresh evaluations + memo hits. The split between
-    /// the two may differ across worker counts (per-worker memos), the
-    /// sum may not.
-    probe_decisions: u64,
     /// Worker-count-independent support counters.
+    ts_probes: u64,
     rules_checked: u64,
     skipped_by_filter: u64,
     check_rounds: u64,
@@ -156,7 +153,7 @@ fn snapshot(engine: &Engine, item: ClassId) -> Snapshot {
             })
             .collect(),
         extent,
-        probe_decisions: s.ts_probes + s.probe_memo_hits,
+        ts_probes: s.ts_probes,
         rules_checked: s.rules_checked,
         skipped_by_filter: s.skipped_by_filter,
         check_rounds: s.check_rounds,
