@@ -27,12 +27,7 @@ impl TriggerSensitivity {
     /// Analyse a triggering event expression.
     pub fn new(expr: &EventExpr) -> Self {
         let filter = RelevanceFilter::new(expr);
-        let specific = filter
-            .variations()
-            .iter()
-            .filter(|(_, v)| v.sign.matches_arrival())
-            .map(|(ty, _)| *ty)
-            .collect();
+        let specific = filter.activating().iter().copied().collect();
         TriggerSensitivity {
             specific,
             universal: filter.vacuously_active() || filter.arrival_sensitive(),

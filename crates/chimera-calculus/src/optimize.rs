@@ -150,11 +150,6 @@ impl VariationSet {
         self.entries.iter()
     }
 
-    /// Does the arrival of an occurrence of `ty` match the set?
-    pub fn matches_arrival(&self, ty: EventType) -> bool {
-        self.get(ty).map(|v| v.sign.matches_arrival()).unwrap_or(false)
-    }
-
     /// Render against a schema, e.g. `{Δ create(stock), Δ+ modify(stock.quantity)}`.
     pub fn render(&self, schema: &chimera_model::Schema) -> String {
         let parts: Vec<String> = self
@@ -286,10 +281,20 @@ fn sensitivity(expr: &EventExpr) -> (bool, bool) {
     }
 }
 
-/// The runtime filter derived from `V(E)`, used by the Trigger Support.
+/// The runtime filter derived from `V(E)`, used by the Trigger Support
+/// twice: per block, to skip a rule no arrival can activate
+/// ([`RelevanceFilter::needs_recheck`]), and per instant, to pick the
+/// arrivals a rule is probed at. Both read the one list of types whose
+/// arrival matches `V(E)` with sign `Δ⁺` or `Δ`
+/// ([`RelevanceFilter::activating`]): an arrival of any other type
+/// cannot turn the expression from inactive to active, except through
+/// the two paths the flags carry — the `R: ∅ → ≠∅` transition of a
+/// vacuously active expression, and a fresh object of an
+/// [arrival-sensitive](RelevanceFilter::arrival_sensitive) one.
 #[derive(Debug, Clone)]
 pub struct RelevanceFilter {
     variations: VariationSet,
+    activating: Vec<EventType>,
     vacuously_active: bool,
     arrival_sensitive: bool,
 }
@@ -297,8 +302,15 @@ pub struct RelevanceFilter {
 impl RelevanceFilter {
     /// Build the filter for a rule's triggering event expression.
     pub fn new(expr: &EventExpr) -> Self {
+        let variations = VariationSet::for_expr(expr);
+        let activating = variations
+            .iter()
+            .filter(|(_, v)| v.sign.matches_arrival())
+            .map(|(ty, _)| *ty)
+            .collect();
         RelevanceFilter {
-            variations: VariationSet::for_expr(expr),
+            variations,
+            activating,
             vacuously_active: expr.vacuously_active(),
             arrival_sensitive: arrival_sensitive(expr),
         }
@@ -307,6 +319,14 @@ impl RelevanceFilter {
     /// The underlying `V(E)`.
     pub fn variations(&self) -> &VariationSet {
         &self.variations
+    }
+
+    /// `V⁺(E)`: the primitive types whose arrival matches `V(E)` (sign
+    /// `Δ⁺` or `Δ`, either scope), in type order. Only an arrival of one
+    /// of these can turn the expression active, outside the fresh-object
+    /// and empty-window paths.
+    pub fn activating(&self) -> &[EventType] {
+        &self.activating
     }
 
     /// Must `ts` be recomputed after occurrences of `arrivals` were
@@ -323,7 +343,7 @@ impl RelevanceFilter {
         if self.arrival_sensitive {
             return true; // fresh objects can activate the expression
         }
-        arrivals.iter().any(|&ty| self.variations.matches_arrival(ty))
+        arrivals.iter().any(|ty| self.activating.contains(ty))
     }
 
     /// Can the expression be active over an empty occurrence set?
@@ -333,7 +353,11 @@ impl RelevanceFilter {
 
     /// Can an arrival of an event type *outside* `V(E)` activate the
     /// expression (through the §4.3 fresh-object paths)? When true, every
-    /// arrival is relevant and the `V(E)` fast path is disabled.
+    /// arrival is relevant and the `V(E)` fast path is disabled; per
+    /// instant, an object's first occurrence in the window is then a
+    /// point where the expression can turn active, whatever its type.
+    /// A widened domain alone does not make an expression arrival
+    /// sensitive: under `(-=A) <= B` a fresh object still needs a `B`.
     pub fn arrival_sensitive(&self) -> bool {
         self.arrival_sensitive
     }
@@ -467,6 +491,23 @@ mod tests {
         assert!(!f.needs_recheck(&[et(C)], false));
         assert!(f.needs_recheck(&[et(C), et(A)], false));
         assert!(!f.needs_recheck(&[], false));
+        assert_eq!(f.activating(), [et(A)]);
+    }
+
+    #[test]
+    fn activating_types_are_the_positive_and_any_entries() {
+        // the §5.1 example: V(E) = {ΔA, ΔB, Δ+C}
+        let part1 = p(A).or(p(B)).prec(p(C).and(p(A).not()));
+        let part2 = p(A).iand(p(C)).ior(p(B).iprec(p(A)).inot());
+        let f = RelevanceFilter::new(&part1.or(part2));
+        assert_eq!(f.activating(), [et(A), et(B), et(C)]);
+        // pure negation: no arrival activates it
+        assert!(RelevanceFilter::new(&p(A).not()).activating().is_empty());
+        // a widened domain that still needs a B per object
+        let g = RelevanceFilter::new(&p(A).inot().iprec(p(B)));
+        assert_eq!(g.activating(), [et(B)]);
+        assert!(!g.arrival_sensitive());
+        assert!(RelevanceFilter::new(&p(A).inot().ior(p(B))).arrival_sensitive());
     }
 
     #[test]

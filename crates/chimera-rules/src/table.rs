@@ -17,9 +17,11 @@
 //! the dedup'd arrival types are computed once per distinct
 //! `checked_upto` bound (almost always once per round, since rules
 //! advance in lockstep) and shared by every rule's relevance filter. A
-//! rule that survives the filter probes only its **own change points** —
-//! the first new instant, `now`, and the stamp and successor of each
-//! arrival that can change its value (`trigger::change_points_into`) —
+//! rule that survives the filter probes only the instants where it can
+//! **turn active** (`trigger::change_points_into`): `now` alone for a
+//! negation-free rule, and otherwise the first new instant, `now`, and
+//! the stamp of each arrival that matches its `V⁺(E)` or, for an
+//! arrival-sensitive rule, brings a fresh object into its window —
 //! rather than every arrival of the block. Each rule's compiled plan
 //! advances its arrival-incremental scratch state once for the whole
 //! delta (see [`SupportStats`] for the counters). As in the paper's §5,
@@ -256,8 +258,9 @@ pub struct SupportStats {
 /// Shared arrival state for one `checked_upto` bound within a check
 /// round: the dedup'd types of the block's arrival delta (built on first
 /// relevance-filter use) and, for each arrival, the stamp of the previous
-/// occurrence on its object (built only when a widened rule probes, whose
-/// change points include an object's first occurrence in its window).
+/// occurrence on its object (built only when an arrival-sensitive rule
+/// probes, whose change points include an object's first occurrence in
+/// its window).
 /// Rules advance in lockstep except right after a consideration, so a
 /// round usually holds a single entry that every rule reuses — one scan
 /// per block instead of one per rule, and none at all on paths that never
@@ -378,8 +381,8 @@ impl TriggerSupport {
     /// Probe one rule at its change points: the §4.4 existential for the
     /// newly covered range, through the rule's own compiled plan. `ri` is
     /// the round entry of the rule's `checked_upto` bound; its
-    /// previous-occurrence stamps are built on the first probe of a
-    /// widened rule (see [`RoundScratch`]).
+    /// previous-occurrence stamps are built on the first probe of an
+    /// arrival-sensitive rule (see [`RoundScratch`]).
     fn probe_slot(
         &mut self,
         rule: &CompiledRule,
@@ -389,7 +392,7 @@ impl TriggerSupport {
         ri: usize,
     ) {
         let r = &mut self.rounds[ri];
-        if rule.widened && !r.prev_built {
+        if rule.filter.arrival_sensitive() && !r.prev_built {
             r.prev_built = true;
             for e in eb.slice(Window::new(r.from, now)) {
                 let before = Window::new(Timestamp::ZERO, Timestamp(e.ts.raw() - 1));
@@ -693,8 +696,8 @@ mod tests {
     #[test]
     fn rules_probe_only_their_own_change_points() {
         // a block of 8 arrivals on channels the rule never mentions, then
-        // one of its own type: the reference set is all 9 instants, the
-        // rule's change points are the first new instant and that stamp
+        // one of its own type: the reference set is all 9 instants, while
+        // the negation-free rule probes `now` alone
         let mut rt = RuleTable::new();
         rt.define(TriggerDef::new("r", p(0)), Timestamp::ZERO).unwrap();
         let mut eb = EventBase::new();
@@ -709,26 +712,105 @@ mod tests {
             crate::trigger::probe_instants(&eb, Timestamp::ZERO, eb.now()).len(),
             9
         );
-        assert_eq!(sup.stats.ts_probes, 2);
+        assert_eq!(sup.stats.ts_probes, 1);
 
-        // a widened rule, (-=A) ,= B, also probes where an object first
-        // enters its window through any channel
+        // an arrival-sensitive rule, (-=A) ,= B, also probes where an
+        // object first enters its window through any channel
         let def = TriggerDef::new("w", p(0).inot().ior(p(1)));
         let mut rt = RuleTable::new();
         rt.define(def.clone(), Timestamp::ZERO).unwrap();
         let mut eb = EventBase::new();
-        eb.append(et(0), Oid(1)); // t1: leaf type
+        eb.append(et(0), Oid(1)); // t1: o1 enters, but A holds for it
         eb.append(et(5), Oid(1)); // t2: o1 seen before, not a change point
         eb.append(et(5), Oid(1)); // t3: likewise
         eb.append(et(5), Oid(2)); // t4: o2 enters the domain, -=A holds
-        eb.append(et(0), Oid(2)); // t5: leaf type, -=A fails for o2
+        eb.append(et(0), Oid(2)); // t5: -=A fails for o2, A is Δ⁻ only
         let mut sup = TriggerSupport::optimized();
         sup.check(&mut rt, &eb, eb.now());
         assert_eq!(rt.triggered(), ["w"]);
         let st = RuleState::new(&def, Timestamp::ZERO);
         assert!(is_triggered(&def, &st, &eb, eb.now()));
-        // t1, then its successor t2, then the witness at t4; t3 never
+        // t1, then the witness at t4; neither t2, t3 nor a successor
+        assert_eq!(sup.stats.ts_probes, 2);
+    }
+
+    #[test]
+    fn negation_free_rule_probes_once_per_round() {
+        let mut rt = RuleTable::new();
+        rt.define(
+            TriggerDef::new("r", p(0).prec(p(1)).or(p(2).iand(p(3)))),
+            Timestamp::ZERO,
+        )
+        .unwrap();
+        let mut eb = EventBase::new();
+        let mut sup = TriggerSupport::optimized();
+        let blocks: [&[(u32, u64)]; 3] = [
+            &[(1, 1), (0, 1), (2, 2), (5, 3)],
+            &[(3, 1), (0, 2), (5, 1)],
+            &[(1, 2), (5, 2)],
+        ];
+        for (round, block) in blocks.iter().enumerate() {
+            for &(ty, oid) in *block {
+                eb.append(et(ty), Oid(oid));
+            }
+            sup.check(&mut rt, &eb, eb.now());
+            assert_eq!(sup.stats.ts_probes, round as u64 + 1);
+        }
+        // A at t2 precedes B at t8: the one probe at `now` sees it
+        assert_eq!(rt.triggered(), ["r"]);
+        let st = RuleState::new(rt.def("r").unwrap(), Timestamp::ZERO);
+        assert!(is_triggered(rt.def("r").unwrap(), &st, &eb, eb.now()));
+    }
+
+    #[test]
+    fn negated_type_arrivals_are_no_change_points() {
+        // A + -B: V(E) = {Δ⁺A, Δ⁻B}, so a B arrival can only deactivate
+        let mut rt = RuleTable::new();
+        rt.define(TriggerDef::new("r", p(0).and(p(1).not())), Timestamp::ZERO)
+            .unwrap();
+        let mut eb = EventBase::new();
+        for (ty, oid) in [(1, 1), (2, 1), (1, 2), (0, 1), (1, 3), (2, 2)] {
+            eb.append(et(ty), Oid(oid));
+        }
+        let mut sup = TriggerSupport::optimized();
+        sup.check(&mut rt, &eb, eb.now());
+        // the first instant t1, A's stamp t4 and `now` t6; B at t3 and t5
+        // never (the reference set probes all six instants)
         assert_eq!(sup.stats.ts_probes, 3);
+        assert!(rt.triggered().is_empty(), "B at t1 and t3 precede A");
+        let def = rt.def("r").unwrap();
+        let st = RuleState::new(def, Timestamp::ZERO);
+        assert!(!is_triggered(def, &st, &eb, eb.now()));
+    }
+
+    #[test]
+    fn widened_rule_that_is_not_arrival_sensitive_gets_no_fresh_object_probe() {
+        // (-=A) <= B widens its domain to every object in the window, but
+        // a fresh object still needs a B to be active
+        let def = TriggerDef::new("r", p(0).inot().iprec(p(1)));
+        let rule = CompiledRule::compile(def.clone()).unwrap();
+        let plan = chimera_calculus::Plan::compile(&def.events).unwrap();
+        assert!(plan.boundaries().iter().any(|b| b.widens()));
+        assert!(!rule.filter.arrival_sensitive());
+        let mut rt = RuleTable::new();
+        rt.install(rule, Timestamp::ZERO).unwrap();
+        let mut eb = EventBase::new();
+        eb.append(et(0), Oid(1)); // t1
+        eb.append(et(5), Oid(2)); // t2: o2 enters, no probe
+        eb.append(et(5), Oid(3)); // t3: o3 enters, no probe
+        eb.append(et(1), Oid(2)); // t4: B(o2) with -=A holding: active
+        eb.append(et(5), Oid(4)); // t5: o4 enters, no probe
+        let mut sup = TriggerSupport::optimized();
+        sup.check(&mut rt, &eb, eb.now());
+        assert_eq!(rt.triggered(), ["r"]);
+        assert!(is_triggered(
+            &def,
+            &RuleState::new(&def, Timestamp::ZERO),
+            &eb,
+            eb.now()
+        ));
+        // t1, then the witness at t4; neither t2 nor t3
+        assert_eq!(sup.stats.ts_probes, 2);
     }
 
     #[test]

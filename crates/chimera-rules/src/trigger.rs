@@ -16,17 +16,25 @@
 //! window, the instant right after each stamp, and the window's endpoints
 //! ([`probe_instants`], the reference set [`is_triggered`] uses).
 //!
-//! The same holds between the stamps of the occurrences *one rule* can
-//! see — the §5.1 `V(E)` idea applied per instant rather than per block.
-//! So the Trigger Support probes each rule only at its own change points
-//! (`change_points_into`).
+//! The Trigger Support probes far fewer instants (`change_points_into`):
+//! only those where *one rule* can **turn active**. Activity at `t` reads
+//! only the occurrences up to `t`, so it is constant on `[s_i, s_{i+1})`
+//! between consecutive stamps, and the stamp stands for its whole region:
+//! no successor is probed. A negation-free expression is monotone under
+//! arrivals in a fixed window, so it is active somewhere in a range
+//! exactly when it is active at the range's end: it is probed at `now`
+//! alone. Any other expression can turn from inactive to active only at
+//! an arrival matching its signed `V⁺(E)` (§5.1 applied per instant
+//! rather than per block) or, when it is arrival sensitive, at an
+//! object's first occurrence in the window; it is probed at those
+//! stamps, the range's first instant and `now`.
 
 use crate::action::ActionStmt;
 use crate::condition::Condition;
 use crate::modes::{ConsumptionMode, CouplingMode};
 use crate::table::RuleError;
 use chimera_calculus::{ts_logical, EventExpr, PlanEval, RelevanceFilter};
-use chimera_events::{EventBase, EventOccurrence, EventType, Timestamp, Window};
+use chimera_events::{EventBase, EventOccurrence, Timestamp, Window};
 use chimera_model::ClassId;
 use std::sync::Arc;
 
@@ -71,9 +79,9 @@ impl TriggerDef {
 
 /// A rule compiled once from its definition: everything the engine
 /// reads that derives only from the [`TriggerDef`] — the §5.1 `V(E)`
-/// filter "computed once per rule at definition time", the expression's
-/// change-point types, its compiled `ts` plan and the compiled plans of
-/// its condition's `occurred` formulas. Immutable, so one
+/// filter "computed once per rule at definition time", whether the
+/// expression is monotone, its compiled `ts` plan and the compiled plans
+/// of its condition's `occurred` formulas. Immutable, so one
 /// `Arc<CompiledRule>` is shared by every engine that installs it: the
 /// multi-tenant runtime compiles its trigger set once and each tenant
 /// installs clones, owning only a [`RuleState`].
@@ -82,15 +90,13 @@ pub struct CompiledRule {
     /// The definition.
     pub def: TriggerDef,
     /// The §5.1 static-optimization filter for the rule's expression.
+    /// Its `V⁺(E)` types and its arrival sensitivity also pick the
+    /// instants the rule is probed at.
     pub filter: RelevanceFilter,
-    /// The expression's primitive event types: their occurrences are the
-    /// rule's change points.
-    pub(crate) leaf_types: Vec<EventType>,
-    /// Does some instance component carry a nested negation, widening
-    /// its §4.3 domain to every object affected in the window? Then an
-    /// object's first occurrence in the trigger window is a change point
-    /// too, whatever its type.
-    pub(crate) widened: bool,
+    /// Is the expression free of `-` and `-=`? Then it never turns
+    /// inactive again within a window, and one probe at `now` decides
+    /// the §4.4 existential.
+    pub(crate) monotone: bool,
     /// The compiled evaluation plan for the rule's event expression, as
     /// a prototype evaluator with an empty scratchpad: each installing
     /// engine takes its own [`PlanEval::fresh`] scratch over the shared
@@ -116,16 +122,14 @@ impl CompiledRule {
         ) else {
             return Err(RuleError::InvalidExpression(def.name));
         };
-        let leaf_types = def.events.primitives();
         if let Some(target) = def.target {
-            if leaf_types.iter().any(|ty| ty.class != target) {
+            if def.events.primitives().iter().any(|ty| ty.class != target) {
                 return Err(RuleError::TargetMismatch { rule: def.name });
             }
         }
         Ok(Arc::new(CompiledRule {
             filter: RelevanceFilter::new(&def.events),
-            leaf_types,
-            widened: plan.plan().boundaries().iter().any(|b| b.widens()),
+            monotone: !def.events.contains_negation(),
             plan,
             occurred,
             def,
@@ -225,35 +229,49 @@ impl RuleState {
 
 /// The finite probe set equivalent to `∃ t' ∈ (after, now]` for *any*
 /// expression: each event stamp in the interval, the successor of each
-/// stamp, the interval's first instant and `now`. (Activity is constant
-/// between stamps, so one witness per sign-region suffices.) This is the
-/// reference set of [`is_triggered`]; the Trigger Support probes the
-/// narrower `change_points_into`.
+/// stamp, the interval's first instant and `now`, ascending and
+/// deduplicated. This is the reference set of [`is_triggered`], a
+/// superset of every set the Trigger Support probes
+/// (`change_points_into`).
 pub fn probe_instants(eb: &EventBase, after: Timestamp, now: Timestamp) -> Vec<Timestamp> {
     let mut probes = Vec::new();
-    push_probe_set(
-        eb.slice(Window::new(after, now)),
-        after,
-        now,
-        &mut probes,
-        |_, _| true,
-    );
+    if now <= after {
+        return probes;
+    }
+    // Built in ascending order: every in-window stamp is >= after+1, each
+    // successor interleaves monotonically with the next stamp, and `now`
+    // bounds them all — so one dedup pass suffices, no sort.
+    probes.push(after.next());
+    for e in eb.slice(Window::new(after, now)) {
+        probes.push(e.ts);
+        if e.ts < now {
+            probes.push(e.ts.next());
+        }
+    }
+    probes.push(now);
+    debug_assert!(probes.windows(2).all(|p| p[0] <= p[1]));
+    probes.dedup();
     probes
 }
 
-/// The change points of `rule` in `(st.checked_upto, now]`: the probe set of
-/// [`probe_instants`] restricted to the arrivals that can change the
-/// rule's activity. An arrival can when its type is one of the
-/// expression's primitives, or, for a widened rule, when its object has
-/// no earlier occurrence in the trigger window — it then joins the
-/// widened domain, where a nested negation can make it vacuously active.
-/// Every other arrival leaves each `ts` value's sign as it was, so
-/// probing the first new instant, these arrivals' stamps and successors,
-/// and `now` still finds a witness exactly when one exists.
+/// The instants of `(st.checked_upto, now]` where `rule` can turn
+/// active, ascending and deduplicated; `out` is cleared first.
+///
+/// * A monotone (negation-free) rule: `now` alone.
+/// * Any other rule: the range's first instant, `now`, and the stamp of
+///   each arrival whose type is in the filter's `V⁺(E)` — plus, for an
+///   arrival-sensitive rule, of each arrival on an object with no
+///   earlier occurrence in the trigger window, which joins the widened
+///   domain where a nested negation can make it vacuously active.
+///
+/// Either way the set finds a witness exactly when one exists: a
+/// monotone rule active anywhere in the range is active at `now`, and any
+/// other rule, if inactive at the range's first instant, first turns
+/// active at one of its points.
 ///
 /// `arrivals` is `eb.slice((st.checked_upto, now])`. `prev[i]`, read only
-/// for a widened rule, is the stamp of the previous occurrence on
-/// `arrivals[i]`'s object (`None`: it has none). `out` is cleared first.
+/// for an arrival-sensitive rule, is the stamp of the previous occurrence
+/// on `arrivals[i]`'s object (`None`: it has none).
 pub(crate) fn change_points_into(
     rule: &CompiledRule,
     st: &RuleState,
@@ -262,39 +280,22 @@ pub(crate) fn change_points_into(
     now: Timestamp,
     out: &mut Vec<Timestamp>,
 ) {
-    push_probe_set(arrivals, st.checked_upto, now, out, |i, e| {
-        rule.leaf_types.contains(&e.ty)
-            || (rule.widened && prev[i].is_none_or(|p| p <= st.last_consideration))
-    });
-}
-
-/// `(after, now]`'s first instant, the stamp and successor of each
-/// arrival `changes` selects, and `now`, ascending and deduplicated.
-fn push_probe_set(
-    arrivals: &[EventOccurrence],
-    after: Timestamp,
-    now: Timestamp,
-    out: &mut Vec<Timestamp>,
-    changes: impl Fn(usize, &EventOccurrence) -> bool,
-) {
     out.clear();
-    if now <= after {
+    if now <= st.checked_upto {
         return;
     }
-    // Built in ascending order: every in-window stamp is >= after+1, each
-    // successor interleaves monotonically with the next stamp, and `now`
-    // bounds them all — so one dedup pass suffices, no sort.
-    out.push(after.next());
-    for (i, e) in arrivals.iter().enumerate() {
-        if changes(i, e) {
-            out.push(e.ts);
-            if e.ts < now {
-                out.push(e.ts.next());
+    if !rule.monotone {
+        let (activating, fresh) = (rule.filter.activating(), rule.filter.arrival_sensitive());
+        out.push(st.checked_upto.next());
+        for (i, e) in arrivals.iter().enumerate() {
+            if activating.contains(&e.ty)
+                || (fresh && prev[i].is_none_or(|p| p <= st.last_consideration))
+            {
+                out.push(e.ts);
             }
         }
     }
     out.push(now);
-    debug_assert!(out.windows(2).all(|p| p[0] <= p[1]));
     out.dedup();
 }
 

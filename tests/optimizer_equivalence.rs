@@ -1,13 +1,18 @@
 //! Property suite for §5.1: the statically-optimized Trigger Support is
 //! observationally equivalent to the unoptimized one and to the formal
 //! §4.4 predicate, over random rules and random multi-block histories.
-//! The supports probe each rule only at its own change points, while the
-//! formal predicate probes every instant of the window, so this suite is
-//! also the oracle for the change-point sets.
+//! The supports probe each rule only where it can turn active, while the
+//! formal predicate probes every stamp and successor of the window, so
+//! this suite is also the oracle for the change-point sets. Three lemma
+//! properties check the facts those sets rest on directly against
+//! `ts_logical`, instant by instant: negation-free activity never falls,
+//! an eventless instant keeps the sign of the one before, and activity
+//! rises only at an arrival matching `V⁺(E)` or, for an arrival-sensitive
+//! expression, at an object's first occurrence in the window.
 
 use chimera::calculus::plan::BoundaryScratchView;
-use chimera::calculus::{EventExpr, Plan};
-use chimera::events::{EventBase, EventType, Timestamp};
+use chimera::calculus::{ts_logical, EventExpr, Plan, RelevanceFilter};
+use chimera::events::{EventBase, EventType, Timestamp, Window};
 use chimera::model::{ClassId, Oid};
 use chimera::rules::table::SupportStats;
 use chimera::rules::{
@@ -67,8 +72,120 @@ fn play(eb: &mut EventBase, block: &[Option<(u32, u64)>]) {
     }
 }
 
+/// Play `nblocks` random blocks into one base, and pick a window
+/// `(after, now]` over it: `after_pick` places its lower bound anywhere
+/// below `now`.
+fn history(stream_seed: u64, nblocks: usize, after_pick: u64) -> (EventBase, Window) {
+    let mut eb = EventBase::new();
+    for block in blocks(stream_seed, nblocks) {
+        play(&mut eb, &block);
+    }
+    eb.tick();
+    let now = eb.now();
+    (eb, Window::new(Timestamp(after_pick % now.raw()), now))
+}
+
+/// `expr`'s activity at every instant of `w`, first instant first.
+fn activity(expr: &EventExpr, eb: &EventBase, w: Window) -> Vec<(Timestamp, bool)> {
+    (w.after.raw() + 1..=w.upto.raw())
+        .map(|t| {
+            (
+                Timestamp(t),
+                ts_logical(expr, eb, w, Timestamp(t)).is_active(),
+            )
+        })
+        .collect()
+}
+
+/// Random expressions as the other properties draw them.
+fn random_expr(seed: u64, negation_prob: f64) -> EventExpr {
+    RandomExprGen::new(ExprGenConfig {
+        event_types: 5,
+        max_depth: 4,
+        instance_prob: 0.4,
+        negation_prob,
+        seed,
+    })
+    .generate()
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Lemma for the one-probe check: with neither `-` nor `-=`, an
+    /// expression active at `t` stays active at every later instant of
+    /// the window, so "active somewhere in the range" is "active at its
+    /// end".
+    #[test]
+    fn negation_free_activity_never_falls(
+        expr_seed in any::<u64>(),
+        stream_seed in any::<u64>(),
+        nblocks in 1usize..6,
+        after_pick in any::<u64>(),
+    ) {
+        let expr = random_expr(expr_seed, 0.0);
+        prop_assert!(!expr.contains_negation());
+        let (eb, w) = history(stream_seed, nblocks, after_pick);
+        let signs = activity(&expr, &eb, w);
+        if let Some(first) = signs.iter().position(|&(_, a)| a) {
+            for &(t, a) in &signs[first..] {
+                prop_assert!(a, "{} fell at {} after rising at {}", &expr, t, signs[first].0);
+            }
+        }
+    }
+
+    /// Lemma for dropping successor probes: activity reads only the
+    /// occurrences up to the instant, so an instant without an arrival
+    /// has the sign of the instant before it.
+    #[test]
+    fn an_eventless_successor_keeps_the_sign(
+        expr_seed in any::<u64>(),
+        stream_seed in any::<u64>(),
+        nblocks in 1usize..6,
+        after_pick in any::<u64>(),
+    ) {
+        let expr = random_expr(expr_seed, 0.35);
+        let (eb, w) = history(stream_seed, nblocks, after_pick);
+        for pair in activity(&expr, &eb, w).windows(2) {
+            let ((s, before), (t, after)) = (pair[0], pair[1]);
+            if !eb.any_in(Window::new(s, t)) {
+                prop_assert_eq!(before, after, "{} at {} and {}", &expr, s, t);
+            }
+        }
+    }
+
+    /// Lemma for the signed change points: after the window's first
+    /// instant, an expression turns from inactive to active only at an
+    /// arrival whose type is in `V⁺(E)` or, if it is arrival sensitive,
+    /// at an object's first occurrence in the window.
+    #[test]
+    fn activity_rises_only_at_an_activating_arrival(
+        expr_seed in any::<u64>(),
+        stream_seed in any::<u64>(),
+        nblocks in 1usize..6,
+        after_pick in any::<u64>(),
+    ) {
+        let expr = random_expr(expr_seed, 0.35);
+        let filter = RelevanceFilter::new(&expr);
+        let (eb, w) = history(stream_seed, nblocks, after_pick);
+        for pair in activity(&expr, &eb, w).windows(2) {
+            let ((s, before), (t, after)) = (pair[0], pair[1]);
+            if before || !after {
+                continue;
+            }
+            let arrived = eb.slice(Window::new(s, t));
+            prop_assert_eq!(arrived.len(), 1, "{} rose at {} without an arrival", &expr, t);
+            let e = arrived[0];
+            let fresh = eb.last_of_obj_in(e.oid, Window::new(w.after, s)).is_none();
+            prop_assert!(
+                filter.activating().contains(&e.ty) || (filter.arrival_sensitive() && fresh),
+                "{} rose at {} on {:?}",
+                &expr,
+                t,
+                e
+            );
+        }
+    }
 
     /// After every block, the optimized support's `triggered` flag equals
     /// the unoptimized support's AND the formal predicate's value; both
@@ -518,8 +635,8 @@ fn flags_against_formal(
 }
 
 /// Arrivals on channels a plain rule never mentions add no probes: the
-/// rule probes its first new instant, its own arrival's stamp and
-/// successor, and `now`, however many foreign arrivals fill the block.
+/// negation-free rule probes `now` once, however many foreign arrivals
+/// fill the block.
 #[test]
 fn foreign_arrivals_add_no_probes_to_a_plain_rule() {
     let def = TriggerDef::new("r", EventExpr::prim(et(0)).and(EventExpr::prim(et(1))));
@@ -527,8 +644,8 @@ fn foreign_arrivals_add_no_probes_to_a_plain_rule() {
     block.extend((0..20).map(|n| Some((6, n % 6 + 1))));
     let mut sup = TriggerSupport::optimized();
     assert_eq!(flags_against_formal(&def, &mut sup, &[&block]), vec![false]);
-    // t1 (first new instant and A's stamp), t2 (its successor), t21 (now)
-    assert_eq!(sup.stats.ts_probes, 3);
+    // t21 (now) alone
+    assert_eq!(sup.stats.ts_probes, 1);
 }
 
 /// A conjunction half-satisfied in one block stays pending across a
@@ -669,11 +786,12 @@ fn many_widened_rules_see_a_foreign_channel_entry_in_one_round() {
 /// The exact counters of one fixed-seed round sequence: 16 random
 /// expressions, each defined as two rules that each probe their own plan
 /// (no result is shared across rules), checked over 10 random blocks
-/// with every newly triggered rule considered. Three of the expressions hold a
-/// widened instance negation, so the change points of an object's entry
-/// into the window are probed too. The values pin the round's work, not
-/// only its outcomes: any restructuring of the check round must leave
-/// them unmoved.
+/// with every newly triggered rule considered. Nine of the expressions
+/// are negation free, so they probe `now` once per round; three hold a
+/// widened instance negation, and one of those is arrival sensitive, so
+/// an object's entry into its window is probed too. The values pin the
+/// round's work, not only its outcomes: any restructuring of the check
+/// round must leave them unmoved.
 #[test]
 fn fixed_seed_round_counters_are_pinned() {
     const SEED: u64 = 2;
@@ -693,6 +811,12 @@ fn fixed_seed_round_counters_are_pinned() {
         })
         .count();
     assert_eq!(widened, 3);
+    let sensitive = exprs
+        .iter()
+        .filter(|e| RelevanceFilter::new(e).arrival_sensitive())
+        .count();
+    let monotone = exprs.iter().filter(|e| !e.contains_negation()).count();
+    assert_eq!((sensitive, monotone), (1, 9));
     let mut rt = RuleTable::new();
     for (i, e) in exprs.iter().enumerate() {
         for copy in ["a", "b"] {
@@ -739,7 +863,7 @@ fn fixed_seed_round_counters_are_pinned() {
         SupportStats {
             rules_checked: 320,
             skipped_by_filter: 128,
-            ts_probes: 410,
+            ts_probes: 232,
             probe_memo_hits: 0,
             check_rounds: 10,
         }
