@@ -1,16 +1,19 @@
-//! Chaos oracle for the robustness layer (the PR-8 tentpole).
+//! Chaos oracle for the robustness layer.
 //!
-//! Three claims, each driven by `chimera-chaos`'s deterministic fault
-//! injection:
+//! The medium is `chimera-chaos`'s deterministic fault injection: a
+//! `ChaosStore` wrapped around every shard's store, and a `ChaosProxy`
+//! between a client and the server. Four claims:
 //!
 //! 1. **Transient and torn storage faults are invisible.** A seeded
 //!    schedule of retryable append/commit/snapshot failures — including
 //!    the ambiguous torn commit, where data reached disk but the caller
 //!    was told it didn't — must be fully absorbed by the runtime's
 //!    bounded in-place retry: every job is acknowledged, no home is
-//!    poisoned, the end state is identical to a fault-free sequential
-//!    replay, and a restart from the directory recovers that same state
-//!    (an acknowledged job is durable *even under fault injection*).
+//!    poisoned, every injected fault is a counted retry, and every
+//!    tenant equals the shared fault-free sequential oracle
+//!    (`chimera-oracle`) — observed state, error count and last error —
+//!    live and after a restart from the directory (an acknowledged job
+//!    is durable *even under fault injection*).
 //!
 //! 2. **A permanent fault degrades exactly one home, and the repair
 //!    path heals it.** Breaking one shard's store poisons that home
@@ -27,288 +30,31 @@
 //!    the typed `Disconnected`, the client's orphan accounting matches,
 //!    and once the proxy's cut budget is spent the session heals.
 //!
-//! 4. **A faulted eviction refuses and retains** (PR 10). Eviction is
-//!    optional work: when the store rejects the tenant snapshot write,
-//!    the engine stays resident, nothing is poisoned, no job is lost,
-//!    and the next residency-pressure event simply retries.
+//! 4. **A faulted eviction refuses and retains.** Eviction is optional
+//!    work: when the store rejects the tenant snapshot write, the engine
+//!    stays resident, nothing is poisoned, no job is lost, and the next
+//!    residency-pressure event simply retries.
 
 use chimera::chaos::{
-    ChaosCounters, ChaosProxy, ChaosRates, ChaosStore, FaultPlan, NetChaosConfig, StorageFault,
-    StoreOp,
+    ChaosCounters, ChaosProxy, ChaosStore, FaultPlan, NetChaosConfig, StorageFault, StoreOp,
 };
-use chimera::events::Timestamp;
-use chimera::exec::{Engine, EngineConfig, Op};
+use chimera::exec::Op;
 use chimera::lifecycle::LifecycleConfig;
-use chimera::model::{AttrDef, AttrId, AttrType, ClassId, Oid, Schema, SchemaBuilder, Value};
+use chimera::model::{ClassId, Value};
 use chimera::net::{
     Client, ClientConfig, ExternalEvent, ReconnectPolicy, Server, ServerConfig, WireJob,
     WireOutcome, JOB_DISCONNECTED,
 };
-use chimera::prelude::EventType;
-use chimera::rules::{ActionStmt, TriggerDef};
-use chimera::runtime::{
-    DurabilityConfig, Job, JobOutcome, Runtime, RuntimeConfig, StorageMode, StoreWrap, TenantId,
+use chimera::runtime::{Job, JobOutcome, Runtime, RuntimeConfig, StoreWrap, TenantId};
+use chimera_oracle::{
+    compare, compare_tenant, durable, medium, observe, oracle_replay, Pick, Script, Setup,
+    TempDir, QTY,
 };
-use chimera::workload::{ExprGenConfig, RandomExprGen};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn schema() -> Schema {
-    let mut b = SchemaBuilder::new();
-    b.class(
-        "item",
-        None,
-        vec![
-            AttrDef::new("qty", AttrType::Integer),
-            AttrDef::with_default("tag", AttrType::Integer, Value::Int(0)),
-        ],
-    )
-    .unwrap();
-    let s = b.build();
-    assert_eq!(s.class_by_name("item").unwrap(), ClassId(0));
-    s
-}
-
-fn runtime_triggers(seed: u64) -> Vec<TriggerDef> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = RandomExprGen::new(ExprGenConfig {
-        event_types: 4,
-        max_depth: 3,
-        instance_prob: 0.5,
-        negation_prob: 0.2,
-        seed: seed ^ 0xC4A0,
-    });
-    let k = rng.random_range(2..5usize);
-    (0..k)
-        .map(|i| {
-            let mut def = TriggerDef::new(format!("r{i}"), g.generate());
-            def.priority = rng.random_range(0..3i32);
-            if i % 3 == 0 {
-                def.actions = vec![ActionStmt::Create {
-                    class: "item".into(),
-                    inits: vec![],
-                }];
-            }
-            def
-        })
-        .collect()
-}
-
-fn trigger_source(k: u64) -> String {
-    format!(
-        "define immediate trigger s{} for item\n\
-           events create, modify(qty)\n\
-           condition item(S), S.qty > S.tag\n\
-           actions modify(S.qty, S.tag)\n\
-         end",
-        k % 3
-    )
-}
-
-fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
-    if !in_txn {
-        if rng.random_range(0..5u32) == 0 {
-            return Job::DefineTriggerSource(trigger_source(rng.random_range(0..3u64)));
-        }
-        return Job::Begin;
-    }
-    match rng.random_range(0..11u32) {
-        0..=4 => {
-            let n = rng.random_range(1..4usize);
-            let events = (0..n)
-                .map(|_| {
-                    (
-                        item,
-                        rng.random_range(0..4u32),
-                        Oid(rng.random_range(0..4u64)),
-                    )
-                })
-                .collect();
-            Job::RaiseExternal(events)
-        }
-        5..=6 => {
-            let n = rng.random_range(1..3usize);
-            let ops = (0..n)
-                .map(|_| Op::Create {
-                    class: item,
-                    inits: vec![(AttrId(0), Value::Int(rng.random_range(0..200i64)))],
-                })
-                .collect();
-            Job::ExecBlock(ops)
-        }
-        7 => Job::Commit,
-        8 => Job::Rollback,
-        _ => Job::DefineTriggerSource(trigger_source(rng.random_range(0..3u64))),
-    }
-}
-
-/// Everything observable about one tenant engine (minus the probe-work
-/// counters, which measure this process's probing, not tenant state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observed {
-    stats: chimera::exec::EngineStats,
-    in_txn: bool,
-    /// The event base: logical length, clock and live tail (the open
-    /// transaction's occurrences; none between transactions).
-    eb_len: usize,
-    eb_now: Timestamp,
-    eb_log: Vec<(EventType, Oid, Timestamp)>,
-    rules: Vec<(String, bool, bool, Timestamp, Timestamp, Timestamp)>,
-    extent: Vec<Oid>,
-}
-
-fn observe(engine: &Engine, item: ClassId) -> Observed {
-    let mut extent = engine.extent(item);
-    extent.sort_unstable();
-    Observed {
-        stats: engine.stats(),
-        in_txn: engine.in_transaction(),
-        eb_len: engine.event_base().len(),
-        eb_now: engine.event_base().now(),
-        eb_log: engine
-            .event_base()
-            .iter()
-            .map(|e| (e.ty, e.oid, e.ts))
-            .collect(),
-        rules: engine
-            .rules()
-            .iter()
-            .map(|(rule, st)| {
-                (
-                    rule.def.name.clone(),
-                    st.triggered,
-                    st.witness,
-                    st.last_consideration,
-                    st.last_consumption,
-                    st.checked_upto,
-                )
-            })
-            .collect(),
-        extent,
-    }
-}
-
-/// The fault-free sequential oracle: a fresh engine replaying one
-/// tenant's jobs with the shard worker's exact `apply` semantics.
-fn oracle_replay(
-    schema: &Schema,
-    triggers: &[TriggerDef],
-    engine_cfg: &EngineConfig,
-    jobs: &[Job],
-    item: ClassId,
-) -> (Observed, u64, Option<String>) {
-    let mut engine = Engine::with_config(schema.clone(), engine_cfg.clone());
-    for def in triggers {
-        engine.define_trigger(def.clone()).unwrap();
-    }
-    let mut errors = 0u64;
-    let mut last_error = None;
-    let (mut started, mut longest_txn) = (0usize, 0usize);
-    for job in jobs {
-        let res: Result<(), String> = match job.clone() {
-            Job::Begin => engine.begin().map_err(|e| e.to_string()),
-            Job::ExecBlock(ops) => engine.exec_block(&ops).map(|_| ()).map_err(|e| e.to_string()),
-            Job::RaiseExternal(ev) => {
-                engine.raise_external(&ev).map(|_| ()).map_err(|e| e.to_string())
-            }
-            Job::Commit => engine.commit().map_err(|e| e.to_string()),
-            Job::Rollback => engine.rollback().map_err(|e| e.to_string()),
-            Job::DefineTriggerSource(src) => apply_trigger_source(&mut engine, schema, &src),
-            _ => Ok(()),
-        };
-        match res {
-            Err(msg) => {
-                errors += 1;
-                last_error = Some(msg);
-            }
-            Ok(()) if matches!(job, Job::Begin) => started = engine.event_base().len(),
-            Ok(()) => {}
-        }
-        longest_txn = longest_txn.max(engine.event_base().len() - started);
-    }
-    // the live tail the suite compares holds at most one transaction
-    assert!(
-        engine.event_base().live_len() <= longest_txn,
-        "the event base kept more than its longest transaction"
-    );
-    (observe(&engine, item), errors, last_error)
-}
-
-/// Mirror of the shard worker's all-or-nothing trigger-source job.
-fn apply_trigger_source(engine: &mut Engine, schema: &Schema, src: &str) -> Result<(), String> {
-    let decls = chimera::lang::parse_trigger_decls(src, schema).map_err(|e| e.to_string())?;
-    let mut defined: Vec<String> = Vec::with_capacity(decls.len());
-    for decl in &decls {
-        let result = decl
-            .lower(schema)
-            .map_err(|e| e.to_string())
-            .and_then(|def| {
-                let name = def.name.clone();
-                engine
-                    .define_trigger(def)
-                    .map(|()| name)
-                    .map_err(|e| e.to_string())
-            });
-        match result {
-            Ok(name) => defined.push(name),
-            Err(msg) => {
-                for name in defined.iter().rev() {
-                    let _ = engine.drop_trigger(name);
-                }
-                return Err(msg);
-            }
-        }
-    }
-    Ok(())
-}
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "chimera-chaos-recovery-{name}-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Compare every tenant of a live runtime against the fault-free
-/// sequential oracle over its *full* job list. `check_errors` also
-/// compares the per-tenant error bookkeeping (skip it for runtimes that
-/// recorded store refusals, which the engine-level oracle cannot see).
-fn assert_oracle_equivalence(
-    rt: &Runtime,
-    s: &Schema,
-    triggers: &[TriggerDef],
-    engine_cfg: &EngineConfig,
-    per_tenant: &[Vec<Job>],
-    item: ClassId,
-    check_errors: bool,
-) -> Result<(), TestCaseError> {
-    for (t, jobs) in per_tenant.iter().enumerate() {
-        let got = rt.with_tenant(TenantId(t as u64), |e| observe(e, item));
-        if jobs.is_empty() {
-            prop_assert!(got.is_none(), "tenant {t}: no jobs, but an engine exists");
-            continue;
-        }
-        let got = got.expect("tenant with jobs has an engine");
-        let (want, want_errors, want_last) = oracle_replay(s, triggers, engine_cfg, jobs, item);
-        prop_assert_eq!(&got, &want, "tenant {} diverged from the fault-free oracle", t);
-        if check_errors {
-            let (errors, last) = rt.tenant_errors(TenantId(t as u64)).unwrap();
-            prop_assert_eq!(errors, want_errors, "tenant {} error count", t);
-            prop_assert_eq!(last, want_last, "tenant {} last error", t);
-        }
-    }
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -326,62 +72,17 @@ proptest! {
         shards in 1usize..3,
         snapshot_choice in 0u64..2,
     ) {
-        let s = schema();
-        let item = s.class_by_name("item").unwrap();
-        let triggers = runtime_triggers(rule_seed);
-        let engine_cfg = EngineConfig { max_rule_steps: 64, ..EngineConfig::default() };
-        let dir = tmpdir("transient");
-        let storage = DurabilityConfig {
-            dir: dir.clone(),
-            snapshot_every: snapshot_choice * 2,
+        let setup = Setup::seeded(rule_seed);
+        let dir = TempDir::new("chaos-transient");
+        let config = || RuntimeConfig {
+            storage: durable(&dir, snapshot_choice * 2),
+            ..setup.config(shards)
         };
-        // aggressive but strictly retryable rates (units of 1/10000)
-        let rates = ChaosRates {
-            append_transient: 1500,
-            commit_transient: 2000,
-            commit_torn: 1500,
-            snapshot_transient: 2000,
-            evict_transient: 0,
-        };
-        let counters = Arc::new(ChaosCounters::default());
-        let wrap = {
-            let counters = Arc::clone(&counters);
-            StoreWrap::new(move |shard, store| {
-                Box::new(ChaosStore::with_counters(
-                    store,
-                    FaultPlan::seeded(chaos_seed ^ shard as u64, rates),
-                    Arc::clone(&counters),
-                ))
-            })
-        };
-        let per_tenant = {
-            let rt = Runtime::new(
-                s.clone(),
-                triggers.clone(),
-                RuntimeConfig {
-                    shards,
-                    storage: StorageMode::Durable(storage.clone()),
-                    engine: engine_cfg.clone(),
-                    store_wrap: Some(wrap),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut rng = StdRng::seed_from_u64(script_seed);
-            let mut in_txn = vec![false; tenants as usize];
-            let mut per_tenant: Vec<Vec<Job>> = vec![Vec::new(); tenants as usize];
-            for _ in 0..steps {
-                let t = rng.random_range(0..tenants) as usize;
-                let job = random_job(&mut rng, in_txn[t], item);
-                match job {
-                    Job::Begin => in_txn[t] = true,
-                    Job::Commit | Job::Rollback => in_txn[t] = false,
-                    _ => {}
-                }
-                per_tenant[t].push(job.clone());
-                rt.submit(TenantId(t as u64), job).unwrap();
-            }
-            rt.flush().unwrap();
+        let (wrap, counters) = medium::transient_faults(chaos_seed);
+        let script = Script::draw(script_seed, tenants, steps, Pick::Uniform);
+        {
+            let rt = setup.runtime(RuntimeConfig { store_wrap: Some(wrap), ..config() });
+            medium::submit(&rt, &script, false);
             let stats = rt.stats();
             prop_assert_eq!(stats.jobs_processed, stats.jobs_submitted);
             prop_assert_eq!(stats.shards_poisoned, 0, "retryable faults must never poison");
@@ -391,25 +92,12 @@ proptest! {
                 counters.total(),
                 stats.store_retries
             );
-            assert_oracle_equivalence(&rt, &s, &triggers, &engine_cfg, &per_tenant, item, true)?;
-            per_tenant
-        };
+            compare(&rt, &setup, &script.per_tenant, None, false)?;
+        }
         // restart: every acknowledged job survived the fault schedule,
         // torn commits included — reopen without chaos and re-compare
-        let rt = Runtime::new(
-            s.clone(),
-            triggers.clone(),
-            RuntimeConfig {
-                shards,
-                storage: StorageMode::Durable(storage),
-                engine: engine_cfg.clone(),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_oracle_equivalence(&rt, &s, &triggers, &engine_cfg, &per_tenant, item, true)?;
-        drop(rt);
-        let _ = std::fs::remove_dir_all(&dir);
+        let rt = setup.runtime(config());
+        compare(&rt, &setup, &script.per_tenant, None, false)?;
     }
 }
 
@@ -421,17 +109,15 @@ proptest! {
 /// restart then proves everything acknowledged was durable.
 #[test]
 fn refused_eviction_retains_the_tenant_and_retries() {
-    let s = schema();
-    let item = s.class_by_name("item").unwrap();
-    let triggers = runtime_triggers(11);
-    let engine_cfg = EngineConfig {
-        max_rule_steps: 64,
-        ..EngineConfig::default()
-    };
-    let dir = tmpdir("evict-refused");
-    let storage = DurabilityConfig {
-        dir: dir.clone(),
-        snapshot_every: 0, // no full snapshot: the restart replays the whole log
+    // rules whose cascades end, so every transaction commits and its
+    // tenant becomes evictable
+    let setup = Setup::seeded(13);
+    let dir = TempDir::new("chaos-evict-refused");
+    // no full snapshot: the restart replays the whole log
+    let config = || RuntimeConfig {
+        storage: durable(&dir, 0),
+        lifecycle: LifecycleConfig::with_max_resident(1),
+        ..setup.config(1)
     };
     let counters = Arc::new(ChaosCounters::default());
     let wrap = {
@@ -444,35 +130,18 @@ fn refused_eviction_retains_the_tenant_and_retries() {
             ))
         })
     };
-    let rt = Runtime::new(
-        s.clone(),
-        triggers.clone(),
-        RuntimeConfig {
-            shards: 1,
-            storage: StorageMode::Durable(storage.clone()),
-            engine: engine_cfg.clone(),
-            store_wrap: Some(wrap),
-            lifecycle: LifecycleConfig::with_max_resident(1),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let block = |t: u64| {
-        vec![
-            Job::Begin,
-            Job::ExecBlock(vec![Op::Create {
-                class: item,
-                inits: vec![(AttrId(0), Value::Int(40 + t as i64))],
-            }]),
-            Job::Commit,
-        ]
-    };
+    let rt = setup.runtime(RuntimeConfig {
+        store_wrap: Some(wrap),
+        ..config()
+    });
+    let txn = |t: u64| vec![Job::Begin, block(40 + t as i64), Job::Commit];
+    assert_eq!(oracle_replay(&setup, &txn(0), 3).errors, 0, "a transaction commits");
     let mut per_tenant: Vec<Vec<Job>> = Vec::new();
     // tenant 0 becomes resident; tenant 1 pushes residency to 2 > 1 and
     // triggers the first eviction attempt — the faulted one
     for t in 0..2u64 {
-        per_tenant.push(block(t));
-        for job in block(t) {
+        per_tenant.push(txn(t));
+        for job in txn(t) {
             rt.submit(TenantId(t), job).unwrap();
         }
         rt.flush().unwrap();
@@ -489,11 +158,11 @@ fn refused_eviction_retains_the_tenant_and_retries() {
     assert_eq!(stats.jobs_processed, stats.jobs_submitted, "no job may be lost");
     assert_eq!(stats.tenants, 2, "both tenants still addressable");
     // the refused tenant is bit-exact — refuse-and-retain, not degrade
-    assert_oracle_equivalence(&rt, &s, &triggers, &engine_cfg, &per_tenant, item, true).unwrap();
+    compare(&rt, &setup, &per_tenant, None, false).unwrap();
     // more pressure retries the eviction; the plan only forced attempt
     // 0, so enforcement now succeeds and the working set settles
-    per_tenant.push(block(2));
-    for job in block(2) {
+    per_tenant.push(txn(2));
+    for job in txn(2) {
         rt.submit(TenantId(2), job).unwrap();
     }
     rt.flush().unwrap();
@@ -510,24 +179,64 @@ fn refused_eviction_retains_the_tenant_and_retries() {
     assert!(stats.evictions >= 1, "the retry must actually evict");
     assert_eq!(stats.shards_poisoned, 0);
     assert_eq!(stats.jobs_processed, stats.jobs_submitted);
-    assert_oracle_equivalence(&rt, &s, &triggers, &engine_cfg, &per_tenant, item, true).unwrap();
+    compare(&rt, &setup, &per_tenant, None, false).unwrap();
     drop(rt);
     // chaos-free restart: evicted and resident tenants alike recover
-    let (rt, _) = Runtime::recover(
-        s.clone(),
-        triggers.clone(),
-        RuntimeConfig {
-            shards: 1,
-            storage: StorageMode::Durable(storage),
-            engine: engine_cfg.clone(),
-            lifecycle: LifecycleConfig::with_max_resident(1),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_oracle_equivalence(&rt, &s, &triggers, &engine_cfg, &per_tenant, item, true).unwrap();
-    drop(rt);
-    let _ = std::fs::remove_dir_all(&dir);
+    let (rt, _) = setup.recover(config());
+    compare(&rt, &setup, &per_tenant, None, false).unwrap();
+}
+
+/// A two-shard durable runtime without rules in `dir`, whose shard 0
+/// store fails its third group commit for good while `armed`, so the
+/// store a reopen builds after disarming is healthy.
+fn poisonable(setup: &Setup, dir: &Path, armed: &Arc<AtomicBool>) -> Runtime {
+    let armed = Arc::clone(armed);
+    let wrap = StoreWrap::new(move |shard, store| {
+        let plan = if shard == 0 && armed.load(Ordering::Relaxed) {
+            FaultPlan::none().fail_nth(StoreOp::Commit, 2, StorageFault::Permanent)
+        } else {
+            FaultPlan::none()
+        };
+        Box::new(ChaosStore::new(store, plan))
+    });
+    setup.runtime(RuntimeConfig {
+        storage: durable(dir, 0),
+        store_wrap: Some(wrap),
+        ..setup.config(2)
+    })
+}
+
+/// Submit one job and wait for its outcome: serial submission, so store
+/// commits count 1:1 with jobs.
+fn run(rt: &Runtime, tenant: TenantId, job: Job) -> JobOutcome {
+    let (_, rx) = rt.submit_with_reply(tenant, job).unwrap();
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("every submission is answered")
+        .outcome
+}
+
+/// Panics unless `outcome` is a refusal by a failed shard store.
+fn assert_refused(outcome: JobOutcome) {
+    match outcome {
+        JobOutcome::RefusedDurability(msg) => assert!(msg.contains("shard store failed"), "{msg}"),
+        other => panic!("expected a durability refusal, got {other:?}"),
+    }
+}
+
+fn block(v: i64) -> Job {
+    Job::ExecBlock(vec![Op::Create {
+        class: ClassId(0),
+        inits: vec![(QTY, Value::Int(v))],
+    }])
+}
+
+/// Panics unless `tenant` equals the oracle's replay of `jobs`, which
+/// are the jobs it executed: a refusal before execution is not one. The
+/// error bookkeeping is not compared, since it counts refusals the
+/// oracle never sees.
+fn assert_replays(rt: &Runtime, setup: &Setup, tenant: TenantId, jobs: &[Job], what: &str) {
+    let got = rt.with_tenant(tenant, |e| observe(e, setup.item)).unwrap();
+    assert_eq!(got, oracle_replay(setup, jobs, jobs.len()).observed, "{what}");
 }
 
 /// Claim 2: a permanent store fault poisons exactly one home; its
@@ -536,81 +245,29 @@ fn refused_eviction_retains_the_tenant_and_retries() {
 /// durable.
 #[test]
 fn permanent_fault_poisons_one_home_and_reopen_repairs() {
-    let s = schema();
-    let item = s.class_by_name("item").unwrap();
-    let engine_cfg = EngineConfig {
-        max_rule_steps: 64,
-        ..EngineConfig::default()
-    };
-    let dir = tmpdir("poison");
-    let storage = DurabilityConfig {
-        dir: dir.clone(),
-        snapshot_every: 0,
-    };
-    // shard 0's third group commit breaks for good — but only while the
-    // chaos is armed, so the reopened replacement store is healthy
+    let setup = Setup::new(vec![]);
+    let dir = TempDir::new("chaos-poison");
     let armed = Arc::new(AtomicBool::new(true));
-    let wrap = {
-        let armed = Arc::clone(&armed);
-        StoreWrap::new(move |shard, store| {
-            let plan = if shard == 0 && armed.load(Ordering::Relaxed) {
-                FaultPlan::none().fail_nth(StoreOp::Commit, 2, StorageFault::Permanent)
-            } else {
-                FaultPlan::none()
-            };
-            Box::new(ChaosStore::new(store, plan))
-        })
-    };
-    let rt = Runtime::new(
-        s.clone(),
-        vec![],
-        RuntimeConfig {
-            shards: 2,
-            storage: StorageMode::Durable(storage.clone()),
-            engine: engine_cfg.clone(),
-            store_wrap: Some(wrap),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let rt = poisonable(&setup, &dir, &armed);
     let victim = (0u64..64).map(TenantId).find(|t| rt.shard_of(*t) == 0).unwrap();
     let healthy = (0u64..64).map(TenantId).find(|t| rt.shard_of(*t) == 1).unwrap();
-    // serial submission: one job per batch, so store commits count 1:1
-    let run = |tenant: TenantId, job: Job| -> JobOutcome {
-        let (_, rx) = rt.submit_with_reply(tenant, job).unwrap();
-        rx.recv_timeout(Duration::from_secs(30))
-            .expect("every submission is answered")
-            .outcome
-    };
-    let block = |v: i64| Job::ExecBlock(vec![Op::Create {
-        class: item,
-        inits: vec![(AttrId(0), Value::Int(v))],
-    }]);
 
     // commits #0 and #1 succeed; #2 (the engine-level Commit) fails
     // permanently — the job *executed* in RAM, so the engine leaves the
     // transaction, but durability is refused and the home is poisoned
-    assert!(run(victim, Job::Begin).is_done());
-    assert!(run(victim, block(7)).is_done());
+    assert!(run(&rt, victim, Job::Begin).is_done());
+    assert!(run(&rt, victim, block(7)).is_done());
     let mut victim_executed = vec![Job::Begin, block(7), Job::Commit];
-    match run(victim, Job::Commit) {
-        JobOutcome::RefusedDurability(msg) => assert!(msg.contains("shard store failed"), "{msg}"),
-        other => panic!("expected the demoted refusal, got {other:?}"),
-    }
+    assert_refused(run(&rt, victim, Job::Commit));
     // everything after arrives at a poisoned home: refused pre-execution
     for job in [Job::Begin, block(8), Job::Commit] {
-        match run(victim, job) {
-            JobOutcome::RefusedDurability(msg) => {
-                assert!(msg.contains("shard store failed"), "{msg}")
-            }
-            other => panic!("expected a poisoned-home refusal, got {other:?}"),
-        }
+        assert_refused(run(&rt, victim, job));
     }
     // the other home is untouched: a full script runs and matches the
     // oracle exactly
     let healthy_jobs = vec![Job::Begin, block(3), block(4), Job::Commit];
     for job in &healthy_jobs {
-        assert!(run(healthy, job.clone()).is_done());
+        assert!(run(&rt, healthy, job.clone()).is_done());
     }
     rt.flush().unwrap();
     let stats = rt.stats();
@@ -623,13 +280,8 @@ fn permanent_fault_poisons_one_home_and_reopen_repairs() {
         "the demoted Commit plus three pre-execution refusals were recorded"
     );
     assert!(vlast.unwrap().contains("shard store failed"));
-    {
-        let got = rt.with_tenant(healthy, |e| observe(e, item)).unwrap();
-        let (want, want_errors, _) =
-            oracle_replay(&s, &[], &engine_cfg, &healthy_jobs, item);
-        assert_eq!(got, want, "healthy tenant diverged while the other home was down");
-        assert_eq!(want_errors, 0);
-    }
+    // healthy tenant while the other home was down
+    compare_tenant(&rt, &setup, healthy.0, &healthy_jobs, false).unwrap();
 
     // the repair: disarm the chaos, swap in a fresh store, poison clears
     armed.store(false, Ordering::Relaxed);
@@ -637,42 +289,29 @@ fn permanent_fault_poisons_one_home_and_reopen_repairs() {
     assert_eq!(rt.stats().shards_poisoned, 0, "reopen must clear the poison");
     for job in [Job::Begin, block(9), Job::Commit] {
         victim_executed.push(job.clone());
-        assert!(run(victim, job).is_done(), "post-repair jobs must succeed");
+        assert!(run(&rt, victim, job).is_done(), "post-repair jobs must succeed");
     }
     // RAM was authoritative across the outage: the victim equals the
     // oracle over exactly the jobs that *executed* (the demoted Commit
     // included, the pre-execution refusals excluded)
-    let got = rt.with_tenant(victim, |e| observe(e, item)).unwrap();
-    let (want, _, _) = oracle_replay(&s, &[], &engine_cfg, &victim_executed, item);
-    assert_eq!(got, want, "victim tenant diverged across poison + repair");
+    let what = "victim tenant diverged across poison + repair";
+    assert_replays(&rt, &setup, victim, &victim_executed, what);
     drop(rt);
 
     // restart: the reopen's snapshot made the refused-era effects
     // durable, so recovery reproduces both tenants
-    let rt = Runtime::new(
-        s.clone(),
-        vec![],
-        RuntimeConfig {
-            shards: 2,
-            storage: StorageMode::Durable(storage),
-            engine: engine_cfg.clone(),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let got = rt.with_tenant(victim, |e| observe(e, item)).unwrap();
-    let (want, _, _) = oracle_replay(&s, &[], &engine_cfg, &victim_executed, item);
-    assert_eq!(got, want, "victim tenant lost state across the restart");
-    let got = rt.with_tenant(healthy, |e| observe(e, item)).unwrap();
-    let (want, _, _) = oracle_replay(&s, &[], &engine_cfg, &healthy_jobs, item);
-    assert_eq!(got, want, "healthy tenant lost state across the restart");
-    drop(rt);
-    let _ = std::fs::remove_dir_all(&dir);
+    let rt = setup.runtime(RuntimeConfig {
+        storage: durable(&dir, 0),
+        ..setup.config(2)
+    });
+    let what = "victim tenant lost state across the restart";
+    assert_replays(&rt, &setup, victim, &victim_executed, what);
+    compare_tenant(&rt, &setup, healthy.0, &healthy_jobs, false).unwrap();
 }
 
-/// Regression (PR-8 roadmap follow-up): a permanent fault that strikes
-/// *mid-transaction* used to strand the tenant — the poisoned home
-/// refused every job pre-execution, including the `Rollback` that
+/// Regression: a permanent fault that strikes *mid-transaction* used to
+/// strand the tenant — the poisoned home refused every job
+/// pre-execution, including the `Rollback` that
 /// [`Runtime::reopen_shard_store`] needs the tenant to reach a
 /// committed-only state, so the repair path was unreachable. The fix
 /// lets `Rollback` (and only `Rollback`) through on a poisoned home as
@@ -680,63 +319,19 @@ fn permanent_fault_poisons_one_home_and_reopen_repairs() {
 /// from it.
 #[test]
 fn rollback_escapes_a_poisoned_home_and_unblocks_reopen() {
-    let s = schema();
-    let item = s.class_by_name("item").unwrap();
-    let engine_cfg = EngineConfig {
-        max_rule_steps: 64,
-        ..EngineConfig::default()
-    };
-    let dir = tmpdir("poison-midtxn");
-    let storage = DurabilityConfig {
-        dir: dir.clone(),
-        snapshot_every: 0,
-    };
+    let setup = Setup::new(vec![]);
+    let dir = TempDir::new("chaos-poison-midtxn");
     let armed = Arc::new(AtomicBool::new(true));
-    let wrap = {
-        let armed = Arc::clone(&armed);
-        StoreWrap::new(move |shard, store| {
-            let plan = if shard == 0 && armed.load(Ordering::Relaxed) {
-                FaultPlan::none().fail_nth(StoreOp::Commit, 2, StorageFault::Permanent)
-            } else {
-                FaultPlan::none()
-            };
-            Box::new(ChaosStore::new(store, plan))
-        })
-    };
-    let rt = Runtime::new(
-        s.clone(),
-        vec![],
-        RuntimeConfig {
-            shards: 2,
-            storage: StorageMode::Durable(storage.clone()),
-            engine: engine_cfg.clone(),
-            store_wrap: Some(wrap),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let rt = poisonable(&setup, &dir, &armed);
     let victim = (0u64..64).map(TenantId).find(|t| rt.shard_of(*t) == 0).unwrap();
-    let run = |tenant: TenantId, job: Job| -> JobOutcome {
-        let (_, rx) = rt.submit_with_reply(tenant, job).unwrap();
-        rx.recv_timeout(Duration::from_secs(30))
-            .expect("every submission is answered")
-            .outcome
-    };
-    let block = |v: i64| Job::ExecBlock(vec![Op::Create {
-        class: item,
-        inits: vec![(AttrId(0), Value::Int(v))],
-    }]);
 
     // store commits #0 and #1 succeed; #2 — an exec block, which does
     // NOT end the transaction — fails permanently. The job executed in
     // RAM (demoted refusal), the home is poisoned, and the tenant is
     // stuck *inside* an open transaction.
-    assert!(run(victim, Job::Begin).is_done());
-    assert!(run(victim, block(7)).is_done());
-    match run(victim, block(8)) {
-        JobOutcome::RefusedDurability(msg) => assert!(msg.contains("shard store failed"), "{msg}"),
-        other => panic!("expected the demoted refusal, got {other:?}"),
-    }
+    assert!(run(&rt, victim, Job::Begin).is_done());
+    assert!(run(&rt, victim, block(7)).is_done());
+    assert_refused(run(&rt, victim, block(8)));
     rt.flush().unwrap();
     assert_eq!(rt.stats().shards_poisoned, 1);
     assert!(rt.with_tenant(victim, |e| e.in_transaction()).unwrap());
@@ -750,12 +345,9 @@ fn rollback_escapes_a_poisoned_home_and_unblocks_reopen() {
     // Commit needs the dead store, so the poisoned home still refuses
     // it — but Rollback is let through as a RAM-only job and succeeds,
     // ending the transaction
-    match run(victim, Job::Commit) {
-        JobOutcome::RefusedDurability(msg) => assert!(msg.contains("shard store failed"), "{msg}"),
-        other => panic!("expected a poisoned-home refusal, got {other:?}"),
-    }
+    assert_refused(run(&rt, victim, Job::Commit));
     assert!(
-        run(victim, Job::Rollback).is_done(),
+        run(&rt, victim, Job::Rollback).is_done(),
         "Rollback must escape a poisoned home"
     );
     assert!(!rt.with_tenant(victim, |e| e.in_transaction()).unwrap());
@@ -767,31 +359,19 @@ fn rollback_escapes_a_poisoned_home_and_unblocks_reopen() {
     let mut executed = vec![Job::Begin, block(7), block(8), Job::Rollback];
     for job in [Job::Begin, block(9), Job::Commit] {
         executed.push(job.clone());
-        assert!(run(victim, job).is_done(), "post-repair jobs must succeed");
+        assert!(run(&rt, victim, job).is_done(), "post-repair jobs must succeed");
     }
-    let got = rt.with_tenant(victim, |e| observe(e, item)).unwrap();
-    let (want, _, _) = oracle_replay(&s, &[], &engine_cfg, &executed, item);
-    assert_eq!(got, want, "victim diverged across mid-transaction poison + rollback + repair");
+    let what = "victim diverged across mid-transaction poison + rollback + repair";
+    assert_replays(&rt, &setup, victim, &executed, what);
     drop(rt);
 
     // restart: the reopen snapshotted the rolled-back (committed-only)
     // state, and the post-repair transaction is in the fresh WAL
-    let rt = Runtime::new(
-        s.clone(),
-        vec![],
-        RuntimeConfig {
-            shards: 2,
-            storage: StorageMode::Durable(storage),
-            engine: engine_cfg.clone(),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let got = rt.with_tenant(victim, |e| observe(e, item)).unwrap();
-    let (want, _, _) = oracle_replay(&s, &[], &engine_cfg, &executed, item);
-    assert_eq!(got, want, "victim lost state across the restart");
-    drop(rt);
-    let _ = std::fs::remove_dir_all(&dir);
+    let rt = setup.runtime(RuntimeConfig {
+        storage: durable(&dir, 0),
+        ..setup.config(2)
+    });
+    assert_replays(&rt, &setup, victim, &executed, "victim lost state across the restart");
 }
 
 /// Satellite: submission↔completion accounting under a poisoned home.
@@ -800,39 +380,26 @@ fn rollback_escapes_a_poisoned_home_and_unblocks_reopen() {
 /// barrier still returns.
 #[test]
 fn poisoned_home_answers_everything_and_flush_returns() {
-    let s = schema();
-    let item = s.class_by_name("item").unwrap();
-    let dir = tmpdir("accounting");
+    let setup = Setup::new(vec![]);
+    let dir = TempDir::new("chaos-accounting");
     let wrap = StoreWrap::new(|_, store| {
         Box::new(ChaosStore::new(
             store,
             FaultPlan::none().fail_nth(StoreOp::Commit, 0, StorageFault::Permanent),
         ))
     });
-    let rt = Runtime::new(
-        s,
-        vec![],
-        RuntimeConfig {
-            shards: 1,
-            storage: StorageMode::Durable(DurabilityConfig {
-                dir: dir.clone(),
-                snapshot_every: 0,
-            }),
-            store_wrap: Some(wrap),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let rt = setup.runtime(RuntimeConfig {
+        storage: durable(&dir, 0),
+        store_wrap: Some(wrap),
+        ..setup.config(1)
+    });
     const JOBS: u64 = 30;
     let mut receivers = Vec::new();
     for k in 0..JOBS {
         let tenant = TenantId(k % 3);
         let job = match (k / 3) % 3 {
             0 => Job::Begin,
-            1 => Job::ExecBlock(vec![Op::Create {
-                class: item,
-                inits: vec![(AttrId(0), Value::Int(k as i64))],
-            }]),
+            1 => block(k as i64),
             _ => Job::Commit,
         };
         let (_, rx) = rt.submit_with_reply(tenant, job).unwrap();
@@ -866,12 +433,10 @@ fn poisoned_home_answers_everything_and_flush_returns() {
     assert_eq!(stats.jobs_processed, JOBS, "no job leaked in the queues");
     assert_eq!(stats.ready_queue_depth, 0);
     assert_eq!(stats.shards_poisoned, 1);
-    drop(rt);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Claim 3: through a connection-cutting proxy, a reconnecting
     /// client resolves *every* submission — `Done`, engine `Error`, or
@@ -884,10 +449,8 @@ proptest! {
         cut_lo in 400u64..900,
         cut_span in 1u64..2600,
     ) {
-        let s = schema();
-        let rt = Arc::new(
-            Runtime::new(s, vec![], RuntimeConfig { shards: 2, ..Default::default() }).unwrap(),
-        );
+        let setup = Setup::new(vec![]);
+        let rt = Arc::new(setup.runtime(setup.config(2)));
         let server =
             Server::bind("127.0.0.1:0", Arc::clone(&rt), ServerConfig::default()).unwrap();
         let proxy = ChaosProxy::start(

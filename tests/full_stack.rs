@@ -13,8 +13,7 @@ use chimera::model::{AttrDef, AttrType, Schema, SchemaBuilder, Value};
 use chimera::rules::{ActionStmt, CmpOp, Condition, Formula, Term, TriggerDef, VarDecl};
 use chimera::runtime::{DurabilityConfig, Job, Runtime, RuntimeConfig, StorageMode, TenantId};
 use chimera::temporal::{ClockDriver, ClockSpec};
-use std::fs;
-use std::path::PathBuf;
+use chimera_oracle::TempDir;
 
 const AUDIT: u32 = 1;
 
@@ -65,12 +64,6 @@ fn escalate(schema: &Schema) -> TriggerDef {
     def
 }
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("chimera-stack-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn analyzed_temporal_rules_on_a_durable_engine() {
     let schema = schema();
@@ -87,10 +80,10 @@ fn analyzed_temporal_rules_on_a_durable_engine() {
 
     // 2. run it durably, as the one tenant of a one-shard runtime, with a
     //    clock driver anchored on the tenant's engine.
-    let dir = tmpdir("run");
+    let dir = TempDir::new("stack-run");
     let config = || RuntimeConfig {
         shards: 1,
-        storage: StorageMode::Durable(DurabilityConfig::new(&dir)),
+        storage: StorageMode::Durable(DurabilityConfig::new(&*dir)),
         ..Default::default()
     };
     let tenant = TenantId(0);
@@ -143,8 +136,6 @@ fn analyzed_temporal_rules_on_a_durable_engine() {
         }
     })
     .unwrap();
-    drop(rt);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

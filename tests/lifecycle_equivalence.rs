@@ -1,17 +1,20 @@
-//! Lifecycle-equivalence oracle for the tenant residency layer (the
-//! PR-10 tentpole).
+//! Lifecycle-equivalence oracle for the tenant residency layer.
 //!
 //! The claim under test: **eviction and rehydration are invisible to
-//! tenant semantics.** A runtime squeezed through a tiny residency cap
-//! — every batch potentially evicting the engine that just ran and
-//! rehydrating one that was parked — must leave every tenant
-//! bit-identical to a plain sequential [`Engine`] replaying that
-//! tenant's script: objects and extents, the event base (logical length,
-//! clock, and the live tail with timestamps), rule consumption windows,
-//! engine counters, open-transaction state, and the error bookkeeping.
-//! The same must hold across a crash: eviction writes nothing to disk,
-//! so recovery from the last full snapshot plus the log tail is exactly
-//! the per-tenant surviving prefix, evicted tenants included.
+//! tenant semantics.** The medium is a residency cap: a runtime squeezed
+//! through a tiny cap — every batch potentially evicting the engine that
+//! just ran and rehydrating one that was parked — must leave every
+//! tenant, resident or parked, equal to the shared sequential oracle
+//! (`chimera-oracle`) replaying its script: observed state (objects and
+//! extents, the event base with its live tail, rule consumption windows,
+//! engine counters, open-transaction state), error count and last error,
+//! and a live tail within the longest transaction. The same must hold
+//! across a crash: eviction writes nothing to disk, so recovery from the
+//! last full snapshot plus the log tail is exactly the per-tenant
+//! surviving prefix, evicted tenants included. The cap's own
+//! obligations ride along: the quiesced working set stays within it
+//! (plus the tenants parked mid-transaction, which are unevictable), and
+//! no job is lost.
 //!
 //! The tests:
 //! * a proptest over random multi-tenant scripts × caps × shard counts
@@ -35,272 +38,20 @@
 //!   and a tenant-local rule defined from source keeps firing after its
 //!   tenant was evicted and rehydrated.
 
-use chimera::events::Timestamp;
 use chimera::exec::{Engine, EngineConfig, Op};
 use chimera::lifecycle::LifecycleConfig;
-use chimera::model::{AttrDef, AttrType, ClassId, Oid, Schema, SchemaBuilder, Value};
-use chimera::persist::{JobLog, ShardSnapshot};
-use chimera::prelude::EventType;
-use chimera::rules::{ActionStmt, TriggerDef};
-use chimera::runtime::{
-    DurabilityConfig, Job, Runtime, RuntimeConfig, Scheduler, StorageMode, TenantId,
+use chimera::model::{ClassId, Oid, Schema, Value};
+use chimera::runtime::{Job, Runtime, RuntimeConfig, Scheduler, TenantId};
+use chimera::workload::{stock_schema, stock_triggers};
+use chimera_oracle::{
+    apply_trigger_source, compare, compare_tenant, durable, medium, observe, survived_jobs,
+    Observed, Pick, Script, Setup, TempDir, QTY,
 };
-use chimera::workload::{stock_schema, stock_triggers, ExprGenConfig, RandomExprGen};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-fn schema() -> Schema {
-    let mut b = SchemaBuilder::new();
-    b.class(
-        "item",
-        None,
-        vec![
-            AttrDef::new("qty", AttrType::Integer),
-            AttrDef::with_default("tag", AttrType::Integer, Value::Int(0)),
-        ],
-    )
-    .unwrap();
-    let s = b.build();
-    assert_eq!(s.class_by_name("item").unwrap(), ClassId(0));
-    s
-}
-
-/// Runtime-wide triggers: random §3 expressions, a third with Create
-/// actions so firings have net store effects the oracle can diff —
-/// trigger state is the most intricate thing a snapshot round-trip has
-/// to preserve, so lifecycle churn gets the full treatment.
-fn runtime_triggers(seed: u64) -> Vec<TriggerDef> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = RandomExprGen::new(ExprGenConfig {
-        event_types: 4,
-        max_depth: 3,
-        instance_prob: 0.5,
-        negation_prob: 0.2,
-        seed: seed ^ 0x11FE,
-    });
-    let k = rng.random_range(2..5usize);
-    (0..k)
-        .map(|i| {
-            let mut def = TriggerDef::new(format!("r{i}"), g.generate());
-            def.priority = rng.random_range(0..3i32);
-            if i % 3 == 0 {
-                def.actions = vec![ActionStmt::Create {
-                    class: "item".into(),
-                    inits: vec![],
-                }];
-            }
-            def
-        })
-        .collect()
-}
-
-/// A tenant-local trigger source. Only 3 distinct names exist, so
-/// scripts redefine names and exercise the error path — and evicted
-/// tenants carry their sources through the snapshot round-trip.
-fn trigger_source(k: u64) -> String {
-    format!(
-        "define immediate trigger s{} for item\n\
-           events create, modify(qty)\n\
-           condition item(S), S.qty > S.tag\n\
-           actions modify(S.qty, S.tag)\n\
-         end",
-        k % 3
-    )
-}
-
-fn random_job(rng: &mut StdRng, in_txn: bool, item: ClassId) -> Job {
-    if !in_txn {
-        if rng.random_range(0..5u32) == 0 {
-            return Job::DefineTriggerSource(trigger_source(rng.random_range(0..3u64)));
-        }
-        return Job::Begin;
-    }
-    match rng.random_range(0..11u32) {
-        0..=4 => {
-            let n = rng.random_range(1..4usize);
-            let events = (0..n)
-                .map(|_| {
-                    (
-                        item,
-                        rng.random_range(0..4u32),
-                        Oid(rng.random_range(0..4u64)),
-                    )
-                })
-                .collect();
-            Job::RaiseExternal(events)
-        }
-        5..=6 => {
-            let n = rng.random_range(1..3usize);
-            let ops = (0..n)
-                .map(|_| Op::Create {
-                    class: item,
-                    inits: vec![(chimera::model::AttrId(0), Value::Int(rng.random_range(0..200i64)))],
-                })
-                .collect();
-            Job::ExecBlock(ops)
-        }
-        7 => Job::Commit,
-        8 => Job::Rollback,
-        _ => Job::DefineTriggerSource(trigger_source(rng.random_range(0..3u64))),
-    }
-}
-
-/// Everything observable about one tenant engine *except* the
-/// trigger-support probe counters (those measure probe work done by
-/// this process, not tenant state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observed {
-    stats: chimera::exec::EngineStats,
-    in_txn: bool,
-    /// The event base: logical length, clock and live tail (the open
-    /// transaction's occurrences; none between transactions).
-    eb_len: usize,
-    eb_now: Timestamp,
-    eb_log: Vec<(EventType, Oid, Timestamp)>,
-    rules: Vec<(String, bool, bool, Timestamp, Timestamp, Timestamp)>,
-    extent: Vec<Oid>,
-}
-
-fn observe(engine: &Engine, item: ClassId) -> Observed {
-    let mut extent = engine.extent(item);
-    extent.sort_unstable();
-    Observed {
-        stats: engine.stats(),
-        in_txn: engine.in_transaction(),
-        eb_len: engine.event_base().len(),
-        eb_now: engine.event_base().now(),
-        eb_log: engine
-            .event_base()
-            .iter()
-            .map(|e| (e.ty, e.oid, e.ts))
-            .collect(),
-        rules: engine
-            .rules()
-            .iter()
-            .map(|(rule, st)| {
-                (
-                    rule.def.name.clone(),
-                    st.triggered,
-                    st.witness,
-                    st.last_consideration,
-                    st.last_consumption,
-                    st.checked_upto,
-                )
-            })
-            .collect(),
-        extent,
-    }
-}
-
-/// The sequential oracle: a fresh single-threaded engine replaying the
-/// first `prefix` of one tenant's jobs, with the exact semantics of the
-/// shard worker's `apply`.
-fn oracle_replay(
-    schema: &Schema,
-    triggers: &[TriggerDef],
-    engine_cfg: &EngineConfig,
-    jobs: &[Job],
-    prefix: usize,
-    item: ClassId,
-) -> (Observed, u64, Option<String>) {
-    let mut engine = Engine::with_config(schema.clone(), engine_cfg.clone());
-    for def in triggers {
-        engine.define_trigger(def.clone()).unwrap();
-    }
-    let mut errors = 0u64;
-    let mut last_error = None;
-    let (mut started, mut longest_txn) = (0usize, 0usize);
-    for job in &jobs[..prefix] {
-        let res: Result<(), String> = match job.clone() {
-            Job::Begin => engine.begin().map_err(|e| e.to_string()),
-            Job::ExecBlock(ops) => engine.exec_block(&ops).map(|_| ()).map_err(|e| e.to_string()),
-            Job::RaiseExternal(ev) => {
-                engine.raise_external(&ev).map(|_| ()).map_err(|e| e.to_string())
-            }
-            Job::Commit => engine.commit().map_err(|e| e.to_string()),
-            Job::Rollback => engine.rollback().map_err(|e| e.to_string()),
-            Job::DefineTriggerSource(src) => apply_trigger_source(&mut engine, schema, &src),
-            _ => Ok(()),
-        };
-        match res {
-            Err(msg) => {
-                errors += 1;
-                last_error = Some(msg);
-            }
-            Ok(()) if matches!(job, Job::Begin) => started = engine.event_base().len(),
-            Ok(()) => {}
-        }
-        longest_txn = longest_txn.max(engine.event_base().len() - started);
-    }
-    // the live tail the suite compares holds at most one transaction
-    assert!(
-        engine.event_base().live_len() <= longest_txn,
-        "the event base kept more than its longest transaction"
-    );
-    (observe(&engine, item), errors, last_error)
-}
-
-/// Mirror of the shard worker's trigger-source application: every
-/// declaration defines or the job undoes its own definitions.
-fn apply_trigger_source(engine: &mut Engine, schema: &Schema, src: &str) -> Result<(), String> {
-    let decls = chimera::lang::parse_trigger_decls(src, schema).map_err(|e| e.to_string())?;
-    let mut defined: Vec<String> = Vec::with_capacity(decls.len());
-    for decl in &decls {
-        let result = decl
-            .lower(schema)
-            .map_err(|e| e.to_string())
-            .and_then(|def| {
-                let name = def.name.clone();
-                engine
-                    .define_trigger(def)
-                    .map(|()| name)
-                    .map_err(|e| e.to_string())
-            });
-        match result {
-            Ok(name) => defined.push(name),
-            Err(msg) => {
-                for name in defined.iter().rev() {
-                    let _ = engine.drop_trigger(name);
-                }
-                return Err(msg);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `survived(t)` for every tenant, evicted or not: the full snapshot's
-/// `jobs_applied` plus the tenant's jobs in the valid log tail — exactly
-/// the arithmetic `recover` performs.
-fn survived_jobs(dir: &Path, shards: usize) -> HashMap<u64, u64> {
-    let mut survived: HashMap<u64, u64> = HashMap::new();
-    for i in 0..shards {
-        let shard_dir = dir.join(format!("shard-{i}"));
-        let mut snap_seq = 0u64;
-        if let Ok(Some(snap)) = ShardSnapshot::read(&shard_dir.join("snap.chi")) {
-            snap_seq = snap.seq;
-            for t in &snap.tenants {
-                *survived.entry(t.tenant).or_default() += t.jobs_applied;
-            }
-        }
-        let wal = shard_dir.join("jobs.wal");
-        if !wal.exists() {
-            continue;
-        }
-        let outcome = JobLog::read(&wal, snap_seq + 1).expect("log tail is readable");
-        for group in &outcome.groups {
-            for (tenant, _) in &group.jobs {
-                *survived.entry(*tenant).or_default() += 1;
-            }
-        }
-    }
-    survived
-}
 
 /// Names of the `tenant-*` files under every `shard-*` directory.
 fn tenant_files(dir: &Path) -> Vec<String> {
@@ -322,18 +73,6 @@ fn tenant_files(dir: &Path) -> Vec<String> {
     found
 }
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "chimera-lifecycle-equiv-{name}-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Residency enforcement runs on the workers (after rehydrations and
 /// releases), so a freshly-flushed runtime may still be shedding its
 /// last over-budget engine. Bounded wait, never a sleep-and-hope.
@@ -348,93 +87,24 @@ fn await_residency(rt: &Runtime, cap: u64) -> u64 {
     }
 }
 
-/// Run one interleaved multi-tenant script under a residency cap and
-/// return the per-tenant job lists.
-fn run_capped(
-    rt: &Runtime,
-    s: &Schema,
-    script_seed: u64,
-    tenants: u64,
-    steps: usize,
-) -> Vec<Vec<Job>> {
-    let item = s.class_by_name("item").unwrap();
-    let mut rng = StdRng::seed_from_u64(script_seed);
-    let mut in_txn = vec![false; tenants as usize];
-    let mut per_tenant: Vec<Vec<Job>> = vec![Vec::new(); tenants as usize];
-    for _ in 0..steps {
-        let t = rng.random_range(0..tenants) as usize;
-        let job = random_job(&mut rng, in_txn[t], item);
-        match job {
-            Job::Begin => in_txn[t] = true,
-            Job::Commit | Job::Rollback => in_txn[t] = false,
-            _ => {}
-        }
-        per_tenant[t].push(job.clone());
-        rt.submit(TenantId(t as u64), job).unwrap();
+/// A durable runtime of `shards` workers in `dir` under a residency cap
+/// of `cap`, with a full snapshot every `snapshot_every` groups.
+fn capped(
+    setup: &Setup,
+    dir: &Path,
+    shards: usize,
+    cap: usize,
+    snapshot_every: u64,
+) -> RuntimeConfig {
+    RuntimeConfig {
+        storage: durable(dir, snapshot_every),
+        lifecycle: LifecycleConfig::with_max_resident(cap),
+        ..setup.config(shards)
     }
-    rt.flush().unwrap();
-    per_tenant
-}
-
-/// Compare every tenant (resident or parked) against the sequential
-/// oracle replaying `survived(t)` of its script.
-fn check_equivalence(
-    rt: &Runtime,
-    s: &Schema,
-    triggers: &[TriggerDef],
-    engine_cfg: &EngineConfig,
-    per_tenant: &[Vec<Job>],
-    survived: &HashMap<u64, u64>,
-) -> Result<(), TestCaseError> {
-    let item = s.class_by_name("item").unwrap();
-    for (t, jobs) in per_tenant.iter().enumerate() {
-        let n = survived.get(&(t as u64)).copied().unwrap_or(0);
-        prop_assert!(
-            (n as usize) <= jobs.len(),
-            "tenant {t}: survived {n} > submitted {}",
-            jobs.len()
-        );
-        let got = rt.with_tenant(TenantId(t as u64), |e| observe(e, item));
-        if n == 0 {
-            prop_assert!(got.is_none(), "tenant {t}: no surviving jobs, but an engine exists");
-            continue;
-        }
-        let got = got.expect("tenant with surviving jobs is observable even when evicted");
-        let (want, want_errors, want_last) =
-            oracle_replay(s, triggers, engine_cfg, jobs, n as usize, item);
-        prop_assert_eq!(&got, &want, "tenant {} diverged through eviction churn", t);
-        let (errors, last) = rt.tenant_errors(TenantId(t as u64)).unwrap();
-        prop_assert_eq!(errors, want_errors, "tenant {} error count", t);
-        prop_assert_eq!(last, want_last, "tenant {} last error", t);
-    }
-    Ok(())
-}
-
-fn full_prefix(per_tenant: &[Vec<Job>]) -> HashMap<u64, u64> {
-    per_tenant
-        .iter()
-        .enumerate()
-        .map(|(t, jobs)| (t as u64, jobs.len() as u64))
-        .collect()
-}
-
-/// Does this script leave its tenant inside a transaction? Such tenants
-/// are pinned in RAM — eviction skips mid-transaction engines — so the
-/// quiesced working set is allowed to hold them *on top of* the cap.
-fn mid_txn(jobs: &[Job]) -> bool {
-    let mut in_txn = false;
-    for j in jobs {
-        match j {
-            Job::Begin => in_txn = true,
-            Job::Commit | Job::Rollback => in_txn = false,
-            _ => {}
-        }
-    }
-    in_txn
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The live property: random scripts forced through caps far below
     /// the tenant count (so nearly every batch evicts and rehydrates)
@@ -450,44 +120,29 @@ proptest! {
         shards in 1usize..3,
         load_aware in any::<bool>(),
     ) {
-        let s = schema();
-        let triggers = runtime_triggers(rule_seed);
-        let engine_cfg = EngineConfig { max_rule_steps: 64, ..EngineConfig::default() };
-        let dir = tmpdir("live");
-        let rt = Runtime::new(
-            s.clone(),
-            triggers.clone(),
-            RuntimeConfig {
-                shards,
-                scheduler: if load_aware { Scheduler::LoadAware } else { Scheduler::Pinned },
-                storage: StorageMode::Durable(DurabilityConfig {
-                    dir: dir.clone(),
-                    snapshot_every: 0,
-                }),
-                engine: engine_cfg.clone(),
-                lifecycle: LifecycleConfig::with_max_resident(cap),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let per_tenant = run_capped(&rt, &s, script_seed, tenants, steps);
+        let setup = Setup::seeded(rule_seed);
+        let dir = TempDir::new("lifecycle-live");
+        let rt = setup.runtime(RuntimeConfig {
+            scheduler: if load_aware { Scheduler::LoadAware } else { Scheduler::Pinned },
+            ..capped(&setup, &dir, shards, cap, 0)
+        });
+        let script = Script::draw(script_seed, tenants, steps, Pick::Uniform);
+        medium::submit(&rt, &script, false);
         let stats = rt.stats();
         prop_assert_eq!(stats.jobs_processed, stats.jobs_submitted);
         // tenants the random script never touched have no engine at all
-        let active = per_tenant.iter().filter(|jobs| !jobs.is_empty()).count();
+        let active = script.per_tenant.iter().filter(|jobs| !jobs.is_empty()).count();
         prop_assert_eq!(stats.tenants, active, "every touched tenant is still addressable");
         // tenants parked inside a transaction are unevictable, so the
         // quiesced working set may hold them on top of the cap
-        let stuck = per_tenant.iter().filter(|jobs| mid_txn(jobs)).count();
+        let stuck = script.mid_txn.iter().filter(|m| **m).count();
         let budget = (cap + stuck) as u64;
         let resident = await_residency(&rt, budget);
         prop_assert!(
             resident <= budget,
             "quiesced residency {resident} exceeds cap {cap} + {stuck} mid-transaction"
         );
-        check_equivalence(&rt, &s, &triggers, &engine_cfg, &per_tenant, &full_prefix(&per_tenant))?;
-        drop(rt);
-        let _ = std::fs::remove_dir_all(&dir);
+        compare(&rt, &setup, &script.per_tenant, None, false)?;
     }
 
     /// The crash property: the same churn, then the log truncated at an
@@ -507,41 +162,35 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let snapshot_every = snapshot_choice * 3; // 0 (never) or every 3 groups
-        let s = schema();
-        let triggers = runtime_triggers(rule_seed);
-        let engine_cfg = EngineConfig { max_rule_steps: 64, ..EngineConfig::default() };
-        let dir = tmpdir("crash");
-        let config = |d: PathBuf| RuntimeConfig {
-            shards,
-            storage: StorageMode::Durable(DurabilityConfig {
-                dir: d,
-                snapshot_every,
-            }),
-            engine: engine_cfg.clone(),
-            lifecycle: LifecycleConfig::with_max_resident(cap),
-            ..Default::default()
-        };
-        let rt = Runtime::new(s.clone(), triggers.clone(), config(dir.clone())).unwrap();
-        let per_tenant = run_capped(&rt, &s, script_seed, tenants, steps);
+        let setup = Setup::seeded(rule_seed);
+        let dir = TempDir::new("lifecycle-crash");
+        let rt = setup.runtime(capped(&setup, &dir, shards, cap, snapshot_every));
+        let script = Script::draw(script_seed, tenants, steps, Pick::Uniform);
+        medium::submit(&rt, &script, false);
         let stats = rt.stats();
         prop_assert_eq!(stats.jobs_processed, stats.jobs_submitted);
         // wait for enforcement so the crash catches tenants evicted
         // (mid-transaction tenants stay resident on top of the cap)
-        let stuck = per_tenant.iter().filter(|jobs| mid_txn(jobs)).count();
+        let stuck = script.mid_txn.iter().filter(|m| **m).count();
         await_residency(&rt, (cap + stuck) as u64);
         drop(rt);
         // the crash: truncate one shard's log at an arbitrary byte
-        let wal = dir.join(format!("shard-{}", cut_shard % shards)).join("jobs.wal");
-        if let Ok(bytes) = std::fs::read(&wal) {
-            let cut = (bytes.len() as f64 * cut_frac) as usize;
-            std::fs::write(&wal, &bytes[..cut.min(bytes.len())]).unwrap();
-        }
+        medium::crash(&dir.join(format!("shard-{}", cut_shard % shards)).join("jobs.wal"), cut_frac);
         let survived = survived_jobs(&dir, shards);
-        let (rt, _report) = Runtime::recover(s.clone(), triggers.clone(), config(dir.clone())).unwrap();
-        check_equivalence(&rt, &s, &triggers, &engine_cfg, &per_tenant, &survived)?;
-        drop(rt);
-        let _ = std::fs::remove_dir_all(&dir);
+        let (rt, _report) = setup.recover(capped(&setup, &dir, shards, cap, snapshot_every));
+        compare(&rt, &setup, &script.per_tenant, Some(&survived), false)?;
     }
+}
+
+/// Tenant `t`'s transaction creating `items` items, each with a
+/// tenant-flavoured `qty`, so the oracle is cheap but states still
+/// differ.
+fn txn(t: u64, items: usize) -> Vec<Job> {
+    let create = Op::Create {
+        class: ClassId(0),
+        inits: vec![(QTY, Value::Int((t % 97) as i64))],
+    };
+    vec![Job::Begin, Job::ExecBlock(vec![create; items]), Job::Commit]
 }
 
 /// The acceptance run: 1024 tenants through a residency cap of 64.
@@ -555,41 +204,16 @@ proptest! {
 fn thousand_tenants_through_a_cap_of_64() {
     const TENANTS: u64 = 1024;
     const CAP: u64 = 64;
-    let s = schema();
-    let triggers = runtime_triggers(0xACCE97);
-    let engine_cfg = EngineConfig {
-        max_rule_steps: 64,
-        ..EngineConfig::default()
-    };
-    let item = s.class_by_name("item").unwrap();
-    let dir = tmpdir("acceptance");
+    let setup = Setup::seeded(0xACCE97);
+    let dir = TempDir::new("lifecycle-acceptance");
     let shards = 2usize;
     let config = || RuntimeConfig {
-        shards,
         scheduler: Scheduler::LoadAware,
-        storage: StorageMode::Durable(DurabilityConfig {
-            dir: dir.clone(),
-            snapshot_every: 0,
-        }),
-        engine: engine_cfg.clone(),
-        lifecycle: LifecycleConfig::with_max_resident(CAP as usize),
-        ..Default::default()
+        ..capped(&setup, &dir, shards, CAP as usize, 0)
     };
-    let rt = Runtime::new(s.clone(), triggers.clone(), config()).unwrap();
-    // every tenant runs the same 3-job script with a tenant-flavoured
-    // payload, so the oracle is cheap but states still differ
-    let script = |t: u64| {
-        vec![
-            Job::Begin,
-            Job::ExecBlock(vec![Op::Create {
-                class: item,
-                inits: vec![(chimera::model::AttrId(0), Value::Int((t % 97) as i64))],
-            }]),
-            Job::Commit,
-        ]
-    };
+    let rt = setup.runtime(config());
     for t in 0..TENANTS {
-        for job in script(t) {
+        for job in txn(t, 1) {
             rt.submit(TenantId(t), job).unwrap();
         }
         // sample the gauge as the working set churns: worker-side
@@ -623,18 +247,13 @@ fn thousand_tenants_through_a_cap_of_64() {
     // spot-check equivalence across the population (every 37th tenant),
     // each observation transparently rehydrating a parked engine
     for t in (0..TENANTS).step_by(37) {
-        let jobs = script(t);
-        let (want, _, _) = oracle_replay(&s, &triggers, &engine_cfg, &jobs, jobs.len(), item);
-        let got = rt
-            .with_tenant(TenantId(t), |e| observe(e, item))
-            .expect("tenant is observable while evicted");
-        assert_eq!(got, want, "tenant {t} diverged through eviction churn");
+        compare_tenant(&rt, &setup, t, &txn(t, 1), false).unwrap();
     }
     drop(rt);
     // restart: the run never wrote a full snapshot (snapshot_every: 0),
     // so recovery replays every tenant from the log, then evicts the
     // least recently active down to the cap before any worker runs
-    let (rt, report) = Runtime::recover(s.clone(), triggers.clone(), config()).unwrap();
+    let (rt, report) = setup.recover(config());
     assert_eq!(report.jobs_replayed, 3 * TENANTS, "the whole log replays");
     let stats = rt.stats();
     assert_eq!(stats.tenants as u64, TENANTS, "recovery must repopulate all tenants");
@@ -655,17 +274,11 @@ fn thousand_tenants_through_a_cap_of_64() {
         rt.stats().rehydrations >= 1,
         "claiming a parked tenant must rehydrate"
     );
-    let jobs: Vec<Job> = script(probe)
+    let jobs: Vec<Job> = txn(probe, 1)
         .into_iter()
         .chain([Job::Begin, Job::Rollback])
         .collect();
-    let (want, _, _) = oracle_replay(&s, &triggers, &engine_cfg, &jobs, jobs.len(), item);
-    let got = rt
-        .with_tenant(TenantId(probe), |e| observe(e, item))
-        .expect("rehydrated tenant has an engine");
-    assert_eq!(got, want, "rehydrated tenant diverged");
-    drop(rt);
-    let _ = std::fs::remove_dir_all(&dir);
+    compare_tenant(&rt, &setup, probe, &jobs, false).unwrap();
 }
 
 /// Recovery ends within the residency cap. A full snapshot holds every
@@ -676,37 +289,12 @@ fn thousand_tenants_through_a_cap_of_64() {
 fn recovery_with_full_snapshots_ends_within_the_cap() {
     const TENANTS: u64 = 64;
     const CAP: u64 = 4;
-    let s = schema();
-    let item = s.class_by_name("item").unwrap();
-    let triggers = runtime_triggers(0x5EED);
-    let engine_cfg = EngineConfig {
-        max_rule_steps: 64,
-        ..EngineConfig::default()
-    };
-    let dir = tmpdir("recover-cap");
-    let config = || RuntimeConfig {
-        shards: 2,
-        storage: StorageMode::Durable(DurabilityConfig {
-            dir: dir.clone(),
-            snapshot_every: 8,
-        }),
-        engine: engine_cfg.clone(),
-        lifecycle: LifecycleConfig::with_max_resident(CAP as usize),
-        ..Default::default()
-    };
-    let script = |t: u64| {
-        vec![
-            Job::Begin,
-            Job::ExecBlock(vec![Op::Create {
-                class: item,
-                inits: vec![(chimera::model::AttrId(0), Value::Int((t % 97) as i64))],
-            }]),
-            Job::Commit,
-        ]
-    };
-    let rt = Runtime::new(s.clone(), triggers.clone(), config()).unwrap();
+    let setup = Setup::seeded(0x5EED);
+    let dir = TempDir::new("lifecycle-recover-cap");
+    let config = || capped(&setup, &dir, 2, CAP as usize, 8);
+    let rt = setup.runtime(config());
     for t in 0..TENANTS {
-        for job in script(t) {
+        for job in txn(t, 1) {
             rt.submit(TenantId(t), job).unwrap();
         }
     }
@@ -717,7 +305,7 @@ fn recovery_with_full_snapshots_ends_within_the_cap() {
     );
     drop(rt);
 
-    let (rt, report) = Runtime::recover(s.clone(), triggers.clone(), config()).unwrap();
+    let (rt, report) = setup.recover(config());
     assert!(
         report.tenants_recovered > CAP,
         "the full snapshots hold more tenants than the cap (got {})",
@@ -732,10 +320,7 @@ fn recovery_with_full_snapshots_ends_within_the_cap() {
     );
     assert_eq!(stats.rehydrations, 0);
     for t in 0..TENANTS {
-        let jobs = script(t);
-        let (want, _, _) = oracle_replay(&s, &triggers, &engine_cfg, &jobs, jobs.len(), item);
-        let got = rt.with_tenant(TenantId(t), |e| observe(e, item)).unwrap();
-        assert_eq!(got, want, "tenant {t} diverged through recovery");
+        compare_tenant(&rt, &setup, t, &txn(t, 1), false).unwrap();
     }
     // the last tenant to run is the most recently active and stays
     // resident; the first is the least and was evicted
@@ -745,8 +330,6 @@ fn recovery_with_full_snapshots_ends_within_the_cap() {
         rt.flush().unwrap();
         assert_eq!(rt.stats().rehydrations, rehydrated, "claiming tenant {t}");
     }
-    drop(rt);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Audit for the rehydration/snapshot interaction: a full home snapshot
@@ -780,43 +363,22 @@ fn full_snapshots_racing_rehydration_lose_no_tenant() {
     // span (registry scan → evicted-map fold, the span the handover
     // must be atomic against) is wide enough for the churn to probe it.
     const SEED_OBJECTS: usize = 128;
-    let s = schema();
-    let item = s.class_by_name("item").unwrap();
-    let dir = tmpdir("snap-race");
+    let setup = Setup::new(vec![]);
+    let dir = TempDir::new("lifecycle-snap-race");
     let config = || RuntimeConfig {
-        shards: 2,
         scheduler: Scheduler::LoadAware,
-        storage: StorageMode::Durable(DurabilityConfig {
-            dir: dir.clone(),
-            snapshot_every: 1,
-        }),
-        lifecycle: LifecycleConfig::with_max_resident(CAP),
-        ..Default::default()
+        ..capped(&setup, &dir, 2, CAP, 1)
     };
     // no runtime triggers: each committed round adds exactly one object,
     // so a dropped tenant or lost round shows up as a hard count miss
-    let round_script = |t: u64, round: usize| {
-        let creates = if round == 1 { SEED_OBJECTS + 1 } else { 1 };
-        vec![
-            Job::Begin,
-            Job::ExecBlock(
-                (0..creates)
-                    .map(|_| Op::Create {
-                        class: item,
-                        inits: vec![(chimera::model::AttrId(0), Value::Int((t % 97) as i64))],
-                    })
-                    .collect(),
-            ),
-            Job::Commit,
-        ]
-    };
+    let round_script = |t: u64, round: usize| txn(t, if round == 1 { SEED_OBJECTS + 1 } else { 1 });
     // Each round ends with a shutdown + recovery that audits every
     // tenant's full history. A lost-to-the-race tenant is *healed* by
     // the home's next full snapshot (its RAM state is still whole), so
     // only a race with no later snapshot is observable — restarting
     // every round makes each one a "final" round instead of giving the
     // bug ROUNDS-1 chances to hide.
-    let mut rt = Runtime::new(s.clone(), Vec::new(), config()).unwrap();
+    let mut rt = setup.runtime(config());
     for round in 1..=ROUNDS {
         // recovery itself evicts down to the cap; count only the round's
         let evicted_at_start = rt.stats().evictions;
@@ -840,8 +402,7 @@ fn full_snapshots_racing_rehydration_lose_no_tenant() {
             "round {round} must rehydrate parked tenants"
         );
         drop(rt);
-        let (recovered, _report) = Runtime::recover(s.clone(), Vec::new(), config()).unwrap();
-        rt = recovered;
+        rt = setup.recover(config()).0;
         let stats = rt.stats();
         assert_eq!(
             stats.tenants as u64, TENANTS,
@@ -849,7 +410,7 @@ fn full_snapshots_racing_rehydration_lose_no_tenant() {
         );
         for t in 0..TENANTS {
             let extent = rt
-                .with_tenant(TenantId(t), |e| e.extent(item).len())
+                .with_tenant(TenantId(t), |e| e.extent(setup.item).len())
                 .expect("every tenant survives the snapshot/rehydration churn");
             assert_eq!(
                 extent,
@@ -858,8 +419,6 @@ fn full_snapshots_racing_rehydration_lose_no_tenant() {
             );
         }
     }
-    drop(rt);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The bytes budget charges live state. A tenant's event base holds at
@@ -872,27 +431,20 @@ fn bytes_cap_fitting_one_transaction_per_tenant_never_evicts() {
     const TENANTS: u64 = 4;
     const TXNS: usize = 300;
     const EVENTS: usize = 3;
-    let s = schema();
-    let item = s.class_by_name("item").unwrap();
+    let setup = Setup::new(vec![]);
     // the runtime's estimate of an object-less tenant: 1 KiB plus 64 B per
     // live occurrence (a batch may end mid-transaction); one occurrence
     // of slack each
     let cap = TENANTS * (1024 + (EVENTS as u64 + 1) * 64);
-    let rt = Runtime::new(
-        s.clone(),
-        vec![],
-        RuntimeConfig {
-            shards: 2,
-            lifecycle: LifecycleConfig {
-                max_resident_tenants: None,
-                max_resident_bytes: Some(cap),
-            },
-            ..Default::default()
+    let rt = setup.runtime(RuntimeConfig {
+        lifecycle: LifecycleConfig {
+            max_resident_tenants: None,
+            max_resident_bytes: Some(cap),
         },
-    )
-    .unwrap();
+        ..setup.config(2)
+    });
     let block: Vec<(ClassId, u32, Oid)> = (0..EVENTS as u64)
-        .map(|k| (item, k as u32, Oid(k + 1)))
+        .map(|k| (setup.item, k as u32, Oid(k + 1)))
         .collect();
     for _ in 0..TXNS {
         for t in 0..TENANTS {
