@@ -98,8 +98,8 @@
 //! * The free functions — [`crate::ts_logical`] / [`crate::ts_algebraic`]
 //!   at a boundary, and [`crate::occurred_objects`] — compile and
 //!   evaluate a throwaway plan on every call. They serve the reference
-//!   predicate `is_triggered`, the net-effect helpers, the baselines and
-//!   tests, never the engine's hot path.
+//!   predicate `is_triggered`, the net-effect helpers and tests, never
+//!   the engine's hot path.
 
 use crate::error::CalculusError;
 use crate::expr::EventExpr;

@@ -266,9 +266,10 @@ impl Pool {
         true
     }
 
-    /// Release a claimed tenant after its batch retired: bump the home
-    /// shard's processed count, mark the tenant claimable again and
-    /// re-enqueue it if jobs were staged behind the batch.
+    /// Release a claimed tenant after its batch retired and before its
+    /// replies go out: bump the home shard's processed count, mark the
+    /// tenant claimable again and re-enqueue it if jobs were staged
+    /// behind the batch.
     pub(crate) fn release(&self, tenant: u64, home: usize, retired: u64) {
         let mut s = self.lock();
         s.processed[home] += retired;

@@ -616,8 +616,10 @@ impl Runtime {
     }
 
     /// The flush barrier: wait until every job accepted so far has been
-    /// processed. Errors with [`RuntimeError::WorkerGone`] if a worker
-    /// thread died with jobs still staged.
+    /// processed. A job counts as processed just before its reply is
+    /// sent, so a caller that needs a reply waits on its receiver.
+    /// Errors with [`RuntimeError::WorkerGone`] if a worker thread died
+    /// with jobs still staged.
     pub fn flush(&self) -> Result<(), RuntimeError> {
         let gone = || {
             self.handles
@@ -1011,6 +1013,25 @@ mod tests {
         assert_eq!(stats.jobs_processed, stats.jobs_submitted);
         assert_eq!(stats.engine.commits, 16);
         assert_eq!(stats.jobs_shed + stats.job_errors + stats.job_panics, 0);
+    }
+
+    #[test]
+    fn a_received_reply_is_already_counted_as_processed() {
+        // no flush: the reply alone must make `stats()` count the job
+        let s = schema();
+        let stock = s.class_by_name("stock").unwrap();
+        let rt = Runtime::new(s, vec![], cfg(2)).unwrap();
+        for round in 0..500u64 {
+            let job = match round % 3 {
+                0 => Job::Begin,
+                1 => Job::RaiseExternal(vec![(stock, 1, Oid(0))]),
+                _ => Job::Commit,
+            };
+            let (_, rx) = rt.submit_with_reply(TenantId(0), job).unwrap();
+            assert!(rx.recv().unwrap().outcome.is_done());
+            let stats = rt.stats();
+            assert_eq!(stats.jobs_processed, stats.jobs_submitted, "round {round}");
+        }
     }
 
     #[test]

@@ -365,8 +365,9 @@ pub(crate) fn spawn_worker(index: usize, fabric: Fabric) -> JoinHandle<()> {
 }
 
 /// The claim loop: pull a ready tenant from the pool, run its batch
-/// against the tenant's home store, release the tenant, repeat. Exits
-/// when the pool is closed and drained (runtime shutdown).
+/// against the tenant's home store, release the tenant, answer the
+/// batch, repeat. Exits when the pool is closed and drained (runtime
+/// shutdown).
 fn run_worker(index: usize, fabric: Fabric) {
     let ctx = WorkerCtx::new(
         fabric.schema.clone(),
@@ -394,7 +395,7 @@ fn run_worker(index: usize, fabric: Fabric) {
             // the claims currently in flight, not until the next release
             enforce_residency(&fabric, &ctx);
         }
-        run_batch(
+        let pending = run_batch(
             &fabric.homes[claim.home],
             fabric.homes.len(),
             &fabric.tenants,
@@ -404,7 +405,10 @@ fn run_worker(index: usize, fabric: Fabric) {
             fabric.snapshot_every,
         );
         me.executed.fetch_add(retired, Ordering::Relaxed);
+        // count the batch as processed before its replies go out, so a
+        // caller holding a reply never reads `stats()` without its job
         fabric.pool.release(claim.tenant, claim.home, retired);
+        answer_all(&ctx, pending);
         if fabric.lifecycle.is_bounded() {
             note_activity(&fabric, claim.tenant, claim.home);
             enforce_residency(&fabric, &ctx);
@@ -637,8 +641,9 @@ enum Disposition {
 }
 
 /// Run one claimed batch: append (durable homes), execute, group-commit,
-/// answer. All jobs belong to one tenant, held exclusively by this
-/// worker, so execution order *is* the tenant's submission order.
+/// and return the outcomes for [`answer_all`]. All jobs belong to one
+/// tenant, held exclusively by this worker, so execution order *is* the
+/// tenant's submission order.
 fn run_batch(
     home: &Home,
     homes: usize,
@@ -647,7 +652,7 @@ fn run_batch(
     ctx: &WorkerCtx,
     batch: Vec<Envelope>,
     snapshot_every: u64,
-) {
+) -> Vec<Pending> {
     let tel = &ctx.tel;
     // queue wait: admission → claim, one sample per staged job
     for env in &batch {
@@ -815,12 +820,16 @@ fn run_batch(
             }
         }
     }
+    pending
+}
 
-    let reply_started = tel.start();
+/// Answer a retired batch's jobs, in batch order.
+fn answer_all(ctx: &WorkerCtx, pending: Vec<Pending>) {
+    let reply_started = ctx.tel.start();
     for p in pending {
         answer(p.reply, p.tenant, p.outcome);
     }
-    tel.record_since(ctx.worker, Stage::Reply, reply_started);
+    ctx.tel.record_since(ctx.worker, Stage::Reply, reply_started);
 }
 
 /// Record a store-refusal against the tenant's bookkeeping (the slot is

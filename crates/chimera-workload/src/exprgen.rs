@@ -75,8 +75,8 @@ impl RandomExprGen {
         self.inst_expr(depth)
     }
 
-    /// A negation-free set-oriented expression (the baselines' regular
-    /// fragment).
+    /// A negation-free set-oriented expression: the regular fragment of
+    /// primitives under `,` `+` `<`.
     pub fn generate_regular(&mut self) -> EventExpr {
         let depth = self.rng.random_range(1..=self.cfg.max_depth);
         self.regular_expr(depth)
@@ -163,18 +163,15 @@ mod tests {
         for _ in 0..100 {
             let e = g.generate_regular();
             assert!(!e.contains_negation(), "{e}");
-            assert!(
-                chimera_baselines_compatible(&e),
-                "regular fragment only: {e}"
-            );
+            assert!(in_regular_fragment(&e), "regular fragment only: {e}");
         }
     }
 
-    fn chimera_baselines_compatible(e: &EventExpr) -> bool {
+    fn in_regular_fragment(e: &EventExpr) -> bool {
         match e {
             EventExpr::Prim(_) => true,
             EventExpr::Or(a, b) | EventExpr::And(a, b) | EventExpr::Prec(a, b) => {
-                chimera_baselines_compatible(a) && chimera_baselines_compatible(b)
+                in_regular_fragment(a) && in_regular_fragment(b)
             }
             _ => false,
         }

@@ -51,10 +51,8 @@
 //! | [`exec`] | `chimera-exec` | the execution engine |
 //! | [`runtime`] | `chimera-runtime` | sharded multi-tenant parallel runtime |
 //! | [`net`] | `chimera-net` | framed wire protocol + TCP server/client |
-//! | [`baselines`] | `chimera-baselines` | Ode/Snoop/naive comparators |
 //! | [`workload`] | `chimera-workload` | generators and traces |
 //! | [`analysis`] | `chimera-analysis` | triggering graph, termination, confluence |
-//! | [`temporal`] | `chimera-temporal` | clock events, related-work derived operators |
 //! | [`persist`] | `chimera-persist` | pluggable `StateStore`: group-commit job log, shard snapshots, crash recovery |
 //! | [`chaos`] | `chimera-chaos` | deterministic fault injection: seeded storage faults, mid-frame TCP cuts |
 //! | [`telemetry`] | `chimera-telemetry` | lock-cheap recorder: stage latency histograms, counters/gauges, postmortem trace ring |
@@ -236,7 +234,6 @@
 //! at 1024 tenants.
 
 pub use chimera_analysis as analysis;
-pub use chimera_baselines as baselines;
 pub use chimera_calculus as calculus;
 pub use chimera_chaos as chaos;
 pub use chimera_events as events;
@@ -249,7 +246,6 @@ pub use chimera_persist as persist;
 pub use chimera_rules as rules;
 pub use chimera_runtime as runtime;
 pub use chimera_telemetry as telemetry;
-pub use chimera_temporal as temporal;
 pub use chimera_workload as workload;
 
 pub mod interp;

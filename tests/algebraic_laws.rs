@@ -1,14 +1,12 @@
 //! Property suite for §4.2: the algebraic laws at their declared
-//! strengths, the logical/algebraic evaluator agreement, and agreement of
-//! the naive baseline with the indexed evaluator — all over random
+//! strengths and the logical/algebraic evaluator agreement, over random
 //! histories and random well-formed expressions.
 
-use chimera::baselines::naive_ts;
 use chimera::calculus::rewrite::{Strength, INSTANCE_LAWS};
 use chimera::calculus::{
     nnf, ots_algebraic, ots_logical, simplify, ts_algebraic, ts_logical, LAWS,
 };
-use chimera::events::{EventBase, EventOccurrence, Timestamp, Window};
+use chimera::events::{EventBase, Timestamp, Window};
 use chimera::model::Oid;
 use chimera::workload::{ExprGenConfig, RandomExprGen, StreamConfig, StreamGen};
 use proptest::prelude::*;
@@ -53,25 +51,6 @@ proptest! {
                         "{} at {}", e, t
                     );
                 }
-            }
-        }
-    }
-
-    /// The naive linear-scan baseline computes the same function.
-    #[test]
-    fn naive_equals_indexed(seed in any::<u64>(), len in 1usize..30) {
-        let eb = history(seed, len);
-        let events: Vec<EventOccurrence> = eb.iter().copied().collect();
-        let now = eb.now();
-        let w = Window::from_origin(now);
-        for e in exprs(seed ^ 0x51f1, 5) {
-            for t in 1..=now.raw() {
-                let t = Timestamp(t);
-                prop_assert_eq!(
-                    naive_ts(&e, &events, w, t),
-                    ts_logical(&e, &eb, w, t),
-                    "{} at {}", e, t
-                );
             }
         }
     }

@@ -1,12 +1,12 @@
 //! Engine corner cases: trigger lifecycle, migrations through scripts,
-//! select events as triggers, targeted-rule enforcement, and transaction
-//! isolation of rule windows.
+//! select events as triggers, targeted-rule enforcement, transaction
+//! isolation of rule windows, and a deadline rule over an external tick.
 
 use chimera::calculus::EventExpr;
 use chimera::events::EventType;
 use chimera::exec::{Engine, Op};
 use chimera::interp::Interpreter;
-use chimera::model::{AttrDef, AttrType, SchemaBuilder, Value};
+use chimera::model::{AttrDef, AttrId, AttrType, ClassId, Oid, SchemaBuilder, Value};
 use chimera::rules::condition::{Condition, Formula, Term, VarDecl};
 use chimera::rules::{ActionStmt, TriggerDef};
 
@@ -253,5 +253,97 @@ fn empty_condition_rule_runs_once_per_trigger() {
         ])
         .unwrap();
     assert_eq!(engine.extent(log).len(), 1);
+    engine.commit().unwrap();
+}
+
+/// An engine with the deadline rule `external(clock#1) + -modify(task.done)`:
+/// at a tick, every task is marked overdue (`done = -1`) unless some task
+/// was completed since the rule last considered. Returns the engine and
+/// the `clock` class, `task` class and `done` attribute.
+fn deadline_engine() -> (Engine, ClassId, ClassId, AttrId) {
+    let mut b = SchemaBuilder::new();
+    b.class("clock", None, vec![]).unwrap();
+    b.class(
+        "task",
+        None,
+        vec![AttrDef::with_default(
+            "done",
+            AttrType::Integer,
+            Value::Int(0),
+        )],
+    )
+    .unwrap();
+    let schema = b.build();
+    let clock = schema.class_by_name("clock").unwrap();
+    let task = schema.class_by_name("task").unwrap();
+    let done = schema.attr_by_name(task, "done").unwrap();
+    let mut engine = Engine::new(schema);
+    let expr = EventExpr::prim(EventType::external(clock, 1))
+        .and(EventExpr::prim(EventType::modify(task, done)).not());
+    let mut alert = TriggerDef::new("deadline", expr);
+    alert.condition = Condition {
+        decls: vec![VarDecl {
+            name: "T".into(),
+            class: "task".into(),
+        }],
+        formulas: vec![],
+    };
+    alert.actions = vec![ActionStmt::Modify {
+        var: "T".into(),
+        attr: "done".into(),
+        value: Term::int(-1),
+    }];
+    engine.define_trigger(alert).unwrap();
+    (engine, clock, task, done)
+}
+
+/// The audit tick: `Oid(0)` is never allocated, so it aliases no task.
+const TICK_OID: Oid = Oid(0);
+
+#[test]
+fn deadline_rule_fires_on_tick_without_completion() {
+    let (mut engine, clock, task, _) = deadline_engine();
+    engine.begin().unwrap();
+    for _ in 0..2 {
+        engine
+            .exec_block(&[Op::Create {
+                class: task,
+                inits: vec![],
+            }])
+            .unwrap();
+    }
+    // no task.done modification before the tick: every task is overdue
+    let occs = engine.raise_external(&[(clock, 1, TICK_OID)]).unwrap();
+    assert_eq!(occs.len(), 1);
+    let tasks = engine.extent(task);
+    assert_eq!(tasks.len(), 2);
+    for oid in tasks {
+        assert_eq!(engine.read_attr(oid, "done").unwrap(), Value::Int(-1));
+    }
+    engine.commit().unwrap();
+}
+
+#[test]
+fn deadline_rule_suppressed_by_completion() {
+    let (mut engine, clock, task, done) = deadline_engine();
+    engine.begin().unwrap();
+    let oid = engine
+        .exec_block(&[Op::Create {
+            class: task,
+            inits: vec![],
+        }])
+        .unwrap()[0]
+        .oid;
+    engine
+        .exec_block(&[Op::Modify {
+            oid,
+            attr: done,
+            value: Value::Int(1),
+        }])
+        .unwrap();
+    // completed before the tick: the negation is inactive at the tick
+    // instant, so the rule never fires and the `-1` marker never appears
+    engine.raise_external(&[(clock, 1, TICK_OID)]).unwrap();
+    assert_eq!(engine.read_attr(oid, "done").unwrap(), Value::Int(1));
     engine.commit().unwrap();
 }

@@ -1,20 +1,22 @@
-//! Full-stack integration: every extension crate working together.
+//! Full-stack integration: static analysis, the runtime and the durable
+//! store working together.
 //!
-//! A deadline-monitoring database: static analysis vets the rule set,
-//! clock events drive it, and a one-tenant durable runtime makes its
-//! effects survive a crash. This is the composition a downstream adopter
-//! would actually run, so it gets an integration test of its own.
+//! A deadline-monitoring database: static analysis vets the rule set, an
+//! external audit event on a `clock` channel drives it, and a one-tenant
+//! durable runtime makes its effects survive a crash. This is the
+//! composition a downstream adopter would actually run, so it gets an
+//! integration test of its own.
 
 use chimera::analysis::analyze;
 use chimera::calculus::EventExpr;
 use chimera::events::EventType;
 use chimera::exec::Op;
-use chimera::model::{AttrDef, AttrType, Schema, SchemaBuilder, Value};
+use chimera::model::{AttrDef, AttrType, Oid, Schema, SchemaBuilder, Value};
 use chimera::rules::{ActionStmt, CmpOp, Condition, Formula, Term, TriggerDef, VarDecl};
 use chimera::runtime::{DurabilityConfig, Job, Runtime, RuntimeConfig, StorageMode, TenantId};
-use chimera::temporal::{ClockDriver, ClockSpec};
 use chimera_oracle::TempDir;
 
+/// The audit channel of the `clock` class.
 const AUDIT: u32 = 1;
 
 fn schema() -> Schema {
@@ -65,7 +67,7 @@ fn escalate(schema: &Schema) -> TriggerDef {
 }
 
 #[test]
-fn analyzed_temporal_rules_on_a_durable_engine() {
+fn analyzed_audit_rule_on_a_durable_engine() {
     let schema = schema();
     let order = schema.class_by_name("order").unwrap();
     let clock = schema.class_by_name("clock").unwrap();
@@ -78,8 +80,7 @@ fn analyzed_temporal_rules_on_a_durable_engine() {
     assert!(report.confluence.is_empty());
     assert_eq!(report.max_cascade_depth, Some(1));
 
-    // 2. run it durably, as the one tenant of a one-shard runtime, with a
-    //    clock driver anchored on the tenant's engine.
+    // 2. run it durably, as the one tenant of a one-shard runtime.
     let dir = TempDir::new("stack-run");
     let config = || RuntimeConfig {
         shards: 1,
@@ -96,21 +97,15 @@ fn analyzed_temporal_rules_on_a_durable_engine() {
             assert!(outcome.is_done(), "{outcome:?}");
         };
         run(Job::Begin);
-        let mut driver = rt
-            .with_tenant(tenant, |e| ClockDriver::new(e, clock))
-            .unwrap();
-        driver.register(ClockSpec::After { delay: 2 }, AUDIT);
         for _ in 0..2 {
             run(Job::ExecBlock(vec![Op::Create {
                 class: order,
                 inits: vec![],
             }]));
         }
-        // tick due at anchor+2: delivered as a logged job
-        let now = rt.with_tenant(tenant, |e| e.event_base().now()).unwrap();
-        let due = driver.collect_due(now);
-        assert_eq!(due.len(), 1);
-        run(Job::RaiseExternal(due));
+        // the audit tick, delivered as a logged job (`Oid(0)` is never
+        // allocated, so the tick aliases no order)
+        run(Job::RaiseExternal(vec![(clock, AUDIT, Oid(0))]));
         // no fills happened: both orders escalated
         oids = rt.with_tenant(tenant, |e| e.extent(order)).unwrap();
         assert_eq!(oids.len(), 2);
@@ -122,8 +117,8 @@ fn analyzed_temporal_rules_on_a_durable_engine() {
         // crash: drop without further commits
     }
 
-    // 3. recovery: the escalation — a *rule* effect triggered by a
-    //    *clock* event — survived the crash.
+    // 3. recovery: the escalation — a *rule* effect triggered by an
+    //    *external* audit event — survived the crash.
     let (rt, report) = Runtime::recover(schema.clone(), defs, config()).unwrap();
     // begin, two creates, the tick, commit
     assert_eq!(report.jobs_replayed, 5);
@@ -136,48 +131,4 @@ fn analyzed_temporal_rules_on_a_durable_engine() {
         }
     })
     .unwrap();
-}
-
-#[test]
-fn collect_due_and_pump_agree() {
-    // the wrapper-agnostic path must deliver the same firings as pump
-    let schema = schema();
-    let clock = schema.class_by_name("clock").unwrap();
-    let order = schema.class_by_name("order").unwrap();
-
-    let mut plain = chimera::exec::Engine::new(schema.clone());
-    let mut d1 = ClockDriver::new(&plain, clock);
-    d1.register(ClockSpec::Every { period: 2, phase: 0 }, AUDIT);
-    plain.begin().unwrap();
-    for _ in 0..3 {
-        plain
-            .exec_block(&[Op::Create {
-                class: order,
-                inits: vec![],
-            }])
-            .unwrap();
-    }
-    let via_pump = d1.pump(&mut plain).unwrap();
-
-    let mut other = chimera::exec::Engine::new(schema);
-    let mut d2 = ClockDriver::new(&other, clock);
-    d2.register(ClockSpec::Every { period: 2, phase: 0 }, AUDIT);
-    other.begin().unwrap();
-    for _ in 0..3 {
-        other
-            .exec_block(&[Op::Create {
-                class: order,
-                inits: vec![],
-            }])
-            .unwrap();
-    }
-    let due = d2.collect_due(other.event_base().now());
-    let via_collect = other.raise_external(&due).unwrap();
-    assert_eq!(via_pump.len(), via_collect.len());
-    assert_eq!(
-        via_pump.iter().map(|o| o.ty).collect::<Vec<_>>(),
-        via_collect.iter().map(|o| o.ty).collect::<Vec<_>>()
-    );
-    plain.commit().unwrap();
-    other.commit().unwrap();
 }

@@ -173,7 +173,49 @@ proptest! {
         let mut objs: Vec<Oid> = scan.iter().map(|e| e.oid).collect();
         objs.sort();
         objs.dedup();
-        prop_assert_eq!(eb.objects_in(w).to_vec(), objs);
+        prop_assert_eq!(eb.objects_in(w).to_vec(), objs.clone());
+
+        // the boundary's domain restricted to a random type subset, and
+        // its stamp matrix: one batched lookup per type over that domain
+        let types: Vec<EventType> = (0..5u32)
+            .filter(|_| rng.random_range(0..2u32) == 0)
+            .map(|tyn| EventType::external(ClassId(0), tyn))
+            .collect();
+        let domain = if types.is_empty() {
+            objs.clone()
+        } else {
+            let mut d: Vec<Oid> = scan
+                .iter()
+                .filter(|e| types.contains(&e.ty))
+                .map(|e| e.oid)
+                .collect();
+            d.sort();
+            d.dedup();
+            prop_assert_eq!(eb.objects_of_types_in(&types, w), d.clone());
+            d
+        };
+        let mut into = vec![Oid(99)];
+        eb.objects_into(&types, w, &mut into);
+        prop_assert_eq!(&into, &domain);
+        for tyn in 0..5u32 {
+            let ty = EventType::external(ClassId(0), tyn);
+            let mut stamps = vec![None; domain.len()];
+            eb.last_of_type_objs_in(ty, &domain, w, &mut stamps);
+            let expected: Vec<_> = domain
+                .iter()
+                .map(|&oid| scan.iter().rfind(|e| e.ty == ty && e.oid == oid).map(|e| e.ts))
+                .collect();
+            prop_assert_eq!(stamps, expected);
+        }
+
+        // per-object, any type (a widened boundary's entry stamps)
+        for oid in 1..6u64 {
+            let oid = Oid(oid);
+            let of_obj: Vec<_> = scan.iter().filter(|e| e.oid == oid).copied().collect();
+            let occs: Vec<_> = eb.occurrences_of_obj_in(oid, w).copied().collect();
+            prop_assert_eq!(occs, of_obj.clone());
+            prop_assert_eq!(eb.last_of_obj_in(oid, w), of_obj.last().map(|e| e.ts));
+        }
     }
 }
 

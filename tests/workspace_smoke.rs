@@ -59,9 +59,6 @@ use chimera::net::{
     MAX_FRAME, PIPELINE_WINDOW, PROTOCOL_VERSION,
 };
 
-// chimera-baselines
-use chimera::baselines::{naive_ts, GraphDetector, NaiveTriggerChecker, SnoopRecentDetector};
-
 // chimera-workload
 use chimera::workload::{
     stock_schema, stock_triggers, ExprGenConfig, RandomExprGen, StockWorkload,
@@ -72,11 +69,6 @@ use chimera::workload::{
 use chimera::analysis::{
     action_effects, analyze, confluence_warnings, AnalysisReport, ConfluenceWarning,
     TerminationVerdict, TriggerSensitivity, TriggeringGraph, WriteSet,
-};
-
-// chimera-temporal
-use chimera::temporal::{
-    all_of, any_of, aperiodic, seq, star, ClockDriver, ClockScheduler, ClockSpec, TimesDetector,
 };
 
 // chimera-persist
