@@ -212,6 +212,43 @@ fn pipelined_submissions_all_complete_in_order() {
     server.shutdown();
 }
 
+/// A pipelined burst must not wait out the client's delayed ACK. With
+/// Nagle's algorithm on the accepted socket and one write per reply, a
+/// reply written while the previous one was unacknowledged was held
+/// until that ACK (≈ 40 ms on Linux), so each round below paid one
+/// timeout and 50 rounds took over 2 s. The bound leaves a wide margin
+/// for a loaded host.
+#[test]
+fn pipelined_bursts_do_not_wait_out_a_delayed_ack() {
+    let server = start_server(vec![]);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let tick = |oid| ExternalEvent {
+        class: 0,
+        channel: 2,
+        oid,
+    };
+    let started = std::time::Instant::now();
+    for round in 0..50u64 {
+        let t = round % 4;
+        assert!(c.begin(t).unwrap().is_none());
+        assert!(c.raise_external(t, vec![tick(round)]).unwrap().is_none());
+        assert!(c
+            .raise_external(t, vec![tick(round + 1)])
+            .unwrap()
+            .is_none());
+        assert!(c.commit(t).unwrap().is_none());
+        let done = c.drain().unwrap();
+        assert_eq!(done.len(), 4);
+        assert!(done.iter().all(|d| d.outcome.is_done()));
+    }
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "50 pipelined rounds took {took:?}: replies are waiting for delayed ACKs"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn malformed_input_cannot_kill_the_server() {
     let server = start_server(vec![]);

@@ -55,6 +55,13 @@ struct Sched {
     processed: Vec<u64>,
     /// Set at shutdown: claims drain what is staged, then workers exit.
     closed: bool,
+    /// Threads parked on each condvar. A futex `notify` is a syscall
+    /// even when no thread waits, so the job path signals only when one
+    /// does: workers in [`Pool::claim`] on `work`, blocked submitters on
+    /// `space`, flush barriers on `drained`.
+    idle_workers: usize,
+    blocked_submitters: usize,
+    flushers: usize,
 }
 
 /// A claimed batch: one tenant, exclusively held, with up to
@@ -113,6 +120,9 @@ impl Pool {
                 submitted: vec![0; homes],
                 processed: vec![0; homes],
                 closed: false,
+                idle_workers: 0,
+                blocked_submitters: 0,
+                flushers: 0,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
@@ -156,7 +166,9 @@ impl Pool {
                         if s.closed {
                             return Err(SubmitRefused::Closed);
                         }
+                        s.blocked_submitters += 1;
                         s = self.space.wait(s).unwrap_or_else(PoisonError::into_inner);
+                        s.blocked_submitters -= 1;
                     }
                 }
             }
@@ -174,15 +186,25 @@ impl Pool {
         if newly_ready {
             s.ready[home].push_back(tenant);
         }
+        let wake = newly_ready && s.idle_workers > 0;
         drop(s);
-        if newly_ready {
-            // notify_all, not notify_one: under `Scheduler::Pinned` only
-            // the tenant's home worker may claim it, and a single wake
-            // could land on a worker that cannot (a lost wakeup). Worker
-            // counts are small, so the broadcast is cheap.
-            self.work.notify_all();
+        if wake {
+            self.wake_worker();
         }
         Ok(())
+    }
+
+    /// Signal parked workers that one tenant turned claimable. Under
+    /// [`Scheduler::Pinned`] only the tenant's home worker may claim it,
+    /// and a single wake could land on a worker that cannot (a lost
+    /// wakeup), so it broadcasts; worker counts are small. Under
+    /// [`Scheduler::LoadAware`] any worker can claim it, so one wake
+    /// does.
+    fn wake_worker(&self) {
+        match self.mode {
+            Scheduler::Pinned => self.work.notify_all(),
+            Scheduler::LoadAware => self.work.notify_one(),
+        }
     }
 
     /// Claim the next ready tenant for `worker`: its own shard's deque
@@ -220,9 +242,12 @@ impl Pool {
                     let n = q.jobs.len().min(self.capacity);
                     let batch: Vec<Envelope> = q.jobs.drain(..n).collect();
                     s.staged[home] -= batch.len() as u64;
+                    let wake = s.blocked_submitters > 0;
                     drop(s);
-                    // claiming freed home-shard capacity
-                    self.space.notify_all();
+                    if wake {
+                        // claiming freed home-shard capacity
+                        self.space.notify_all();
+                    }
                     return Some(Claim {
                         tenant,
                         home,
@@ -234,7 +259,9 @@ impl Pool {
                     if s.closed {
                         return None;
                     }
+                    s.idle_workers += 1;
                     s = self.work.wait(s).unwrap_or_else(PoisonError::into_inner);
+                    s.idle_workers -= 1;
                 }
             }
         }
@@ -283,12 +310,17 @@ impl Pool {
                 requeue = true;
             }
         }
+        let wake_worker = requeue && s.idle_workers > 0;
+        // a flush barrier only returns once everything is drained, so
+        // waking it any earlier would be a wasted syscall
+        let wake_flush = s.flushers > 0 && drained(&s);
         drop(s);
-        if requeue {
-            // broadcast for the same Pinned-mode reason as in `submit`
-            self.work.notify_all();
+        if wake_worker {
+            self.wake_worker();
         }
-        self.drained.notify_all();
+        if wake_flush {
+            self.drained.notify_all();
+        }
     }
 
     /// The flush barrier: wait until every home shard's `processed` has
@@ -301,11 +333,13 @@ impl Pool {
             if workers_gone() {
                 return Err(());
             }
+            s.flushers += 1;
             let (guard, _) = self
                 .drained
                 .wait_timeout(s, Duration::from_millis(50))
                 .unwrap_or_else(PoisonError::into_inner);
             s = guard;
+            s.flushers -= 1;
         }
         Ok(())
     }
@@ -358,4 +392,151 @@ fn drained(s: &Sched) -> bool {
         .iter()
         .zip(&s.processed)
         .all(|(submitted, processed)| processed >= submitted)
+}
+
+#[cfg(test)]
+mod tests {
+    //! Lost-wakeup checks for the waiter-gated condvars: each parked
+    //! thread must be woken by the event meant to wake it, in both
+    //! scheduler modes. Every wait is watchdogged, so a lost wakeup
+    //! fails the test instead of hanging it.
+
+    use super::*;
+    use crate::runtime::{Job, TenantId};
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const WATCHDOG: Duration = Duration::from_secs(5);
+    const MODES: [Scheduler; 2] = [Scheduler::LoadAware, Scheduler::Pinned];
+
+    fn env(tenant: u64) -> Envelope {
+        Envelope {
+            tenant: TenantId(tenant),
+            job: Job::Begin,
+            reply: None,
+            queued_at: None,
+        }
+    }
+
+    /// Spin (no sleeping) until `parked` holds under the pool lock.
+    fn until(pool: &Pool, parked: impl Fn(&Sched) -> bool) {
+        let deadline = Instant::now() + WATCHDOG;
+        while !parked(&pool.lock()) {
+            assert!(Instant::now() < deadline, "thread never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_parked_worker_wakes_for_a_newly_ready_tenant() {
+        for mode in MODES {
+            let pool = Arc::new(Pool::new(2, 4, mode));
+            let (tx, rx) = channel();
+            let workers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (pool, tx) = (Arc::clone(&pool), tx.clone());
+                    std::thread::spawn(move || {
+                        tx.send((w, pool.claim(w).map(|c| c.tenant))).unwrap();
+                    })
+                })
+                .collect();
+            until(&pool, |s| s.idle_workers == 2);
+            // homed on shard 1: under Pinned only worker 1 may take it
+            pool.submit(1, 7, env(7), Backpressure::Block).ok().unwrap();
+            let (w, claimed) = rx.recv_timeout(WATCHDOG).expect("lost wakeup");
+            assert_eq!(claimed, Some(7), "{mode:?}");
+            if mode == Scheduler::Pinned {
+                assert_eq!(w, 1);
+            }
+            pool.close();
+            let (_, rest) = rx.recv_timeout(WATCHDOG).expect("close wakes the rest");
+            assert_eq!(rest, None);
+            for h in workers {
+                h.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_parked_worker_wakes_when_a_release_requeues_its_tenant() {
+        for mode in MODES {
+            let pool = Arc::new(Pool::new(2, 4, mode));
+            pool.submit(1, 7, env(7), Backpressure::Block).ok().unwrap();
+            let held = pool.claim(1).expect("ready");
+            let (tx, rx) = channel();
+            let worker = {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || tx.send(pool.claim(1).map(|c| c.batch.len())).unwrap())
+            };
+            until(&pool, |s| s.idle_workers == 1);
+            // staged behind the held batch: not ready, so no wake yet
+            pool.submit(1, 7, env(7), Backpressure::Block).ok().unwrap();
+            pool.release(held.tenant, held.home, 1);
+            assert_eq!(
+                rx.recv_timeout(WATCHDOG).expect("lost wakeup"),
+                Some(1),
+                "{mode:?}"
+            );
+            worker.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_blocked_submitter_wakes_when_a_claim_frees_capacity() {
+        for mode in MODES {
+            let pool = Arc::new(Pool::new(1, 1, mode));
+            pool.submit(0, 1, env(1), Backpressure::Block).ok().unwrap();
+            let (tx, rx) = channel();
+            let submitter = {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    let admitted = pool.submit(0, 2, env(2), Backpressure::Block).is_ok();
+                    tx.send(admitted).unwrap();
+                })
+            };
+            until(&pool, |s| s.blocked_submitters == 1);
+            let claim = pool.claim(0).expect("ready");
+            assert!(rx.recv_timeout(WATCHDOG).expect("lost wakeup"), "{mode:?}");
+            submitter.join().unwrap();
+            pool.release(claim.tenant, claim.home, 1);
+        }
+    }
+
+    #[test]
+    fn a_flush_waiter_wakes_on_the_release_that_drains() {
+        // a lost `drained` wake is hidden by the barrier's 50 ms poll, so
+        // the barrier must return before that poll could fire. A lost
+        // wake misses it in every round; the best of three rounds keeps
+        // one slow scheduling slice on a loaded host from failing it
+        for mode in MODES {
+            let pool = Arc::new(Pool::new(2, 4, mode));
+            let mut best = Duration::MAX;
+            for round in 0..3 {
+                pool.submit(1, round, env(round), Backpressure::Block)
+                    .ok()
+                    .unwrap();
+                let claim = pool.claim(1).expect("ready");
+                let (tx, rx) = channel();
+                let flusher = {
+                    let pool = Arc::clone(&pool);
+                    std::thread::spawn(move || {
+                        let started = Instant::now();
+                        let drained = pool.flush(|| false);
+                        tx.send((drained, started.elapsed())).unwrap();
+                    })
+                };
+                until(&pool, |s| s.flushers == 1);
+                pool.release(claim.tenant, claim.home, 1);
+                let (drained, took) = rx.recv_timeout(WATCHDOG).expect("flush never returned");
+                assert_eq!(drained, Ok(()));
+                best = best.min(took);
+                flusher.join().unwrap();
+            }
+            assert!(
+                best < Duration::from_millis(50),
+                "{mode:?}: flush returned after {best:?}, its poll interval, not on the wake"
+            );
+        }
+    }
 }

@@ -21,10 +21,9 @@ use std::sync::Arc;
 
 proptest! {
     // TCP sessions per case make this pricier than the in-process
-    // suites: 48 cases of 2-3 clients × 16-24 tenants take ≈ 30 s in
-    // debug, because each synchronous trigger definition waits out the
-    // client's delayed ACK (accepted sockets keep Nagle's algorithm).
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // suites: 256 cases of 2-3 clients × 16-24 tenants take ≈ 10 s in
+    // debug.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn network_traffic_equals_sequential_replay(
